@@ -254,8 +254,7 @@ fn main() {
     // Compute every experiment exactly once, fanning out across workers
     // (each records its own `reproduce/experiments/<name>` span), then
     // print from this thread in the paper's presentation order.
-    let results =
-        paper::ExperimentResults::compute_with_spans(&study, Some("reproduce/experiments"));
+    let results = paper::ExperimentResults::compute(&study);
 
     present("Study overview", &results.summary);
     present("Figure 1 — classification of DROP entries", &results.fig1);

@@ -286,27 +286,38 @@ fn mem_metrics(r: &RunReport) -> BTreeMap<String, u64> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
-    use droplens_obs::Registry;
-    use std::time::Duration;
+    use droplens_obs::SpanStat;
 
+    /// One recorded span per `(path, ms)`.
     fn report_json(spans: &[(&str, u64)]) -> String {
-        let r = Registry::new();
+        let mut r = RunReport::default();
         for (path, ms) in spans {
-            r.record_span(path, Duration::from_millis(*ms));
+            let stat = SpanStat {
+                count: 1,
+                total_ns: ms * 1_000_000,
+                ..SpanStat::default()
+            };
+            r.spans.insert((*path).to_owned(), stat);
         }
-        r.report().to_json()
+        r.to_json()
     }
 
     /// A report with `mem.*` gauges and byte-carrying spans.
     fn mem_report_json(gauges: &[(&str, i64)], spans: &[(&str, u64)]) -> String {
-        let r = Registry::new();
+        let mut r = RunReport::default();
         for (name, v) in gauges {
-            r.gauge(name).set(*v);
+            r.gauges.insert((*name).to_owned(), *v);
         }
         for (path, bytes) in spans {
-            r.record_span_alloc(path, Duration::from_millis(10), *bytes, 0);
+            let stat = SpanStat {
+                count: 1,
+                total_ns: 10_000_000,
+                alloc_bytes: *bytes,
+                freed_bytes: 0,
+            };
+            r.spans.insert((*path).to_owned(), stat);
         }
-        r.report().to_json()
+        r.to_json()
     }
 
     fn write_temp(name: &str, content: &str) -> std::path::PathBuf {

@@ -93,38 +93,22 @@ pub struct ExperimentResults {
     pub ext_profiles: experiments::ext_profiles::ExtProfiles,
 }
 
-/// Run one experiment, optionally recording its wall clock as an obs span
-/// at `<span_prefix>/<name>`. Spans are recorded with explicit full paths
-/// because the experiments may run on worker threads, where the span
-/// stack's automatic nesting would lose the caller's prefix.
-fn timed<T>(span_prefix: Option<&str>, name: &str, f: impl FnOnce() -> T) -> T {
-    match span_prefix {
-        None => f(),
-        Some(prefix) => {
-            // The trace span still nests automatically: the worker
-            // adopted the caller's span when the join fanned out.
-            let tspan = droplens_obs::trace::global().span(name, "experiment");
-            let t0 = droplens_obs::Stopwatch::start();
-            let v = f();
-            tspan.finish();
-            droplens_obs::global().record_span(&format!("{prefix}/{name}"), t0.elapsed());
-            v
-        }
-    }
+/// Compute one experiment inside a span named after it (category
+/// `experiment`). The span nests under `experiments` even on a worker
+/// thread, because the join that fanned out adopted the caller's frame.
+fn spanned<T>(name: &str, compute: impl FnOnce() -> T) -> T {
+    let _span = droplens_obs::global().span_cat(name, "experiment");
+    compute()
 }
 
 impl ExperimentResults {
-    /// Compute all sixteen experiments, fanning out across workers.
-    /// Results land in named fields, so the output is identical at any
+    /// Compute all sixteen experiments, fanning out across workers, each
+    /// under its own span inside one `experiments` span (so
+    /// `reproduce/experiments/fig5` in `reproduce`'s run report). Results
+    /// land in named fields, so the output is identical at any
     /// `DROPLENS_THREADS`.
     pub fn compute(study: &Study) -> ExperimentResults {
-        Self::compute_with_spans(study, None)
-    }
-
-    /// [`Self::compute`], recording each experiment's wall clock under
-    /// `<span_prefix>/<name>` (e.g. `reproduce/experiments/fig5`).
-    pub fn compute_with_spans(study: &Study, span_prefix: Option<&str>) -> ExperimentResults {
-        let p = span_prefix;
+        let _span = droplens_obs::global().span("experiments");
         let (
             (summary, fig1, fig2, table1),
             (sec5, fig3, fig4, fig5),
@@ -133,38 +117,34 @@ impl ExperimentResults {
         ) = droplens_par::join4(
             || {
                 droplens_par::join4(
-                    || timed(p, "summary", || experiments::summary::compute(study)),
-                    || timed(p, "fig1", || experiments::fig1::compute(study)),
-                    || timed(p, "fig2", || experiments::fig2::compute(study)),
-                    || timed(p, "table1", || experiments::table1::compute(study)),
+                    || spanned("summary", || experiments::summary::compute(study)),
+                    || spanned("fig1", || experiments::fig1::compute(study)),
+                    || spanned("fig2", || experiments::fig2::compute(study)),
+                    || spanned("table1", || experiments::table1::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "sec5", || experiments::sec5::compute(study)),
-                    || timed(p, "fig3", || experiments::fig3::compute(study)),
-                    || timed(p, "fig4", || experiments::fig4::compute(study)),
-                    || timed(p, "fig5", || experiments::fig5::compute(study)),
+                    || spanned("sec5", || experiments::sec5::compute(study)),
+                    || spanned("fig3", || experiments::fig3::compute(study)),
+                    || spanned("fig4", || experiments::fig4::compute(study)),
+                    || spanned("fig5", || experiments::fig5::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "fig6", || experiments::fig6::compute(study)),
-                    || timed(p, "fig7", || experiments::fig7::compute(study)),
-                    || timed(p, "table2", || experiments::table2::compute(study)),
-                    || timed(p, "sec4", || experiments::sec4::compute(study)),
+                    || spanned("fig6", || experiments::fig6::compute(study)),
+                    || spanned("fig7", || experiments::fig7::compute(study)),
+                    || spanned("table2", || experiments::table2::compute(study)),
+                    || spanned("sec4", || experiments::sec4::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "sec6", || experiments::sec6::compute(study)),
-                    || timed(p, "ext_maxlen", || experiments::ext_maxlen::compute(study)),
-                    || timed(p, "ext_rov", || experiments::ext_rov::compute(study)),
-                    || {
-                        timed(p, "ext_profiles", || {
-                            experiments::ext_profiles::compute(study)
-                        })
-                    },
+                    || spanned("sec6", || experiments::sec6::compute(study)),
+                    || spanned("ext_maxlen", || experiments::ext_maxlen::compute(study)),
+                    || spanned("ext_rov", || experiments::ext_rov::compute(study)),
+                    || spanned("ext_profiles", || experiments::ext_profiles::compute(study)),
                 )
             },
         );

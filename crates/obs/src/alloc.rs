@@ -33,15 +33,14 @@
 //! across nesting with a save/rebase/restore stack discipline: a mark
 //! saves the shard's current span-peak, rebases it to the present live
 //! level, and `finish` restores `max(saved, inner peak)` — so an outer
-//! span's peak always includes whatever its inner spans reached. The
-//! tracer opens a mark per trace span ([`crate::trace::TraceGuard`])
-//! and [`crate::Span`] reads the cumulative counters, which is how
-//! every span in a trace carries `alloc_bytes`/`freed_bytes`/
-//! `peak_delta` and every registry path carries byte columns.
+//! span's peak always includes whatever its inner spans reached. Every
+//! [`crate::Span`] opens one mark, which is how every span in a trace
+//! carries `alloc_bytes`/`freed_bytes`/`peak_delta` and every registry
+//! path carries byte columns.
 //!
 //! Attribution is per-thread: a parser span running on a pool worker
-//! charges the worker's shard, and its trace span (adopted under the
-//! scheduling stage, see [`crate::trace::Tracer::adopt`]) carries those
+//! charges the worker's shard, and the span (nested under the
+//! scheduling stage through [`crate::Frame::adopt`]) carries those
 //! bytes — memory rolls up the worker→stage hierarchy exactly like
 //! time does.
 //!

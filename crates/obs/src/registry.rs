@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
+use crate::alloc::MemDelta;
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::run_report::RunReport;
 use crate::span::Span;
@@ -26,6 +28,14 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
+    /// Fold `other` into this stat.
+    pub(crate) fn add(&mut self, other: SpanStat) {
+        self.count = self.count.saturating_add(other.count);
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.alloc_bytes = self.alloc_bytes.saturating_add(other.alloc_bytes);
+        self.freed_bytes = self.freed_bytes.saturating_add(other.freed_bytes);
+    }
+
     /// Mean wall-clock per span, nanoseconds.
     pub fn mean_ns(&self) -> u64 {
         match self.count {
@@ -49,7 +59,8 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
+    /// Keyed by interned span path (see [`crate::span`]).
+    spans: Mutex<BTreeMap<u32, SpanStat>>,
     errors: Mutex<BTreeMap<String, ErrorLog>>,
 }
 
@@ -89,47 +100,29 @@ impl Registry {
         map.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Start an RAII span timer named `name`.
-    ///
-    /// The span's registry path nests under any span currently open on
-    /// this thread (`parent/child`); the duration is recorded when the
-    /// returned guard drops (or on [`Span::finish`]).
+    /// Open a span named `name`: it nests under the span currently open
+    /// on this thread (`parent/child`), adds its duration and allocation
+    /// to that path when it closes, and records a trace event while the
+    /// global tracer ([`crate::trace::global`]) is enabled.
     pub fn span(&self, name: &str) -> Span {
-        Span::enter(self.clone(), name)
+        self.span_cat(name, "span")
     }
 
-    /// Record a completed span (used by [`Span`]; callers can also feed
-    /// externally measured durations).
-    ///
-    /// Paths are normalized (empty segments collapse, edge slashes
-    /// trim), so an explicitly recorded `"a//b"` or `"/a/b"` aggregates
-    /// under the same `a/b` key an RAII span would produce — nested
-    /// paths stay consistently related to their parent prefix, and the
-    /// report's rollup view ([`RunReport::span_rollups`]) can synthesize
-    /// unrecorded ancestors reliably.
-    pub fn record_span(&self, path: &str, duration: std::time::Duration) {
-        self.record_span_alloc(path, duration, 0, 0);
+    /// [`Registry::span`] with trace category `cat` (`experiment`,
+    /// `stage`, ...); the run report does not see categories.
+    pub fn span_cat(&self, name: &str, cat: &'static str) -> Span {
+        Span::open(Some(self), crate::trace::global(), name, cat)
     }
 
-    /// Record a completed span together with its allocation delta (used
-    /// by [`Span`] when a tracking allocator is active; the byte columns
-    /// stay zero otherwise). Path normalization as [`Registry::record_span`].
-    pub fn record_span_alloc(
-        &self,
-        path: &str,
-        duration: std::time::Duration,
-        alloc_bytes: u64,
-        freed_bytes: u64,
-    ) {
-        let path = normalize_span_path(path);
-        let mut map = lock(&self.inner.spans);
-        let stat = map.entry(path).or_default();
-        stat.count += 1;
-        stat.total_ns = stat
-            .total_ns
-            .saturating_add(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-        stat.alloc_bytes = stat.alloc_bytes.saturating_add(alloc_bytes);
-        stat.freed_bytes = stat.freed_bytes.saturating_add(freed_bytes);
+    /// A closed span's contribution to its path.
+    pub(crate) fn add_span(&self, path: u32, elapsed: Duration, mem: MemDelta) {
+        let stat = SpanStat {
+            count: 1,
+            total_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            alloc_bytes: mem.alloc_bytes,
+            freed_bytes: mem.freed_bytes,
+        };
+        lock(&self.inner.spans).entry(path).or_default().add(stat);
     }
 
     /// Record one error for `source`, retaining the first
@@ -159,7 +152,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
-            spans: lock(&self.inner.spans).clone(),
+            spans: crate::span::by_path(&lock(&self.inner.spans)),
             errors: lock(&self.inner.errors).clone(),
         }
     }
@@ -182,25 +175,6 @@ impl Registry {
 /// cascade across every thread that touches a metric.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Collapse empty path segments (`a//b`, `/a/b/` → `a/b`) so explicit
-/// and RAII-recorded spans share keys. Paths that are already clean —
-/// the common case — return without allocating a segment vector.
-fn normalize_span_path(path: &str) -> String {
-    let needs_fix =
-        path.starts_with('/') || path.ends_with('/') || path.contains("//") || path.is_empty();
-    if !needs_fix {
-        return path.to_owned();
-    }
-    let mut out = String::with_capacity(path.len());
-    for seg in path.split('/').filter(|s| !s.is_empty()) {
-        if !out.is_empty() {
-            out.push('/');
-        }
-        out.push_str(seg);
-    }
-    out
 }
 
 /// The process-wide registry the pipeline's built-in instrumentation
@@ -240,25 +214,11 @@ mod tests {
     fn reset_clears() {
         let r = Registry::new();
         r.counter("a").inc();
-        r.record_span("s", std::time::Duration::from_millis(1));
+        drop(r.span("s"));
         r.reset();
         let snap = r.report();
         assert!(snap.counters.is_empty());
         assert!(snap.spans.is_empty());
-    }
-
-    #[test]
-    fn record_span_normalizes_explicit_paths() {
-        let r = Registry::new();
-        let d = std::time::Duration::from_micros(5);
-        r.record_span("a/b", d);
-        r.record_span("a//b", d);
-        r.record_span("/a/b/", d);
-        let snap = r.report();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans["a/b"].count, 3);
-        assert_eq!(normalize_span_path("clean/path"), "clean/path");
-        assert_eq!(normalize_span_path("///"), "");
     }
 
     #[test]
@@ -278,7 +238,7 @@ mod tests {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         pinned.add(1);
                         reg.counter("race").add(1); // re-resolves every time
-                        reg.record_span("race/span", std::time::Duration::from_nanos(1));
+                        drop(reg.span("race"));
                     }
                 });
             }

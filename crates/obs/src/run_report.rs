@@ -15,9 +15,9 @@ use crate::report::TextTable;
 /// them (an RAII span is open while its children run), so a recorded
 /// path's rollup is simply its own total. The rollup exists for paths
 /// that were never recorded themselves but have recorded descendants —
-/// `reproduce/experiments` when only `reproduce/experiments/fig1..` were
-/// timed: their rollup is the sum of their direct children's rollups,
-/// making `a` and `a/b` consistently related in every report.
+/// `stage` when only `stage/a` and `stage/b` were timed: their rollup is
+/// the sum of their direct children's rollups, making `a` and `a/b`
+/// consistently related in every report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanRollup {
     /// The directly recorded stat (zeroed for synthesized interior

@@ -1,31 +1,31 @@
 //! droplens-trace: hierarchical tracing with per-worker timelines.
 //!
-//! Where [`crate::Span`] aggregates wall-clock per *path*, the tracer
-//! records every individual span as an event carrying a parent id, the
-//! worker thread that ran it, and typed attributes (source, item counts,
-//! queue-wait). The result is a timeline, not a summary: load it into
-//! Perfetto / `chrome://tracing` ([`Trace::to_chrome_json`]) to see
+//! Where the run report aggregates wall-clock per *path*, the tracer
+//! records every individual [`Span`] as an event carrying a parent id,
+//! the worker thread that ran it, and typed attributes (source, item
+//! counts, queue-wait). The result is a timeline, not a summary: load it
+//! into Perfetto / `chrome://tracing` ([`Trace::to_chrome_json`]) to see
 //! where wall-clock goes across workers, or render the deterministic
 //! text tree ([`Trace::to_text_tree`]) for test assertions.
 //!
 //! # Recording model
 //!
-//! Tracing is **off by default** and costs one atomic load per
-//! instrumentation site while off. When enabled, events are pushed into
-//! **per-thread buffers** (a `thread_local` `Vec` — no locks, no atomics
-//! on the hot path); a buffer flushes into the tracer's shared sink when
-//! its thread exits, and [`Tracer::drain`] flushes the calling thread
-//! before taking the sink. The pipeline's worker threads are scoped, so
-//! by the time the orchestrating thread drains, every worker has flushed.
+//! Tracing is **off by default**; a trace-only span ([`Tracer::span`])
+//! then costs one atomic load. When enabled, every span's close event
+//! becomes a [`TraceEvent`] pushed into its thread's **shard**: a
+//! `Vec` behind a mutex that only the owning thread locks between
+//! drains, registered with the tracer when the thread first opens a
+//! traced span or records an instant. [`Tracer::drain`] takes every
+//! shard's events, so it does not depend on thread-local destructors
+//! (scoped threads signal their join before those run).
 //!
 //! # Hierarchy across threads
 //!
-//! Each thread keeps a stack of open trace-span ids; a new span's parent
-//! is the top of the stack. Fork-join helpers propagate the spawning
-//! thread's current span to their workers ([`Tracer::adopt`] /
-//! [`Tracer::span_under`]), so a parser span opened on a worker links
-//! under the `load` stage that scheduled it, not under a disconnected
-//! root.
+//! A span's parent is the innermost traced span on its thread's frame
+//! stack ([`crate::span`]). Fork-join helpers hand the spawning thread's
+//! [`Frame`] to their workers ([`Frame::adopt`]), so a parser span
+//! opened on a worker links under the `load` stage that scheduled it,
+//! not under a disconnected root.
 //!
 //! ```
 //! use droplens_obs::trace::Tracer;
@@ -48,7 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::alloc::MemDelta;
 use crate::json::JsonObject;
+use crate::span::{Frame, Span};
 
 /// A typed attribute value on a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,10 +166,6 @@ struct LocalBuf {
 thread_local! {
     /// Per-thread shard handle (the shard itself outlives the thread).
     static LOCAL_BUF: RefCell<Option<LocalBuf>> = const { RefCell::new(None) };
-    /// Ids of the trace spans currently open on this thread, outermost
-    /// first. Shared across tracers, mirroring [`crate::span`]'s stack:
-    /// nesting reflects dynamic call structure.
-    static TRACE_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Tracer {
@@ -192,75 +190,28 @@ impl Tracer {
         self.inner.enabled.load(Ordering::Acquire)
     }
 
-    /// The id of the innermost trace span open on *this thread* (0 when
-    /// none). Fork-join helpers capture this before spawning and hand it
-    /// to [`Tracer::span_under`] / [`Tracer::adopt`] on the worker.
-    pub fn current(&self) -> u64 {
-        TRACE_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
+    /// Open a trace-only span under this thread's innermost span. It
+    /// records a [`TraceEvent`] on close and adds to no registry; while
+    /// the tracer is disabled it is inert.
+    pub fn span(&self, name: &str, cat: &'static str) -> Span {
+        Span::open(None, self, name, cat)
     }
 
-    /// Open a span under this thread's innermost open span.
-    pub fn span(&self, name: impl Into<String>, cat: &'static str) -> TraceGuard {
-        let parent = if self.is_enabled() { self.current() } else { 0 };
-        self.span_under(parent, name, cat)
-    }
-
-    /// Open a span under an explicit parent id (cross-thread linkage).
-    /// The new span is pushed on this thread's stack, so spans opened
-    /// inside it nest under it.
-    pub fn span_under(
-        &self,
-        parent: u64,
-        name: impl Into<String>,
-        cat: &'static str,
-    ) -> TraceGuard {
-        if !self.is_enabled() {
-            return TraceGuard { state: None };
-        }
-        // Register the thread now, not at the drop-time push: open order
+    /// Start the event of a span opening under trace id `parent`.
+    pub(crate) fn begin(&self, parent: u64, name: &str, cat: &'static str) -> PendingEvent {
+        // Register the thread now, not at the close-time push: open order
         // follows the fork-join hierarchy (a stage opens before the
         // workers it spawns), so timeline ids stay deterministic instead
         // of depending on which span happens to *finish* first.
         self.register_thread();
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let depth = TRACE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let depth = s.len();
-            s.push(id);
-            depth
-        });
-        TraceGuard {
-            state: Some(GuardState {
-                tracer: self.clone(),
-                id,
-                parent,
-                name: name.into(),
-                cat,
-                start: Instant::now(),
-                depth,
-                args: Vec::new(),
-                // When a tracking allocator is installed, every trace
-                // span doubles as a memory attribution region.
-                mem: crate::alloc::mark(),
-            }),
+        PendingEvent {
+            tracer: self.clone(),
+            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
+            parent,
+            name: name.to_owned(),
+            cat,
+            args: Vec::new(),
         }
-    }
-
-    /// Adopt `parent` as this thread's innermost span without recording
-    /// an event — how fork-join workers inherit the spawning thread's
-    /// context. The guard pops it again on drop.
-    pub fn adopt(&self, parent: u64) -> AdoptGuard {
-        if !self.is_enabled() || parent == 0 {
-            return AdoptGuard { depth: None };
-        }
-        self.register_thread();
-        let depth = TRACE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let depth = s.len();
-            s.push(parent);
-            depth
-        });
-        AdoptGuard { depth: Some(depth) }
     }
 
     /// Record a point-in-time event under this thread's innermost span.
@@ -277,7 +228,7 @@ impl Tracer {
         let ts_ns = saturating_ns(self.inner.epoch.elapsed());
         self.push(TraceEvent {
             id,
-            parent: self.current(),
+            parent: Frame::current().trace,
             name: name.into(),
             cat,
             tid: 0, // filled by push
@@ -350,117 +301,51 @@ fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// State of an open (recording) trace guard.
+/// The trace event of an open [`Span`], completed when the span closes.
 #[derive(Debug)]
-struct GuardState {
+pub(crate) struct PendingEvent {
     tracer: Tracer,
-    id: u64,
+    pub(crate) id: u64,
     parent: u64,
     name: String,
     cat: &'static str,
-    start: Instant,
-    depth: usize,
-    args: Vec<(&'static str, ArgValue)>,
-    /// Open memory attribution region (`None` without a tracking
-    /// allocator); closed on drop into `alloc_bytes`/`freed_bytes`/
-    /// `peak_delta` args plus a `live_bytes` counter sample.
-    mem: Option<crate::alloc::MemMark>,
+    pub(crate) args: Vec<(&'static str, ArgValue)>,
 }
 
-/// An open trace span: records a [`TraceEvent`] when dropped (or on
-/// [`TraceGuard::finish`]). A guard from a disabled tracer is an inert
-/// no-op — every method is safe to call unconditionally.
-#[derive(Debug, Default)]
-pub struct TraceGuard {
-    state: Option<GuardState>,
-}
-
-impl TraceGuard {
-    /// This span's id (0 when tracing is disabled). Hand it to
-    /// [`Tracer::span_under`] on another thread to nest under this span.
-    pub fn id(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.id)
-    }
-
-    /// Attach an unsigned-integer attribute.
-    pub fn arg_u64(&mut self, key: &'static str, value: u64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::U64(value)));
+impl PendingEvent {
+    /// Push the finished span event. With allocation attribution
+    /// (`mem`), the event gains `alloc_bytes`/`freed_bytes`/`peak_delta`
+    /// and this worker's live bytes are sampled as a counter event — a
+    /// timeline dense exactly where the run is busy.
+    pub(crate) fn record(mut self, start: Instant, dur: Duration, mem: Option<MemDelta>) {
+        let ts_ns = saturating_ns(start.duration_since(self.tracer.inner.epoch));
+        let dur_ns = saturating_ns(dur);
+        if let Some(d) = mem {
+            self.args.extend([
+                ("alloc_bytes", ArgValue::U64(d.alloc_bytes)),
+                ("freed_bytes", ArgValue::U64(d.freed_bytes)),
+                ("peak_delta", ArgValue::U64(d.peak_delta)),
+            ]);
         }
-        self
-    }
-
-    /// Attach a signed-integer attribute.
-    pub fn arg_i64(&mut self, key: &'static str, value: i64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::I64(value)));
-        }
-        self
-    }
-
-    /// Attach a float attribute.
-    pub fn arg_f64(&mut self, key: &'static str, value: f64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::F64(value)));
-        }
-        self
-    }
-
-    /// Attach a string attribute.
-    pub fn arg_str(&mut self, key: &'static str, value: impl Into<String>) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::Str(value.into())));
-        }
-        self
-    }
-
-    /// Close the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        let Some(s) = self.state.take() else { return };
-        let ts_ns = saturating_ns(s.start.duration_since(s.tracer.inner.epoch));
-        let dur_ns = saturating_ns(s.start.elapsed());
-        TRACE_STACK.with(|stack| {
-            // LIFO in well-formed use; truncating self-heals if an outer
-            // guard drops before an inner one.
-            stack.borrow_mut().truncate(s.depth);
-        });
-        let mut args = s.args;
-        let sampled_mem = s.mem.is_some();
-        if let Some(mark) = s.mem {
-            // Guards drop innermost-first, which is exactly the LIFO
-            // discipline the mark's peak save/restore needs.
-            let d = mark.finish();
-            args.push(("alloc_bytes", ArgValue::U64(d.alloc_bytes)));
-            args.push(("freed_bytes", ArgValue::U64(d.freed_bytes)));
-            args.push(("peak_delta", ArgValue::U64(d.peak_delta)));
-        }
-        let end_ns = ts_ns.saturating_add(dur_ns);
-        s.tracer.push(TraceEvent {
-            id: s.id,
-            parent: s.parent,
-            name: s.name,
-            cat: s.cat,
+        self.tracer.push(TraceEvent {
+            id: self.id,
+            parent: self.parent,
+            name: self.name,
+            cat: self.cat,
             tid: 0, // filled by push
             ts_ns,
             dur_ns,
             kind: EventKind::Span,
-            args,
+            args: self.args,
         });
-        if sampled_mem {
-            // Sample this worker's live bytes at every span close: a
-            // timeline dense exactly where the run is busy.
-            let id = s.tracer.inner.next_id.fetch_add(1, Ordering::Relaxed);
-            s.tracer.push(TraceEvent {
-                id,
-                parent: s.parent,
+        if mem.is_some() {
+            self.tracer.push(TraceEvent {
+                id: self.tracer.inner.next_id.fetch_add(1, Ordering::Relaxed),
+                parent: self.parent,
                 name: "live_bytes".to_owned(),
                 cat: "mem",
                 tid: 0, // filled by push
-                ts_ns: end_ns,
+                ts_ns: ts_ns.saturating_add(dur_ns),
                 dur_ns: 0,
                 kind: EventKind::Counter,
                 args: vec![(
@@ -468,20 +353,6 @@ impl Drop for TraceGuard {
                     ArgValue::I64(crate::alloc::thread_live_bytes()),
                 )],
             });
-        }
-    }
-}
-
-/// Pops an adopted parent id off this thread's stack on drop.
-#[derive(Debug)]
-pub struct AdoptGuard {
-    depth: Option<usize>,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if let Some(depth) = self.depth {
-            TRACE_STACK.with(|s| s.borrow_mut().truncate(depth));
         }
     }
 }
@@ -784,13 +655,13 @@ mod tests {
             let outer = t.span("outer", "test");
             outer_id = outer.id();
             assert_ne!(outer_id, 0);
-            assert_eq!(t.current(), outer_id);
+            assert_eq!(Frame::current().trace, outer_id);
             let inner = t.span("inner", "test");
             assert_ne!(inner.id(), 0);
             drop(inner);
-            assert_eq!(t.current(), outer_id);
+            assert_eq!(Frame::current().trace, outer_id);
         }
-        assert_eq!(t.current(), 0);
+        assert_eq!(Frame::current().trace, 0);
         let trace = t.drain();
         // Sibling alloc tests may flip the process-wide ACTIVE flag,
         // adding live_bytes counter samples: count spans only.
@@ -813,10 +684,11 @@ mod tests {
         t.enable();
         let parent = t.span("stage", "test");
         let pid = parent.id();
+        let frame = Frame::current();
         let tc = t.clone();
         std::thread::scope(|s| {
             s.spawn(move || {
-                let _a = tc.adopt(pid);
+                let _a = frame.adopt();
                 let mut g = tc.span("task", "test");
                 g.arg_u64("queue_wait_ns", 17);
             });

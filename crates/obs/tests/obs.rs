@@ -7,7 +7,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use droplens_obs::{Histogram, Registry, RunReport};
+use droplens_obs::{Histogram, Registry, RunReport, SpanStat};
+
+/// One recorded span of `total_ns`, as a run report row.
+fn stat(total_ns: u64) -> SpanStat {
+    SpanStat {
+        count: 1,
+        total_ns,
+        ..SpanStat::default()
+    }
+}
 
 #[test]
 fn empty_histogram_has_no_quantiles() {
@@ -175,10 +184,10 @@ fn json_report_is_stable_and_escaped() {
     r.counter("a.count").inc();
     r.gauge("depth").set(-3);
     r.histogram("lat").record(8);
-    r.record_span("stage/sub", Duration::from_nanos(500));
     r.error_sample("src", "bad \"line\"\n1");
     let mut report = r.report();
     report.meta.insert("seed".to_owned(), "42".to_owned());
+    report.spans.insert("stage/sub".to_owned(), stat(500));
 
     let expected = concat!(
         "{\"schema\":\"droplens-obs/1\",",
@@ -194,6 +203,7 @@ fn json_report_is_stable_and_escaped() {
     // Same registry state → byte-identical document.
     let mut again = r.report();
     again.meta.insert("seed".to_owned(), "42".to_owned());
+    again.spans.insert("stage/sub".to_owned(), stat(500));
     assert_eq!(again.to_json(), expected);
 }
 
@@ -203,10 +213,10 @@ fn text_report_renders_all_sections() {
     r.counter("records").add(7);
     r.gauge("pool").set(5);
     r.histogram("lat").record(100);
-    r.record_span("stage", Duration::from_millis(2));
     r.error_sample("parser", "oops");
     let mut report = r.report();
     report.meta.insert("scale".to_owned(), "small".to_owned());
+    report.spans.insert("stage".to_owned(), stat(2_000_000));
     let text = report.to_text();
     for needle in ["scale", "stage", "records", "pool", "lat", "parser", "oops"] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

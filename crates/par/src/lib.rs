@@ -29,28 +29,26 @@
 //! helper degrades to a plain sequential loop on the calling thread —
 //! no threads are spawned at all.
 //!
-//! # Tracing
+//! # Span nesting
 //!
+//! Every spawned chunk, and the spawned side of [`join`], adopts the
+//! calling thread's innermost span frame ([`droplens_obs::Frame`]; a
+//! thread-local push whether or not tracing is on), so a registry span
+//! opened inside aggregates under the caller's path at any worker count.
 //! When the global tracer ([`droplens_obs::trace::global`]) is enabled,
-//! every spawned chunk records a `task` span (category `par`) on its
-//! worker's timeline, linked under the span that was open on the calling
-//! thread, carrying `queue_wait_ns` (spawn-to-start latency) and the
-//! chunk size. The [`join`] family adopts the caller's span on the
-//! spawned side so spans opened inside nest correctly across threads.
-//! Disabled tracing costs one atomic load per spawned chunk; the
-//! sequential paths are untouched.
-//!
-//! When the running binary additionally installs the tracking allocator
-//! ([`droplens_obs::alloc::TrackingAlloc`]), each `task` span also
-//! carries `alloc_bytes`/`freed_bytes`/`peak_delta` next to
-//! `queue_wait_ns` — the bytes a chunk allocated on its worker roll up
-//! under the adopting stage span exactly like its wall-clock does.
+//! every spawned chunk also records a `task` span (category `par`) on its
+//! worker's timeline, linked under the calling thread's span, carrying
+//! `queue_wait_ns` (spawn-to-start latency), the chunk size and — with
+//! the tracking allocator installed — the chunk's `alloc_bytes`/
+//! `freed_bytes`/`peak_delta`, which roll up under the adopting stage
+//! span exactly like its wall-clock does. The sequential paths are
+//! untouched.
 
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::thread;
 
-use droplens_obs::{trace, Stopwatch};
+use droplens_obs::{trace, Frame, Stopwatch};
 
 /// A boxed heterogeneous task for [`par_join`].
 pub type Task<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
@@ -91,8 +89,7 @@ pub fn par_map_with<T: Sync, R: Send>(
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
-    let tracer = trace::global();
-    let parent = tracer.current();
+    let frame = Frame::current();
     let queued = Stopwatch::start();
     let f = &f;
     let chunks: Vec<Vec<R>> = thread::scope(|s| {
@@ -100,9 +97,9 @@ pub fn par_map_with<T: Sync, R: Send>(
             .chunks(chunk)
             .map(|part| {
                 s.spawn(move || {
-                    let mut span = task_span(tracer, parent, queued);
-                    span.arg_u64("items", part.len() as u64);
-                    part.iter().map(f).collect::<Vec<R>>()
+                    in_task(frame, queued, ("items", part.len()), || {
+                        part.iter().map(f).collect::<Vec<R>>()
+                    })
                 })
             })
             .collect();
@@ -131,8 +128,7 @@ pub fn par_for_each_mut_with<T: Send>(workers: usize, items: &mut [T], f: impl F
         return;
     }
     let chunk = items.len().div_ceil(workers);
-    let tracer = trace::global();
-    let parent = tracer.current();
+    let frame = Frame::current();
     let queued = Stopwatch::start();
     let f = &f;
     thread::scope(|s| {
@@ -140,11 +136,11 @@ pub fn par_for_each_mut_with<T: Send>(workers: usize, items: &mut [T], f: impl F
             .chunks_mut(chunk)
             .map(|part| {
                 s.spawn(move || {
-                    let mut span = task_span(tracer, parent, queued);
-                    span.arg_u64("items", part.len() as u64);
-                    for item in part {
-                        f(item);
-                    }
+                    in_task(frame, queued, ("items", part.len()), || {
+                        for item in part {
+                            f(item);
+                        }
+                    })
                 })
             })
             .collect();
@@ -164,13 +160,12 @@ where
         let rb = b();
         return (ra, rb);
     }
-    let tracer = trace::global();
-    let parent = tracer.current();
+    let frame = Frame::current();
     thread::scope(|s| {
         let hb = s.spawn(move || {
             // Inherit the caller's open span so spans opened inside `b`
             // nest under it even though `b` runs on another thread.
-            let _adopt = tracer.adopt(parent);
+            let _adopt = frame.adopt();
             b()
         });
         let ra = a();
@@ -255,17 +250,16 @@ pub fn par_join_with<R: Send>(workers: usize, tasks: Vec<Task<'_, R>>) -> Vec<R>
         rest = tail;
     }
     batches.push(rest);
-    let tracer = trace::global();
-    let parent = tracer.current();
+    let frame = Frame::current();
     let queued = Stopwatch::start();
     let results: Vec<Vec<R>> = thread::scope(|s| {
         let handles: Vec<_> = batches
             .into_iter()
             .map(|batch| {
                 s.spawn(move || {
-                    let mut span = task_span(tracer, parent, queued);
-                    span.arg_u64("tasks", batch.len() as u64);
-                    batch.into_iter().map(|t| t()).collect::<Vec<R>>()
+                    in_task(frame, queued, ("tasks", batch.len()), || {
+                        batch.into_iter().map(|t| t()).collect::<Vec<R>>()
+                    })
                 })
             })
             .collect();
@@ -274,13 +268,21 @@ pub fn par_join_with<R: Send>(workers: usize, tasks: Vec<Task<'_, R>>) -> Vec<R>
     results.into_iter().flatten().collect()
 }
 
-/// Open the per-chunk `task` trace span on the worker: linked under the
-/// calling thread's span, stamped with the spawn-to-start queue wait.
-/// A no-op guard when tracing is disabled.
-fn task_span(tracer: &trace::Tracer, parent: u64, queued: Stopwatch) -> trace::TraceGuard {
-    let mut span = tracer.span_under(parent, "task", "par");
-    span.arg_u64("queue_wait_ns", queued.elapsed_ns());
-    span
+/// Run one spawned chunk on its worker: adopt the calling thread's
+/// `frame`, then run `work` inside the `task` trace span, stamped with
+/// the spawn-to-start queue wait and the chunk `size` (inert when
+/// tracing is disabled).
+fn in_task<R>(
+    frame: Frame,
+    queued: Stopwatch,
+    size: (&'static str, usize),
+    work: impl FnOnce() -> R,
+) -> R {
+    let _adopt = frame.adopt();
+    let mut span = trace::global().span("task", "par");
+    span.arg_u64("queue_wait_ns", queued.elapsed_ns())
+        .arg_u64(size.0, size.1 as u64);
+    work()
 }
 
 /// Join every handle, then re-raise the first panic (if any). Joining

@@ -160,7 +160,6 @@ struct Counters {
     busy: droplens_obs::Counter,
     malformed: droplens_obs::Counter,
     io_errors: droplens_obs::Counter,
-    latency_ns: droplens_obs::Histogram,
 }
 
 impl Counters {
@@ -172,7 +171,6 @@ impl Counters {
             busy: reg.counter("serve.busy"),
             malformed: reg.counter("serve.malformed"),
             io_errors: reg.counter("serve.io_errors"),
-            latency_ns: reg.histogram("serve.latency_ns"),
         }
     }
 
@@ -417,13 +415,8 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Queued>>>, shared: &Shared) {
         }
         shared.counters.connections.inc();
         shared.telemetry.conn_started();
-        let start_ns = clock.now_ns();
         handle_conn(&mut conn, shared);
         shared.telemetry.conn_finished();
-        droplens_obs::global().record_span(
-            "serve/conn",
-            Duration::from_nanos(clock.now_ns().saturating_sub(start_ns)),
-        );
     }
 }
 
@@ -481,11 +474,6 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
             engine_ns: engine_done.saturating_sub(decode_done),
             write_ns: clock.now_ns().saturating_sub(engine_done),
         };
-        shared.counters.latency_ns.record(timing.total_ns());
-        droplens_obs::global().record_span(
-            &format!("serve/conn/{}", req.label()),
-            Duration::from_nanos(timing.total_ns()),
-        );
         shared
             .telemetry
             .request_served(&req, write_ok, timing, || request_args(&req));
