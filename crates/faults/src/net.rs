@@ -21,6 +21,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -105,10 +106,15 @@ pub struct ChaosProxy {
     shutdown: Arc<AtomicBool>,
     log: Arc<Mutex<ChaosLog>>,
     acceptor: Option<JoinHandle<()>>,
+    /// Disconnects when the acceptor thread returns.
+    acceptor_exited: Receiver<()>,
 }
 
 /// How long a pump blocks in one read before re-checking shutdown.
 const PUMP_TICK: Duration = Duration::from_millis(50);
+/// Connect timeout of the wake [`ChaosProxy::stop`] sends its acceptor,
+/// and how long it waits for the acceptor before sending another.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 /// Pump chunk size. Small enough that several chunks make up a big
 /// frame (so truncation can tear one), big enough to carry a whole
 /// small frame in one piece.
@@ -119,17 +125,18 @@ impl ChaosProxy {
     /// drawn from `profile`.
     pub fn start(upstream: SocketAddr, profile: ChaosProfile) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let log = Arc::new(Mutex::new(ChaosLog::default()));
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_log = Arc::clone(&log);
+        let (exited_tx, acceptor_exited) = channel::<()>();
         let acceptor = std::thread::Builder::new()
             .name("chaos-proxy".to_owned())
             .spawn(move || {
-                accept_loop(listener, upstream, profile, &accept_shutdown, &accept_log)
+                accept_loop(listener, upstream, profile, &accept_shutdown, &accept_log);
+                drop(exited_tx);
             })?;
 
         Ok(ChaosProxy {
@@ -137,6 +144,7 @@ impl ChaosProxy {
             shutdown,
             log,
             acceptor: Some(acceptor),
+            acceptor_exited,
         })
     }
 
@@ -157,6 +165,14 @@ impl ChaosProxy {
     /// tallies.
     pub fn stop(mut self) -> ChaosLog {
         self.shutdown.store(true, Ordering::SeqCst);
+        // The acceptor blocks in `accept`: wake it with a connection it
+        // drops uncounted, and knock again until it has returned, since
+        // a connect can fail.
+        let wake = || TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
+        let _ = wake();
+        while let Err(RecvTimeoutError::Timeout) = self.acceptor_exited.recv_timeout(WAKE_TIMEOUT) {
+            let _ = wake();
+        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -173,8 +189,14 @@ fn accept_loop(
 ) {
     let mut pumps: Vec<JoinHandle<()>> = Vec::new();
     let mut conn_index: u64 = 0;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `stop` wakes this blocking accept with its own connection.
+        // Whatever arrives once the flag is set is dropped uncounted.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((client, _)) => {
                 conn_index += 1;
                 bump(log, |l| l.connections += 1);
@@ -213,9 +235,6 @@ fn accept_loop(
                 // Reap finished pumps so long runs don't accumulate
                 // handles.
                 pumps.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,

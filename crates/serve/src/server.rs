@@ -11,8 +11,13 @@
 //!    stops on the shutdown flag; dropping the sender ends the workers
 //! ```
 //!
-//! * The acceptor polls a nonblocking listener so it can observe the
-//!   shutdown flag between accepts.
+//! * The acceptor blocks in `accept` and checks the shutdown flag each
+//!   time it returns. A drain sets the flag, then wakes the acceptor
+//!   with a connection of its own ([`ServerHandle::request_drain`]);
+//!   whatever is accepted after the flag, the wake included, is dropped
+//!   uncounted, like the backlog the closing listener resets.
+//!   [`ServerHandle::stop`] re-sends the wake until the acceptor has
+//!   returned, so a lost wake cannot hang it.
 //! * The queue is a `sync_channel` of depth [`ServerConfig::queue_depth`];
 //!   when `try_send` fails the acceptor answers [`Reply::Busy`] inside
 //!   the write deadline and closes — overload is a typed reply, never an
@@ -24,9 +29,9 @@
 //!   effort located [`Reply::Error`]; the fault is counted and sampled
 //!   in the [`ServeLedger`], mirroring the ingestion quarantine.
 
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,6 +45,10 @@ use crate::telemetry::{request_args, LifetimeTotals, RequestTiming, Telemetry};
 
 /// How many fault messages the ledger retains verbatim.
 pub const LEDGER_SAMPLES_KEPT: usize = 16;
+
+/// Connect timeout of a drain wake, and how long [`ServerHandle::stop`]
+/// waits for the acceptor to return before it sends another.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -231,15 +240,25 @@ pub struct ServerHandle {
     addr: std::net::SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
+    /// Disconnects when the acceptor thread returns.
+    acceptor_exited: Receiver<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind, spawn the worker pool and the acceptor, and return the
     /// handle. The engine is shared read-only across all workers.
+    ///
+    /// A zero [`ServerConfig::deadline`] is refused with
+    /// `ErrorKind::InvalidInput` before binding: no socket can carry it.
     pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<ServerHandle> {
+        if config.deadline.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "server deadline must be nonzero",
+            ));
+        }
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let slow_ns = u64::try_from(config.slow_threshold.as_nanos()).unwrap_or(u64::MAX);
@@ -269,14 +288,19 @@ impl Server {
 
         let deadline = config.deadline;
         let acceptor_shared = Arc::clone(&shared);
+        let (exited_tx, acceptor_exited) = channel::<()>();
         let acceptor = std::thread::Builder::new()
             .name("serve-acceptor".to_owned())
-            .spawn(move || accept_loop(listener, tx, deadline, &acceptor_shared))?;
+            .spawn(move || {
+                accept_loop(listener, tx, deadline, &acceptor_shared);
+                drop(exited_tx);
+            })?;
 
         Ok(ServerHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
+            acceptor_exited,
             workers,
         })
     }
@@ -300,17 +324,24 @@ impl ServerHandle {
         self.shared.metrics_json()
     }
 
-    /// Request a drain without waiting: stop accepting, shed the queue,
-    /// finish requests in flight. Idempotent; safe from a signal
-    /// watcher thread.
+    /// Request a drain without waiting for it: stop accepting, shed the
+    /// queue, finish requests in flight. Sets the shutdown flag, then
+    /// wakes the acceptor blocked in `accept` with one connection to the
+    /// bound address. Idempotent; safe from a signal watcher thread.
     pub fn request_drain(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        wake(self.addr);
     }
 
     /// Drain and wait for every thread to finish, then return the
     /// report. In-flight replies complete whole; nothing is torn.
     pub fn stop(mut self) -> ServeReport {
         self.request_drain();
+        // A wake can be lost to a refused or timed-out connect: knock
+        // again until the acceptor has returned.
+        while let Err(RecvTimeoutError::Timeout) = self.acceptor_exited.recv_timeout(WAKE_TIMEOUT) {
+            wake(self.addr);
+        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -341,8 +372,14 @@ fn accept_loop(
     deadline: Duration,
     shared: &Shared,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // A drain wakes this blocking accept with its own connection.
+        // Whatever arrives once the flag is set is dropped uncounted.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let Ok(conn) = DeadlineStream::new(stream, deadline) else {
                     // Peer vanished between accept and setsockopt.
@@ -370,15 +407,27 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
     // tx drops here: workers finish the queued backlog (as Busy, since
     // the flag is set by the time they pull) and exit on Disconnected.
+    // The listener closes too, resetting connections still in its
+    // backlog.
+}
+
+/// Wake an acceptor blocked in `accept` by connecting to the address it
+/// listens on: itself, or loopback when bound to every interface
+/// (0.0.0.0 or [::]). The connection is dropped at once; failures are
+/// left to [`ServerHandle::stop`]'s retry.
+fn wake(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = DeadlineStream::connect(SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT);
 }
 
 /// Typed overload shedding: one `Busy` frame inside the write deadline,

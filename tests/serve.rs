@@ -10,17 +10,21 @@
 //! * **chaos** — behind a fault-injecting proxy (corruption,
 //!   truncation, delays, resets) every well-formed query still
 //!   succeeds within its retry budget, with answers unchanged, and the
-//!   server neither crashes nor deadlocks.
+//!   server neither crashes nor deadlocks;
+//! * **accept** — a connection is taken as soon as it arrives, so
+//!   sequential connect-per-query traffic is paced by the transport,
+//!   not by the acceptor.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use droplens_core::{paper, Study};
 use droplens_faults::{ChaosProfile, ChaosProxy};
+use droplens_obs::Stopwatch;
 use droplens_serve::net::DeadlineStream;
 use droplens_serve::{
     loadgen, Client, ClientConfig, Engine, LoadConfig, Reply, Request, Server, ServerConfig,
@@ -92,6 +96,54 @@ fn stats_merges_live_counters_sorted() {
         "study facts present: {names:?}"
     );
     handle.stop();
+}
+
+/// One client, one worker, a fresh connection per query: 1000 pings
+/// take about 0.1 s. Against a listener polled on a 2 ms sleep each
+/// connection waits out most of the sleep, and the loop takes 1.7 s or
+/// more.
+#[test]
+fn sequential_pings_are_not_paced_by_the_acceptor() {
+    let engine = engine();
+    let handle = start(
+        &engine,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::new(ClientConfig::to_addr(handle.addr()));
+    let stopwatch = Stopwatch::start();
+    for _ in 0..1000 {
+        assert_eq!(client.query(&Request::Ping).expect("ping"), Reply::Pong);
+    }
+    let elapsed = stopwatch.elapsed();
+    handle.stop();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "1000 sequential pings took {elapsed:?}"
+    );
+}
+
+/// No socket can carry a zero deadline, so `start` refuses it before
+/// binding: the address is already taken, and the error must still be
+/// `InvalidInput`, not `AddrInUse`.
+#[test]
+fn zero_deadline_is_refused_before_binding() {
+    let engine = engine();
+    let taken = TcpListener::bind("127.0.0.1:0").expect("bind placeholder");
+    let config = ServerConfig {
+        addr: taken.local_addr().expect("placeholder address"),
+        deadline: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    match Server::start(Arc::clone(&engine), config) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(handle) => {
+            handle.stop();
+            panic!("a zero deadline was accepted");
+        }
+    }
 }
 
 /// Saturate a 1-worker, depth-1 queue, then connect once more: the
