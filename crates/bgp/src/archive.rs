@@ -7,45 +7,39 @@
 //! lookups are binary searches, so the whole-study correlations stay fast
 //! even with hundreds of peers and thousands of prefixes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use droplens_net::{Asn, Date, Ipv4Prefix, PrefixTrie};
 
 use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
 
-/// Handle to a deduplicated AS path in a [`BgpArchive`]'s path arena.
-/// Resolve with [`BgpArchive::path_of`]. Equal ids mean equal paths
-/// within one archive.
+/// Handle to the AS path of one [`Interval`] in a [`BgpArchive`]'s path
+/// arena; resolve with [`BgpArchive::path_of`]. Ids are not
+/// deduplicated: two intervals with equal paths may hold different ids,
+/// so compare resolved paths, never ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(u32);
 
-/// Deduplicated AS-path storage: each distinct path is stored once, in
-/// first-appearance order, and intervals refer to it by a 4-byte
-/// [`PathId`]. Update streams repeat the same few transit chains across
-/// thousands of (prefix, peer) lanes, so this collapses the dominant
-/// per-interval allocation.
-#[derive(Debug, Default)]
+/// AS-path storage: one entry per interval, which refers to it by a
+/// 4-byte [`PathId`]. An entry is an `Arc` clone of the announced path,
+/// so the hop list is shared with the update, not copied. There is no
+/// dedup index: a path ends at the prefix's origin, so nearly every
+/// (prefix, peer) lane announces a path no other lane does, and hashing
+/// every announcement to find the few repeats costs more than it saves.
+#[derive(Debug)]
 struct PathArena {
-    /// Distinct paths in first-appearance order.
     paths: Vec<AsPath>,
-    /// Dedup index; never iterated, so hash order cannot leak into any
-    /// output (the interner determinism rule, DESIGN.md §11).
-    dedup: HashMap<AsPath, u32>,
 }
 
 impl PathArena {
-    fn intern(&mut self, path: &AsPath) -> PathId {
-        if let Some(&raw) = self.dedup.get(path) {
-            return PathId(raw);
-        }
+    fn push(&mut self, path: &AsPath) -> PathId {
         let raw = self.paths.len() as u32;
         self.paths.push(path.clone());
-        self.dedup.insert(path.clone(), raw);
         PathId(raw)
     }
 
     fn get(&self, id: PathId) -> &AsPath {
-        // lint: allow(no-panic-in-request-path) — PathIds are only minted by intern(), so they index in-bounds
+        // lint: allow(no-panic-in-request-path) — PathIds are only minted by push(), so they index in-bounds
         &self.paths[id.0 as usize]
     }
 }
@@ -71,10 +65,57 @@ impl Interval {
     }
 }
 
+/// The interval of a chronological `lane` in force on `date`, if any:
+/// a binary search by start date.
+fn interval_at(lane: &[Interval], date: Date) -> Option<&Interval> {
+    let idx = lane.partition_point(|iv| iv.start <= date);
+    // lint: allow(no-panic-in-request-path) — partition_point returns idx <= lane.len()
+    lane[..idx].last().filter(|iv| iv.contains(date))
+}
+
+/// Replay one (prefix, peer) lane's updates, given in stream order.
+///
+/// An announcement with an unchanged path extends the open interval; a
+/// path change closes it and opens a new one on the same day; a
+/// withdrawal closes it. Withdrawals without an open interval are
+/// ignored (idle withdraws are legal BGP chatter), so a lane can end up
+/// empty.
+fn replay_lane<'a>(
+    updates: impl ExactSizeIterator<Item = &'a BgpUpdate>,
+    paths: &mut PathArena,
+) -> Vec<Interval> {
+    // At most one interval per update; most lanes hold one update.
+    let mut lane: Vec<Interval> = Vec::with_capacity(updates.len());
+    for u in updates {
+        let open = lane.last_mut().filter(|iv| iv.end.is_none());
+        match &u.event {
+            BgpEvent::Announce(path) => {
+                if let Some(open) = open {
+                    if paths.get(open.path) == path {
+                        continue; // duplicate announcement
+                    }
+                    open.end = Some(u.date);
+                }
+                lane.push(Interval {
+                    start: u.date,
+                    end: None,
+                    path: paths.push(path),
+                });
+            }
+            BgpEvent::Withdraw => {
+                if let Some(open) = open {
+                    open.end = Some(u.date);
+                }
+            }
+        }
+    }
+    lane
+}
+
 /// Per-prefix observation record: intervals for every peer that ever
 /// carried the prefix, plus the cross-peer union of those intervals
 /// (the daily-visibility index), precomputed once at index time.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PrefixRecord {
     by_peer: BTreeMap<PeerId, Vec<Interval>>,
     /// Disjoint, sorted `[start, end)` spans during which *any* peer
@@ -119,6 +160,14 @@ impl PrefixRecord {
             .last()
             .is_some_and(|&(_, e)| e.is_none_or(|end| date < end))
     }
+
+    /// Number of peer lanes with an interval in force on `date`.
+    fn peers_observing(&self, date: Date) -> usize {
+        self.by_peer
+            .values()
+            .filter(|lane| interval_at(lane, date).is_some())
+            .count()
+    }
 }
 
 /// An index over a complete collector update stream.
@@ -133,47 +182,48 @@ pub struct BgpArchive {
 }
 
 impl BgpArchive {
-    /// Build the index by replaying `updates` in stream order.
+    /// Build the index, lane by lane, from `updates` in stream order.
     ///
-    /// Within one (prefix, peer) lane: an announcement with an unchanged
-    /// path extends the open interval; a path change closes it and opens a
-    /// new one on the same day; a withdrawal closes it. Withdrawals without
-    /// an open interval are ignored (idle withdraws are legal BGP chatter).
+    /// Every update touches only its own (prefix, peer) lane, so one
+    /// sort of the stream positions by (prefix, peer, position) groups
+    /// each lane's updates together in stream order. Each lane is then
+    /// replayed once (see `replay_lane`), each prefix's record is built
+    /// once, and each prefix enters the trie once, in address order. The
+    /// result equals a replay of the whole stream in order, update by
+    /// update; only the [`PathId`]s differ, as they are not deduplicated.
     pub fn from_updates(peers: Vec<Peer>, updates: &[BgpUpdate]) -> BgpArchive {
+        let first_date = updates.iter().map(|u| u.date).min();
+        let last_date = updates.iter().map(|u| u.date).max();
+        let mut order: Vec<(Ipv4Prefix, PeerId, usize)> = updates
+            .iter()
+            .enumerate()
+            .map(|(pos, u)| (u.prefix, u.peer, pos))
+            .collect(); // lint: allow(no-unbounded-collect) — one sort key per update, the index's own input size
+        order.sort_unstable();
         let mut records: PrefixTrie<PrefixRecord> = PrefixTrie::new();
-        let mut paths = PathArena::default();
-        let mut first_date = None;
-        let mut last_date = None;
-        for u in updates {
-            first_date = Some(first_date.map_or(u.date, |d: Date| d.min(u.date)));
-            last_date = Some(last_date.map_or(u.date, |d: Date| d.max(u.date)));
-            let record = records.get_or_insert_with(u.prefix, PrefixRecord::default);
-            let lane = record.by_peer.entry(u.peer).or_default();
-            match &u.event {
-                BgpEvent::Announce(path) => {
-                    // Interning dedups exactly, so equal ids ⇔ equal paths.
-                    let id = paths.intern(path);
-                    if let Some(open) = lane.last_mut().filter(|iv| iv.end.is_none()) {
-                        if open.path == id {
-                            continue; // duplicate announcement
-                        }
-                        open.end = Some(u.date);
-                    }
-                    lane.push(Interval {
-                        start: u.date,
-                        end: None,
-                        path: id,
-                    });
-                }
-                BgpEvent::Withdraw => {
-                    if let Some(open) = lane.last_mut().filter(|iv| iv.end.is_none()) {
-                        open.end = Some(u.date);
-                    }
-                }
-            }
+        // At most one path per update.
+        let mut paths = PathArena {
+            paths: Vec::with_capacity(updates.len()),
+        };
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let by_peer = group
+                .chunk_by(|a, b| a.1 == b.1)
+                .map(|lane| {
+                    let stream = lane.iter().map(|&(_, _, pos)| &updates[pos]);
+                    (lane[0].1, replay_lane(stream, &mut paths))
+                })
+                .collect(); // lint: allow(no-unbounded-collect) — one prefix's lanes: bounded by the collector peer count
+            let record = PrefixRecord {
+                by_peer,
+                merged: Vec::new(),
+            };
+            records.insert(group[0].0, record);
         }
-        // Finalize the daily-visibility index: records are independent, so
-        // the union-merge pass fans out across workers.
+        // Finalize the daily-visibility index in a pass of its own, so the
+        // merged spans are allocated together rather than between the
+        // lane vectors: `routed_at` walks many records' spans per query,
+        // and that walk is measurably slower when they are scattered.
+        // Records are independent, so the pass fans out across workers.
         let mut values: Vec<&mut PrefixRecord> = records.values_mut().collect(); // lint: allow(no-unbounded-collect) — one &mut per record, needed to fan out par_for_each_mut
         droplens_par::par_for_each_mut(&mut values, |r| r.build_visibility());
         BgpArchive {
@@ -208,8 +258,7 @@ impl BgpArchive {
     /// records as damaged — rather than running it unconditionally.
     pub fn repair_zombie_routes(&mut self) -> usize {
         let mut repaired = 0;
-        let mut values: Vec<&mut PrefixRecord> = self.records.values_mut().collect(); // lint: allow(no-unbounded-collect) — one &mut per record for the in-place repair sweep
-        for record in values.iter_mut() {
+        for record in self.records.values_mut() {
             let mut open_peers: Vec<PeerId> = Vec::new();
             let mut latest_close: Option<Date> = None;
             let mut closed_lanes = 0usize;
@@ -293,22 +342,15 @@ impl BgpArchive {
     /// The path `peer` reported for `prefix` on `date`, if any.
     pub fn path_at(&self, prefix: &Ipv4Prefix, peer: PeerId, date: Date) -> Option<&AsPath> {
         let lane = self.records.get(prefix)?.by_peer.get(&peer)?;
-        // Intervals are chronologically ordered; binary search by start.
-        let idx = lane.partition_point(|iv| iv.start <= date);
-        let iv = lane[..idx].last()?; // lint: allow(no-panic-in-request-path) — partition_point returns idx <= lane.len()
-        iv.contains(date).then(|| self.paths.get(iv.path))
+        interval_at(lane, date).map(|iv| self.paths.get(iv.path))
     }
 
-    /// Number of peers with a route for `prefix` on `date`.
+    /// Number of peers with a route for `prefix` on `date` (one trie
+    /// lookup, then one binary search per lane).
     pub fn peers_observing(&self, prefix: &Ipv4Prefix, date: Date) -> usize {
-        let Some(record) = self.records.get(prefix) else {
-            return 0;
-        };
-        record
-            .by_peer
-            .keys()
-            .filter(|&&peer| self.observed_by(prefix, peer, date))
-            .count()
+        self.records
+            .get(prefix)
+            .map_or(0, |record| record.peers_observing(date))
     }
 
     /// Fraction of all peers observing `prefix` on `date`.
@@ -415,7 +457,7 @@ impl BgpArchive {
         }
         candidates
             .into_iter()
-            .find(|&d| self.peers_observing(prefix, d) < threshold)
+            .find(|&d| record.peers_observing(d) < threshold)
     }
 
     /// The set of origin ASNs peers reported for `prefix` on `date`.

@@ -1,12 +1,15 @@
 //! Property-based tests: the interval archive must agree with a naive
-//! replay model on every query, and the collector simulation must honor
-//! its contracts.
+//! replay model and with the stream-order replay it is built to equal,
+//! on every query, and the collector simulation must honor its
+//! contracts.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_bgp::{
     format as bgpfmt, AsPath, BgpArchive, BgpEvent, BgpUpdate, CollectorSim, Origination, Peer,
     PeerId,
 };
+use std::collections::BTreeMap;
+
 use droplens_net::{Asn, Date, DateRange, Ipv4Prefix};
 use proptest::prelude::*;
 
@@ -189,5 +192,222 @@ proptest! {
             );
             d = d.succ();
         }
+    }
+}
+
+/// One lane interval of the stream-order replay, with its path by value.
+type RefInterval = (Date, Option<Date>, AsPath);
+
+/// The stream-order replay: every update, in order, extends, splits or
+/// closes its (prefix, peer) lane's open interval. This is the update-
+/// by-update loop the lane-by-lane archive build replaced, kept here as
+/// the reference it must agree with.
+#[derive(Default)]
+struct Replay {
+    lanes: BTreeMap<Ipv4Prefix, BTreeMap<PeerId, Vec<RefInterval>>>,
+}
+
+impl Replay {
+    fn new(updates: &[BgpUpdate]) -> Replay {
+        let mut replay = Replay::default();
+        for u in updates {
+            let lane = replay
+                .lanes
+                .entry(u.prefix)
+                .or_default()
+                .entry(u.peer)
+                .or_default();
+            let open = lane.last_mut().filter(|iv| iv.1.is_none());
+            match &u.event {
+                BgpEvent::Announce(path) => {
+                    if let Some(open) = open {
+                        if open.2 == *path {
+                            continue; // duplicate announcement
+                        }
+                        open.1 = Some(u.date);
+                    }
+                    lane.push((u.date, None, path.clone()));
+                }
+                BgpEvent::Withdraw => {
+                    if let Some(open) = open {
+                        open.1 = Some(u.date);
+                    }
+                }
+            }
+        }
+        replay
+    }
+
+    fn lane(&self, prefix: &Ipv4Prefix, peer: PeerId) -> &[RefInterval] {
+        self.lanes
+            .get(prefix)
+            .and_then(|lanes| lanes.get(&peer))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn contains(iv: &RefInterval, date: Date) -> bool {
+        date >= iv.0 && iv.1.is_none_or(|end| date < end)
+    }
+
+    fn path_at(&self, prefix: &Ipv4Prefix, peer: PeerId, date: Date) -> Option<&AsPath> {
+        let lane = self.lane(prefix, peer);
+        let idx = lane.partition_point(|iv| iv.0 <= date);
+        lane[..idx]
+            .last()
+            .filter(|iv| Self::contains(iv, date))
+            .map(|iv| &iv.2)
+    }
+
+    fn peers_observing(&self, prefix: &Ipv4Prefix, date: Date) -> usize {
+        self.lanes.get(prefix).map_or(0, |lanes| {
+            lanes
+                .keys()
+                .filter(|&&peer| self.path_at(prefix, peer, date).is_some())
+                .count()
+        })
+    }
+
+    fn observed_any(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
+        self.lanes
+            .get(prefix)
+            .is_some_and(|lanes| lanes.values().flatten().any(|iv| Self::contains(iv, date)))
+    }
+
+    fn routed_at(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
+        self.lanes
+            .keys()
+            .filter(|p| prefix.covers(p))
+            .any(|p| self.observed_any(p, date))
+    }
+
+    /// Sibling-consensus zombie repair, as `BgpArchive::repair_zombie_routes`
+    /// documents it.
+    fn repair_zombie_routes(&mut self) -> usize {
+        let mut repaired = 0;
+        for lanes in self.lanes.values_mut() {
+            let open: Vec<PeerId> = lanes
+                .iter()
+                .filter(|(_, lane)| lane.last().is_some_and(|iv| iv.1.is_none()))
+                .map(|(&peer, _)| peer)
+                .collect();
+            let closes: Vec<Date> = lanes
+                .values()
+                .filter_map(|lane| lane.last().and_then(|iv| iv.1))
+                .collect();
+            let (&[peer], Some(&close_at)) = (open.as_slice(), closes.iter().max()) else {
+                continue;
+            };
+            if closes.len() < 2 {
+                continue;
+            }
+            let iv = lanes
+                .get_mut(&peer)
+                .and_then(|lane| lane.last_mut())
+                .expect("open lane");
+            if iv.0 <= close_at {
+                iv.1 = Some(close_at);
+                repaired += 1;
+            }
+        }
+        repaired
+    }
+}
+
+/// Few prefixes (two nested in a third), few peers and few paths, so
+/// lanes collide: duplicate announcements and A→B→A flaps are common.
+const PREFIXES: [&str; 4] = ["10.0.0.0/16", "10.0.0.0/24", "10.0.1.0/24", "10.1.0.0/16"];
+const PATHS: [&str; 3] = ["1 2", "3 2", "1 4"];
+/// Sees only withdraws, so its record exists but every lane is empty.
+const WITHDRAWN_ONLY: &str = "10.9.0.0/16";
+
+fn lane_update() -> impl Strategy<Value = BgpUpdate> {
+    (
+        0i32..16,
+        0u32..4,
+        0usize..PREFIXES.len(),
+        prop::option::of(0usize..PATHS.len()),
+    )
+        .prop_map(|(day, peer, prefix, path)| {
+            let date = Date::from_days_since_epoch(EPOCH + day);
+            let prefix: Ipv4Prefix = PREFIXES[prefix].parse().expect("prefix");
+            match path {
+                Some(i) => {
+                    BgpUpdate::announce(date, PeerId(peer), prefix, PATHS[i].parse().expect("path"))
+                }
+                None => BgpUpdate::withdraw(date, PeerId(peer), prefix),
+            }
+        })
+}
+
+fn withdraw_only() -> impl Strategy<Value = BgpUpdate> {
+    (0i32..16, 0u32..4).prop_map(|(day, peer)| {
+        let prefix: Ipv4Prefix = WITHDRAWN_ONLY.parse().expect("prefix");
+        BgpUpdate::withdraw(
+            Date::from_days_since_epoch(EPOCH + day),
+            PeerId(peer),
+            prefix,
+        )
+    })
+}
+
+/// Every answer the archive gives about lanes, against the replay.
+fn assert_matches_replay(archive: &BgpArchive, replay: &Replay) -> Result<(), TestCaseError> {
+    let prefixes: Vec<Ipv4Prefix> = archive.prefixes().collect();
+    prop_assert_eq!(&prefixes, &replay.lanes.keys().copied().collect::<Vec<_>>());
+    let mut queries = prefixes.clone();
+    for extra in ["10.0.0.0/8", "10.0.0.0/23", "10.0.0.128/25", "11.0.0.0/8"] {
+        queries.push(extra.parse().expect("prefix"));
+    }
+    for prefix in &queries {
+        for peer in (0..4).chain([7]).map(PeerId) {
+            let got: Vec<RefInterval> = archive
+                .intervals(prefix, peer)
+                .iter()
+                .map(|iv| (iv.start, iv.end, archive.path_of(iv.path).clone()))
+                .collect();
+            prop_assert_eq!(&got[..], replay.lane(prefix, peer), "{} {}", prefix, peer);
+        }
+        for day in -1..17 {
+            let date = Date::from_days_since_epoch(EPOCH + day);
+            prop_assert_eq!(
+                archive.peers_observing(prefix, date),
+                replay.peers_observing(prefix, date),
+                "{} on {}",
+                prefix,
+                date
+            );
+            prop_assert_eq!(
+                archive.observed_any(prefix, date),
+                replay.observed_any(prefix, date)
+            );
+            prop_assert_eq!(
+                archive.routed_at(prefix, date),
+                replay.routed_at(prefix, date)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn archive_equals_stream_order_replay(
+        lanes in prop::collection::vec(lane_update(), 0..60),
+        withdraws in prop::collection::vec(withdraw_only(), 0..3),
+    ) {
+        let mut updates = lanes;
+        updates.extend(withdraws);
+        // Chronological, as collectors record; same-day updates keep
+        // their stream order.
+        updates.sort_by_key(|u| u.date);
+        let mut archive = BgpArchive::from_updates(peers(), &updates);
+        let mut replay = Replay::new(&updates);
+        prop_assert_eq!(archive.first_date(), updates.iter().map(|u| u.date).min());
+        prop_assert_eq!(archive.last_date(), updates.iter().map(|u| u.date).max());
+        assert_matches_replay(&archive, &replay)?;
+        prop_assert_eq!(archive.repair_zombie_routes(), replay.repair_zombie_routes());
+        assert_matches_replay(&archive, &replay)?;
     }
 }

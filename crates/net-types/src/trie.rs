@@ -384,25 +384,18 @@ impl<V> PrefixTrie<V> {
     /// Every stored prefix covering `query` (the "covering chain"), from
     /// least specific to most specific.
     pub fn matches<'a>(&'a self, query: &Ipv4Prefix) -> Vec<(Ipv4Prefix, &'a V)> {
-        let mut out = Vec::new();
-        let mut cur = self.root;
-        while cur != NONE {
-            // lint: allow(no-panic-in-request-path) — node ids come from push_node(), in-bounds by construction
-            let node = &self.nodes[cur as usize];
-            let node_prefix = node.prefix();
-            if !node_prefix.covers(query) {
-                break;
-            }
-            // lint: allow(no-panic-in-request-path) — values is kept the same length as nodes
-            if let Some(v) = &self.values[cur as usize] {
-                out.push((node_prefix, v));
-            }
-            if node_prefix.len() == query.len() {
-                break;
-            }
-            cur = node.children[node.slot(query)]; // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+        self.matches_iter(query).collect()
+    }
+
+    /// Iterator form of [`matches`](Self::matches): walks the covering
+    /// chain lazily, least specific first, without allocating, so a
+    /// caller can pick any entry of the chain by its value.
+    pub fn matches_iter<'a>(&'a self, query: &Ipv4Prefix) -> Matches<'a, V> {
+        Matches {
+            trie: self,
+            query: *query,
+            cur: self.root,
         }
-        out
     }
 
     /// Every stored prefix covered by `query` (i.e. equal or more
@@ -536,6 +529,42 @@ impl<'a, V> Iterator for Iter<'a, V> {
     }
 }
 
+/// Covering-chain iterator over a [`PrefixTrie`], least specific first;
+/// see [`PrefixTrie::matches_iter`].
+pub struct Matches<'a, V> {
+    trie: &'a PrefixTrie<V>,
+    query: Ipv4Prefix,
+    /// Next arena id on the query's path, or [`NONE`] once it is done.
+    cur: u32,
+}
+
+impl<'a, V> Iterator for Matches<'a, V> {
+    type Item = (Ipv4Prefix, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.cur != NONE {
+            // lint: allow(no-panic-in-request-path) — node ids come from alloc(), in-bounds by construction
+            let node = &self.trie.nodes[self.cur as usize];
+            let node_prefix = node.prefix();
+            if !node_prefix.covers(&self.query) {
+                self.cur = NONE;
+                break;
+            }
+            // lint: allow(no-panic-in-request-path) — values is kept the same length as nodes
+            let value = self.trie.values[self.cur as usize].as_ref();
+            self.cur = if node_prefix.len() == self.query.len() {
+                NONE
+            } else {
+                node.children[node.slot(&self.query)] // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+            };
+            if let Some(v) = value {
+                return Some((node_prefix, v));
+            }
+        }
+        None
+    }
+}
+
 /// Mutable in-order iterator over a [`PrefixTrie`]; same visit order as
 /// [`Iter`].
 pub struct IterMut<'a, V> {
@@ -613,6 +642,23 @@ mod tests {
 
         // Query above all entries except default
         assert_eq!(t.longest_match(&p("11.0.0.0/8")).unwrap().0, p("0.0.0.0/0"));
+    }
+
+    #[test]
+    fn matches_iter_skips_structural_nodes() {
+        let mut t = PrefixTrie::new();
+        // The two /16s force a structural /15 branch under the /8.
+        t.insert(p("10.0.0.0/8"), 8);
+        t.insert(p("10.0.0.0/16"), 16);
+        t.insert(p("10.1.0.0/16"), 161);
+        let chain: Vec<_> = t.matches_iter(&p("10.1.2.0/24")).collect();
+        assert_eq!(chain, vec![(p("10.0.0.0/8"), &8), (p("10.1.0.0/16"), &161)]);
+        assert_eq!(
+            t.matches_iter(&p("10.1.2.0/24")).last(),
+            t.longest_match(&p("10.1.2.0/24"))
+        );
+        assert_eq!(t.matches_iter(&p("11.0.0.0/8")).count(), 0);
+        assert_eq!(t.matches_iter(&p("10.0.0.0/15")).count(), 1);
     }
 
     #[test]

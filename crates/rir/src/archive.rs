@@ -23,31 +23,46 @@ pub struct StatusAt {
     pub matched: Ipv4Prefix,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
+/// What one stats row says about one of its CIDR blocks. The archive
+/// stores the org handle interned in [`RirStatsArchive::orgs`]; a
+/// snapshot being added borrows it from its row until the entry turns
+/// out to be a change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IndexEntry<Org = OrgId> {
     rir: Rir,
     status: AllocationStatus,
     allocated_on: Option<Date>,
-    /// Interned org handle in [`RirStatsArchive::orgs`].
-    org: OrgId,
+    org: Org,
 }
 
+impl<Org> IndexEntry<Org> {
+    fn with_org<T>(self, org: T) -> IndexEntry<T> {
+        IndexEntry {
+            rir: self.rir,
+            status: self.status,
+            allocated_on: self.allocated_on,
+            org,
+        }
+    }
+}
+
+/// One change of a prefix's entry: from snapshot index `.0` on, the
+/// prefix maps to `.1`, where `None` means no row of the snapshot
+/// lists that exact block.
+type ChangePoint = (u32, Option<IndexEntry>);
+
+/// The entry a prefix's change points put in force at `snapshot`.
+fn entry_at(points: &[ChangePoint], snapshot: usize) -> Option<IndexEntry> {
+    let idx = points.partition_point(|&(at, _)| at as usize <= snapshot);
+    points[..idx].last().and_then(|&(_, entry)| entry)
+}
+
+/// What a snapshot adds beside its rows: its date and its per-registry
+/// totals.
 struct Snapshot {
     date: Date,
-    /// One entry per stats row; the trie stores indices into this vec so
-    /// a row delegated as several CIDR blocks shares one entry (no
-    /// per-prefix `String` clones at index time).
-    entries: Vec<IndexEntry>,
-    index: PrefixTrie<u32>,
     free_pool: BTreeMap<Rir, AddressSpace>,
     delegated: BTreeMap<Rir, AddressSpace>,
-}
-
-impl Snapshot {
-    fn entry_matching(&self, prefix: &Ipv4Prefix) -> Option<(Ipv4Prefix, IndexEntry)> {
-        let (matched, &id) = self.index.longest_match(prefix)?;
-        Some((matched, self.entries[id as usize]))
-    }
 }
 
 /// A time series of delegated-stats snapshots (typically one per day or
@@ -55,12 +70,27 @@ impl Snapshot {
 ///
 /// The paper's convention: a prefix is **unallocated** on day D when the
 /// stats in force on D do not show it as `allocated`/`assigned`.
+///
+/// Consecutive snapshots repeat almost every row, so the archive stores
+/// what changed, not each snapshot: one [`PrefixTrie`] holds, for every
+/// CIDR block any snapshot ever listed, its *change points* — the
+/// snapshot indices at which the block's entry appeared, changed or
+/// vanished. A query finds the snapshot in force by date, then takes the
+/// most specific covering block whose entry at that snapshot exists. The
+/// archive grows with the number of changes, not with snapshots × rows.
 #[derive(Default)]
 pub struct RirStatsArchive {
+    /// Dates and totals, ascending by date; a snapshot's index is its
+    /// position here.
     snapshots: Vec<Snapshot>,
-    /// Interned org handles: consecutive daily snapshots repeat the same
-    /// handles ~700k times across a paper-scale run, so entries store a
-    /// 4-byte [`OrgId`] instead of cloning a `String` per row.
+    /// Per CIDR block, its change points in snapshot order.
+    changes: PrefixTrie<Vec<ChangePoint>>,
+    /// The latest snapshot's block → entry list in address order: the
+    /// base the next snapshot is diffed against.
+    latest: Vec<(Ipv4Prefix, IndexEntry)>,
+    /// Interned org handles: a paper-scale run reads ~700k rows that
+    /// name far fewer organizations, so change points store a 4-byte
+    /// [`OrgId`] instead of a `String`.
     orgs: StringInterner<OrgId>,
 }
 
@@ -85,6 +115,11 @@ impl RirStatsArchive {
     /// Fallible variant of [`RirStatsArchive::add_snapshot`]: an
     /// out-of-order date is reported as a [`ParseError`] instead of
     /// panicking, so ingestion can surface the offending snapshot.
+    ///
+    /// The snapshot's rows resolve to one entry per CIDR block, a later
+    /// row overwriting an earlier one at the same block (files in order,
+    /// rows in file order). That list is diffed against the previous
+    /// snapshot's, and only the differences become change points.
     pub fn try_add_snapshot(&mut self, date: Date, files: &[StatsFile]) -> Result<(), ParseError> {
         if let Some(last) = self.snapshots.last() {
             if last.date >= date {
@@ -98,40 +133,79 @@ impl RirStatsArchive {
                 ));
             }
         }
-        let mut entries = Vec::new();
-        let mut index = PrefixTrie::new();
+        let rows = files.iter().flat_map(|f| &f.records);
+        let mut blocks: Vec<(Ipv4Prefix, IndexEntry<&str>)> =
+            Vec::with_capacity(rows.clone().map(|r| r.blocks().count()).sum());
         let mut free_pool: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
         let mut delegated: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
-        for file in files {
-            for record in &file.records {
-                let space = AddressSpace::from_addresses(record.count);
-                if record.status == AllocationStatus::Available {
-                    *free_pool.entry(record.rir).or_default() += space;
-                }
-                if record.status.is_delegated() {
-                    *delegated.entry(record.rir).or_default() += space;
-                }
-                let org = self.orgs.intern(&record.opaque_id);
-                let id = entries.len() as u32;
-                entries.push(IndexEntry {
-                    rir: record.rir,
-                    status: record.status,
-                    allocated_on: record.date,
-                    org,
-                });
-                for prefix in record.prefixes() {
-                    index.insert(prefix, id);
-                }
+        for record in rows {
+            let space = AddressSpace::from_addresses(record.count);
+            if record.status == AllocationStatus::Available {
+                *free_pool.entry(record.rir).or_default() += space;
             }
+            if record.status.is_delegated() {
+                *delegated.entry(record.rir).or_default() += space;
+            }
+            let entry = IndexEntry {
+                rir: record.rir,
+                status: record.status,
+                allocated_on: record.date,
+                org: record.opaque_id.as_str(),
+            };
+            blocks.extend(record.blocks().map(|p| (p, entry)));
         }
+        // A stable sort keeps row order among equal blocks; the dedup
+        // then keeps the last row's entry in the first slot.
+        blocks.sort_by_key(|&(p, _)| p);
+        blocks.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        self.record_changes(&blocks);
         self.snapshots.push(Snapshot {
             date,
-            entries,
-            index,
             free_pool,
             delegated,
         });
         Ok(())
+    }
+
+    /// Diff the next snapshot's sorted `blocks` against [`Self::latest`]
+    /// in one merge pass: record a change point for every block that
+    /// appeared, changed or vanished, and make `blocks` the new latest
+    /// list. Only changed entries intern their org handle; an unchanged
+    /// one keeps its id.
+    fn record_changes(&mut self, blocks: &[(Ipv4Prefix, IndexEntry<&str>)]) {
+        let snapshot = self.snapshots.len() as u32;
+        let mut latest = Vec::with_capacity(blocks.len());
+        let mut old = std::mem::take(&mut self.latest).into_iter().peekable();
+        for &(prefix, entry) in blocks {
+            while let Some((gone, _)) = old.next_if(|&(p, _)| p < prefix) {
+                self.change(gone, snapshot, None);
+            }
+            let entry = match old.next_if(|&(p, _)| p == prefix) {
+                Some((_, was)) if was.with_org(self.orgs.get(was.org)) == entry => was,
+                _ => {
+                    let entry = entry.with_org(self.orgs.intern(entry.org));
+                    self.change(prefix, snapshot, Some(entry));
+                    entry
+                }
+            };
+            latest.push((prefix, entry));
+        }
+        for (gone, _) in old {
+            self.change(gone, snapshot, None);
+        }
+        self.latest = latest;
+    }
+
+    fn change(&mut self, prefix: Ipv4Prefix, snapshot: u32, entry: Option<IndexEntry>) {
+        self.changes
+            .get_or_insert_with(prefix, Vec::new)
+            .push((snapshot, entry));
     }
 
     /// Dates of all snapshots, ascending.
@@ -139,19 +213,32 @@ impl RirStatsArchive {
         self.snapshots.iter().map(|s| s.date).collect() // lint: allow(no-unbounded-collect) — one Date per snapshot (a few hundred)
     }
 
-    /// The snapshot in force on `date` (the latest snapshot at or before
-    /// it), if any.
-    fn snapshot_at(&self, date: Date) -> Option<&Snapshot> {
-        let idx = self.snapshots.partition_point(|s| s.date <= date);
-        idx.checked_sub(1).map(|i| &self.snapshots[i])
+    /// Index of the snapshot in force on `date` (the latest snapshot at
+    /// or before it), if any.
+    fn snapshot_at(&self, date: Date) -> Option<usize> {
+        self.snapshots
+            .partition_point(|s| s.date <= date)
+            .checked_sub(1)
+    }
+
+    /// The most specific block covering `prefix` whose entry exists at
+    /// `snapshot`. Walks the covering chain without allocating.
+    fn entry_matching(
+        &self,
+        prefix: &Ipv4Prefix,
+        snapshot: usize,
+    ) -> Option<(Ipv4Prefix, IndexEntry)> {
+        self.changes
+            .matches_iter(prefix)
+            .filter_map(|(p, points)| entry_at(points, snapshot).map(|e| (p, e)))
+            .last()
     }
 
     /// Longest-match status of `prefix` on `date`. `None` when no
     /// snapshot is in force or no record covers the prefix (legacy space
     /// outside the modeled world, or pre-archive dates).
     pub fn status_of(&self, prefix: &Ipv4Prefix, date: Date) -> Option<StatusAt> {
-        let snapshot = self.snapshot_at(date)?;
-        let (matched, entry) = snapshot.entry_matching(prefix)?;
+        let (matched, entry) = self.entry_matching(prefix, self.snapshot_at(date)?)?;
         Some(StatusAt {
             rir: entry.rir,
             status: entry.status,
@@ -187,17 +274,19 @@ impl RirStatsArchive {
         }
         self.snapshots
             .iter()
-            .filter(|s| s.date > after && s.date <= until)
-            .find(|s| {
-                s.entry_matching(prefix)
+            .enumerate()
+            .filter(|(_, s)| s.date > after && s.date <= until)
+            .find(|&(snapshot, _)| {
+                self.entry_matching(prefix, snapshot)
                     .is_none_or(|(_, e)| !e.status.is_delegated())
             })
-            .map(|s| s.date)
+            .map(|(_, s)| s.date)
     }
 
     /// Size of `rir`'s free pool (sum of `available` rows) on `date`.
     pub fn free_pool(&self, rir: Rir, date: Date) -> AddressSpace {
         self.snapshot_at(date)
+            .and_then(|i| self.snapshots.get(i))
             .and_then(|s| s.free_pool.get(&rir).copied())
             .unwrap_or(AddressSpace::ZERO)
     }
@@ -205,13 +294,15 @@ impl RirStatsArchive {
     /// Space delegated by `rir` on `date`.
     pub fn delegated_space(&self, rir: Rir, date: Date) -> AddressSpace {
         self.snapshot_at(date)
+            .and_then(|i| self.snapshots.get(i))
             .and_then(|s| s.delegated.get(&rir).copied())
             .unwrap_or(AddressSpace::ZERO)
     }
 
     /// Every delegated CIDR prefix in force on `date`, with its registry
-    /// and org handle, lazily — the Figure 5 "allocated but unrouted"
-    /// accounting walk, without a `Vec` of cloned `String`s per sample.
+    /// and org handle, in address order, lazily — the Figure 5 "allocated
+    /// but unrouted" accounting walk, without a `Vec` of cloned `String`s
+    /// per sample.
     pub fn delegated_prefixes(
         &self,
         date: Date,
@@ -219,8 +310,8 @@ impl RirStatsArchive {
         self.snapshot_at(date)
             .into_iter()
             .flat_map(move |snapshot| {
-                snapshot.index.iter().filter_map(move |(p, &id)| {
-                    let e = &snapshot.entries[id as usize];
+                self.changes.iter().filter_map(move |(p, points)| {
+                    let e = entry_at(points, snapshot)?;
                     e.status
                         .is_delegated()
                         .then(|| (p, e.rir, self.orgs.get(e.org)))

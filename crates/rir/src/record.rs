@@ -72,34 +72,35 @@ impl DelegationRecord {
     /// Decompose the `(start, count)` span into the minimal list of CIDR
     /// prefixes, in address order.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        decompose(u32::from(self.start), self.count)
+        self.blocks().collect() // lint: allow(no-unbounded-collect) — at most 64 blocks per span
     }
-}
 
-/// Greedy CIDR decomposition of an address span.
-fn decompose(start: u32, count: u64) -> Vec<Ipv4Prefix> {
-    let mut out = Vec::new();
-    let mut cur = start as u64;
-    let mut remaining = count;
-    while remaining > 0 {
-        // Largest block allowed by alignment of `cur`.
-        let align_size: u64 = if cur == 0 {
-            1 << 32
-        } else {
-            1u64 << (cur as u32).trailing_zeros().min(32)
-        };
-        // Largest power of two not exceeding `remaining`.
-        let fit_size = 1u64 << (63 - remaining.leading_zeros());
-        let size = align_size.min(fit_size);
-        let len = 32 - size.trailing_zeros() as u8;
-        out.push(Ipv4Prefix::from_u32(cur as u32, len));
-        cur += size;
-        remaining -= size;
-        if cur >= (1u64 << 32) {
-            break;
-        }
+    /// [`Self::prefixes`] as an iterator, without the `Vec`: the greedy
+    /// decomposition, each block the largest one both the alignment of
+    /// the cursor and the remaining count allow.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Ipv4Prefix> {
+        let mut cur = u64::from(u32::from(self.start));
+        let mut remaining = self.count;
+        std::iter::from_fn(move || {
+            if remaining == 0 || cur >= 1 << 32 {
+                return None;
+            }
+            // Largest block allowed by alignment of `cur`.
+            let align_size: u64 = if cur == 0 {
+                1 << 32
+            } else {
+                1u64 << (cur as u32).trailing_zeros().min(32)
+            };
+            // Largest power of two not exceeding `remaining`.
+            let fit_size = 1u64 << (63 - remaining.leading_zeros());
+            let size = align_size.min(fit_size);
+            let len = 32 - size.trailing_zeros() as u8;
+            let block = Ipv4Prefix::from_u32(cur as u32, len);
+            cur += size;
+            remaining -= size;
+            Some(block)
+        })
     }
-    out
 }
 
 #[cfg(test)]
