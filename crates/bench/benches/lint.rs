@@ -1,7 +1,6 @@
-//! Whole-workspace lint wall time: per-file lexing/parsing fans out
-//! over `droplens-par`, then the call-graph passes run once over the
-//! merged index. Sequential vs. parallel pins the speedup the PR
-//! claims and catches regressions in either half.
+//! Whole-workspace lint wall time: every file is read, lexed and
+//! checked on its own, fanned out over `droplens-par`. Sequential vs.
+//! parallel pins the speedup and catches a regression in either.
 //!
 //! Run with `cargo bench -p droplens-bench --bench lint`.
 

@@ -39,7 +39,7 @@ impl PathArena {
     }
 
     fn get(&self, id: PathId) -> &AsPath {
-        // lint: allow(no-panic-in-request-path) — PathIds are only minted by push(), so they index in-bounds
+        // PathIds are only minted by push(), so they index in-bounds
         &self.paths[id.0 as usize]
     }
 }
@@ -69,7 +69,7 @@ impl Interval {
 /// a binary search by start date.
 fn interval_at(lane: &[Interval], date: Date) -> Option<&Interval> {
     let idx = lane.partition_point(|iv| iv.start <= date);
-    // lint: allow(no-panic-in-request-path) — partition_point returns idx <= lane.len()
+    // partition_point returns idx <= lane.len()
     lane[..idx].last().filter(|iv| iv.contains(date))
 }
 

@@ -124,14 +124,13 @@ MEM (compare memory reports, gate regressions):
     --floor-bytes N     metrics under N bytes on the base side are never
                         gated (default 1048576)
 
-LINT (check the workspace's own invariants; DESIGN.md §9 and §14):
+LINT (check the workspace's own invariants; DESIGN.md §9):
     PATHS are files or directories to scan (default: the current
     directory; `target/`, `vendor/`, and fixture corpora are skipped,
-    explicitly named files are always linted). Token rules: no-unwrap,
-    ordered-output, no-wallclock, seeded-rng-only, located-errors,
-    no-unbounded-collect, no-string-keyed-hot-map, no-deadline-free-io,
-    lock-across-io. Workspace rules (call-graph-driven, run when whole
-    directories are linted): no-panic-in-request-path, wallclock-taint.
+    explicitly named files are always linted). Rules: ordered-output,
+    no-wallclock, seeded-rng-only, located-errors, no-unbounded-collect,
+    no-string-keyed-hot-map, no-deadline-free-io, lock-across-io.
+    Panic-freedom is clippy's (`cargo clippy`; workspace lint table).
     Suppress one finding with a trailing `// lint: allow(<rule>)`.
     --format text|json|sarif  diagnostic rendering (default text);
                               exits nonzero when violations survive

@@ -203,12 +203,12 @@ fn lint_command_reports_and_gates() {
     // Add a violating file: the command must fail, carrying the report.
     std::fs::write(
         dir.join("archive.rs"),
-        "pub fn load(s: &str) -> u32 { s.parse().unwrap() }\n",
+        "pub fn load(s: &str) -> Vec<u32> { s.split(',').flat_map(str::parse).collect() }\n",
     )
     .expect("write bad");
     match commands::lint(std::slice::from_ref(&dir), &text) {
         Err(CliError::Lint(report)) => {
-            assert!(report.contains("[no-unwrap]"), "{report}");
+            assert!(report.contains("[no-unbounded-collect]"), "{report}");
             assert!(report.contains("archive.rs:1:"), "{report}");
         }
         other => panic!("expected lint failure, got {other:?}"),
@@ -221,7 +221,7 @@ fn lint_command_reports_and_gates() {
                 json.starts_with("{\"schema\":\"droplens-lint/2\""),
                 "{json}"
             );
-            assert!(json.contains("\"rule\":\"no-unwrap\""), "{json}");
+            assert!(json.contains("\"rule\":\"no-unbounded-collect\""), "{json}");
             assert!(json.contains("\"violations\":1"), "{json}");
         }
         other => panic!("expected lint failure, got {other:?}"),
@@ -230,7 +230,7 @@ fn lint_command_reports_and_gates() {
     // An escape suppresses the finding and the command passes again.
     std::fs::write(
         dir.join("archive.rs"),
-        "pub fn load(s: &str) -> u32 { s.parse().unwrap() } // lint: allow(no-unwrap)\n",
+        "pub fn load(s: &str) -> Vec<u32> { s.split(',').flat_map(str::parse).collect() } // lint: allow(no-unbounded-collect)\n",
     )
     .expect("write escaped");
     let out = commands::lint(std::slice::from_ref(&dir), &text).expect("escaped lint");

@@ -242,12 +242,12 @@ impl DropTimeline {
     /// series this is a no-op.
     ///
     /// Panics if snapshots are out of order.
+    // Documented invariant of this infallible wrapper; ingestion paths
+    // go through `try_from_snapshots` instead.
+    #[allow(clippy::panic)]
     pub fn from_snapshots(snapshots: &[DropSnapshot]) -> DropTimeline {
         match Self::try_from_snapshots(snapshots) {
             Ok(timeline) => timeline,
-            // Documented invariant of this infallible wrapper; ingestion
-            // paths go through `try_from_snapshots` instead.
-            // lint: allow(no-unwrap)
             Err(e) => panic!("snapshots must be chronological: {e}"),
         }
     }

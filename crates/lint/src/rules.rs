@@ -28,6 +28,26 @@ pub(crate) struct FileView<'a> {
     /// `#[cfg(test)]` attribute (the attribute itself plus the item it
     /// gates) or after `#![cfg(test)]`. Rules skip these.
     inactive: Vec<(usize, usize)>,
+    /// Every `fn` with a body outside test code, in source order;
+    /// nested fns (and fns inside closures) are listed too.
+    fns: Vec<FnSpan<'a>>,
+}
+
+/// One function definition with a body, as found by the scanner.
+struct FnSpan<'a> {
+    name: &'a str,
+    /// Sig position of the `fn` keyword.
+    start: usize,
+    /// Half-open sig range of the body: its `{` through just past `}`.
+    body: (usize, usize),
+}
+
+impl FnSpan<'_> {
+    /// The `fn` keyword through the body's closing brace, so names in
+    /// the signature count as part of the function.
+    fn span(&self) -> (usize, usize) {
+        (self.start, self.body.1)
+    }
 }
 
 impl<'a> FileView<'a> {
@@ -43,8 +63,10 @@ impl<'a> FileView<'a> {
             tokens,
             sig,
             inactive: Vec::new(),
+            fns: Vec::new(),
         };
         view.inactive = view.find_cfg_test_ranges();
+        view.fns = view.find_fns();
         view
     }
 
@@ -61,11 +83,6 @@ impl<'a> FileView<'a> {
     /// The kind at sig position `i`.
     fn kind(&self, i: usize) -> Option<TokenKind> {
         self.tok(i).map(|t| t.kind)
-    }
-
-    /// The kind at sig position `i` (public alias for the parser).
-    pub fn kind_at(&self, i: usize) -> Option<TokenKind> {
-        self.kind(i)
     }
 
     /// 1-based line of sig position `i` (0 when out of range).
@@ -87,6 +104,11 @@ impl<'a> FileView<'a> {
         pat.iter()
             .enumerate()
             .all(|(k, want)| self.text(i + k) == *want)
+    }
+
+    /// Does the token `name` appear anywhere in the sig range `span`?
+    fn mentions(&self, span: (usize, usize), name: &str) -> bool {
+        (span.0..span.1).any(|p| self.text(p) == name)
     }
 
     /// Find `#[cfg(test)]`-gated regions: the attribute plus the item
@@ -113,6 +135,40 @@ impl<'a> FileView<'a> {
             i += 1;
         }
         out
+    }
+
+    /// Find every `fn name ... { body }` outside test code: the body is
+    /// the first top-level `{` before any top-level `;` (a `;` first
+    /// means a bodyless declaration). Scanning continues inside each
+    /// body, so nested fns and fns in closures get their own entries.
+    fn find_fns(&self) -> Vec<FnSpan<'a>> {
+        let mut fns = Vec::new();
+        for i in 0..self.len() {
+            if self.text(i) != "fn"
+                || self.kind(i + 1) != Some(TokenKind::Ident)
+                || self.is_test_code(i)
+            {
+                continue;
+            }
+            let mut depth = 0i64; // (), []
+            for j in i + 2..self.len() {
+                match self.text(j) {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    ";" if depth == 0 => break,
+                    "{" if depth == 0 => {
+                        fns.push(FnSpan {
+                            name: self.text(i + 1),
+                            start: i,
+                            body: (j, self.skip_braces(j)),
+                        });
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        fns
     }
 
     /// From sig position `i` (just past an attribute), skip any further
@@ -158,7 +214,6 @@ impl<'a> FileView<'a> {
 /// Run `rule` over the file, appending hits.
 pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
     match rule {
-        Rule::NoUnwrap => no_unwrap(view, hits),
         Rule::OrderedOutput => ordered_output(view, hits),
         Rule::NoWallclock => no_wallclock(view, hits),
         Rule::SeededRngOnly => seeded_rng_only(view, hits),
@@ -167,45 +222,8 @@ pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
         Rule::NoStringKeyedHotMap => no_string_keyed_hot_map(view, hits),
         Rule::NoDeadlineFreeIo => no_deadline_free_io(view, hits),
         Rule::LockAcrossIo => lock_across_io(view, hits),
-        // Workspace rules: run over the call graph in `lib.rs`, not
-        // per file.
-        Rule::NoPanicInRequestPath | Rule::WallclockTaint => {}
         // Emitted during escape parsing, never scanned for.
         Rule::BadEscape => {}
-    }
-}
-
-/// `no-unwrap`: `.unwrap()`, `.expect(...)`, `panic!`, `todo!`,
-/// `unimplemented!` are banned in format/archive/ingest modules —
-/// parsers must return located errors, not crash the pipeline.
-fn no_unwrap(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    for i in 0..view.len() {
-        if view.is_test_code(i) || view.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        match view.text(i) {
-            m @ ("unwrap" | "expect")
-                if i > 0 && view.text(i - 1) == "." && view.text(i + 1) == "(" =>
-            {
-                hits.push(Hit {
-                    line: view.line(i),
-                    rule: Rule::NoUnwrap,
-                    message: format!(
-                        "`.{m}()` in a format/archive/ingest module — return a located error instead"
-                    ),
-                });
-            }
-            m @ ("panic" | "todo" | "unimplemented") if view.text(i + 1) == "!" => {
-                hits.push(Hit {
-                    line: view.line(i),
-                    rule: Rule::NoUnwrap,
-                    message: format!(
-                        "`{m}!` in a format/archive/ingest module — return a located error instead"
-                    ),
-                });
-            }
-            _ => {}
-        }
     }
 }
 
@@ -343,6 +361,9 @@ fn no_string_keyed_hot_map(view: &FileView<'_>, hits: &mut Vec<Hit>) {
     }
 }
 
+/// The blocking socket read/write calls the serve-path rules watch.
+const IO_CALLS: [&str; 5] = ["read", "read_exact", "read_to_end", "write", "write_all"];
+
 /// `no-deadline-free-io`: serve-path sockets must always carry
 /// deadlines, or a wedged peer holds a worker (or the whole drain)
 /// hostage forever. Two checks:
@@ -380,52 +401,17 @@ fn no_deadline_free_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
         }
     }
 
-    // Check B, pass 1: function spans — the `fn` token through the
-    // body's closing brace, so timeouts configured anywhere in the
-    // function (and socket types named in the signature) both count.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < view.len() {
-        if view.text(i) == "fn"
-            && view.kind(i + 1) == Some(TokenKind::Ident)
-            && !view.is_test_code(i)
-        {
-            let mut j = i + 2;
-            let mut depth = 0i64;
-            while j < view.len() {
-                match view.text(j) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    "{" if depth == 0 => {
-                        spans.push((i, view.skip_braces(j)));
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            // Keep scanning inside the body: nested fns and closures
-            // passed to `thread::spawn` get their own spans too.
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-
+    // Check B: unguarded IO calls in socket-touching functions. A
+    // function spans its `fn` token through the body's closing brace,
+    // so timeouts configured anywhere in it (and socket types named in
+    // the signature) both count; nested fns are judged on their own.
     let innermost = |p: usize| -> Option<(usize, usize)> {
-        spans
+        view.fns
             .iter()
+            .map(FnSpan::span)
             .filter(|s| s.0 <= p && p < s.1)
             .min_by_key(|s| s.1 - s.0)
-            .copied()
     };
-    let mentions = |span: (usize, usize), name: &str| -> bool {
-        (span.0..span.1).any(|p| view.text(p) == name)
-    };
-
-    // Check B, pass 2: unguarded IO calls in socket-touching functions.
-    const IO_CALLS: [&str; 5] = ["read", "read_exact", "read_to_end", "write", "write_all"];
     for p in 0..view.len() {
         if view.is_test_code(p) || view.kind(p) != Some(TokenKind::Ident) {
             continue;
@@ -438,11 +424,12 @@ fn no_deadline_free_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
         let Some(span) = innermost(p) else {
             continue; // not inside any fn: macro plumbing, skip
         };
-        if !mentions(span, "TcpStream") && !mentions(span, "TcpListener") {
+        if !view.mentions(span, "TcpStream") && !view.mentions(span, "TcpListener") {
             continue; // IO on something that is not a raw socket
         }
-        let guarded = mentions(span, "DeadlineStream")
-            || (mentions(span, "set_read_timeout") && mentions(span, "set_write_timeout"));
+        let guarded = view.mentions(span, "DeadlineStream")
+            || (view.mentions(span, "set_read_timeout")
+                && view.mentions(span, "set_write_timeout"));
         if !guarded {
             hits.push(Hit {
                 line: view.line(p),
@@ -473,43 +460,10 @@ fn no_deadline_free_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
 /// invisible — escape with `// lint: allow(lock-across-io)` where the
 /// rule is wrong.
 fn lock_across_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    const IO_CALLS: [&str; 5] = ["read", "read_exact", "read_to_end", "write", "write_all"];
-    // Function spans, same pass as no-deadline-free-io.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < view.len() {
-        if view.text(i) == "fn"
-            && view.kind(i + 1) == Some(TokenKind::Ident)
-            && !view.is_test_code(i)
-        {
-            let mut j = i + 2;
-            let mut depth = 0i64;
-            while j < view.len() {
-                match view.text(j) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    "{" if depth == 0 => {
-                        spans.push((i, view.skip_braces(j)));
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-    let mentions = |span: (usize, usize), name: &str| -> bool {
-        (span.0..span.1).any(|p| view.text(p) == name)
-    };
-
-    for &span in &spans {
-        if !mentions(span, "TcpStream")
-            && !mentions(span, "TcpListener")
-            && !mentions(span, "DeadlineStream")
+    for span in view.fns.iter().map(FnSpan::span) {
+        if !view.mentions(span, "TcpStream")
+            && !view.mentions(span, "TcpListener")
+            && !view.mentions(span, "DeadlineStream")
         {
             continue;
         }
@@ -520,9 +474,9 @@ fn lock_across_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
         while p < span.1 {
             // Skip nested fns entirely — they run on their own stack
             // of guards (and get their own span).
-            if p != span.0 && view.text(p) == "fn" && view.kind(p + 1) == Some(TokenKind::Ident) {
-                if let Some(&inner) = spans.iter().find(|s| s.0 == p) {
-                    p = inner.1;
+            if p != span.0 && view.text(p) == "fn" {
+                if let Some(inner) = view.fns.iter().find(|f| f.start == p) {
+                    p = inner.body.1;
                     continue;
                 }
             }
@@ -589,7 +543,7 @@ fn let_bound_name(view: &FileView<'_>, span_start: usize, p: usize) -> Option<St
                         n += 1;
                     }
                 }
-                if view.kind_at(n) == Some(TokenKind::Ident) && view.text(n) != "_" {
+                if view.kind(n) == Some(TokenKind::Ident) && view.text(n) != "_" {
                     return Some(view.text(n).to_owned());
                 }
                 return None;
@@ -600,11 +554,9 @@ fn let_bound_name(view: &FileView<'_>, span_start: usize, p: usize) -> Option<St
     None
 }
 
-/// One function definition found in the file, for `located-errors`.
-struct FnDef<'a> {
-    name: &'a str,
-    /// Sig-position range of the body, half-open (`{` .. past `}`).
-    body: (usize, usize),
+/// What `located-errors` learns about one of [`FileView::fns`].
+#[derive(Default)]
+struct FnFacts {
     /// Sig positions of `ParseError::new` constructions in the body.
     constructions: Vec<usize>,
     /// Whether the body contains `.with_location(`.
@@ -622,63 +574,21 @@ struct FnDef<'a> {
 /// idiom where line-level helpers return bare errors and the archive
 /// loop stamps file:line on the way out.
 fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    // Pass 1: find the functions and their body ranges.
-    let mut fns: Vec<FnDef<'_>> = Vec::new();
-    let mut i = 0;
-    while i < view.len() {
-        if view.text(i) == "fn"
-            && view.kind(i + 1) == Some(TokenKind::Ident)
-            && !view.is_test_code(i)
-        {
-            let name = view.text(i + 1);
-            // Find the body: the first top-level `{` before any
-            // top-level `;` (a `;` first means a bodyless declaration).
-            let mut j = i + 2;
-            let mut depth = 0i64;
-            let mut body = None;
-            while j < view.len() {
-                match view.text(j) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    "{" if depth == 0 => {
-                        body = Some((j, view.skip_braces(j)));
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if let Some(body) = body {
-                fns.push(FnDef {
-                    name,
-                    body,
-                    constructions: Vec::new(),
-                    has_with_location: false,
-                    calls: Vec::new(),
-                    callers: Vec::new(),
-                });
-                // Continue scanning *inside* the body too: nested fns.
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
+    // Parallel to `view.fns`.
+    let mut fns: Vec<FnFacts> = view.fns.iter().map(|_| FnFacts::default()).collect();
 
-    // Innermost function containing sig position `p`.
-    let bodies: Vec<(usize, usize)> = fns.iter().map(|f| f.body).collect();
+    // Innermost function whose body contains sig position `p`.
     let owner = |p: usize| -> Option<usize> {
-        bodies
+        view.fns
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.0 <= p && p < b.1)
-            .min_by_key(|(_, b)| b.1 - b.0)
+            .filter(|(_, f)| f.body.0 <= p && p < f.body.1)
+            .min_by_key(|(_, f)| f.body.1 - f.body.0)
             .map(|(k, _)| k)
     };
 
-    // Pass 2: constructions, with_location markers, and the intra-file
-    // call graph.
+    // Constructions, with_location markers, and the intra-file call
+    // graph.
     let mut orphans: Vec<usize> = Vec::new(); // constructions outside any fn
     for p in 0..view.len() {
         if view.is_test_code(p) {
@@ -704,8 +614,8 @@ fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
             }
             let callee_name = view.text(p);
             if let Some(caller) = owner(p) {
-                for k in 0..fns.len() {
-                    if fns[k].name == callee_name && k != caller {
+                for (k, def) in view.fns.iter().enumerate() {
+                    if def.name == callee_name && k != caller {
                         fns[caller].calls.push(k);
                         fns[k].callers.push(caller);
                     }
@@ -714,7 +624,7 @@ fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
         }
     }
 
-    // Pass 3: fixpoint. A function is "located" when it attaches a
+    // Fixpoint: a function is "located" when it attaches a
     // location itself, or when every one of its (at least one)
     // intra-file callers is located.
     let mut located: Vec<bool> = fns.iter().map(|f| f.has_with_location).collect();
@@ -734,8 +644,8 @@ fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
         }
     }
 
-    for (k, f) in fns.iter().enumerate() {
-        if located[k] {
+    for ((f, def), is_located) in fns.iter().zip(&view.fns).zip(located) {
+        if is_located {
             continue;
         }
         for &p in &f.constructions {
@@ -745,7 +655,7 @@ fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
                 message: format!(
                     "ParseError constructed in `{}` without `.with_location(file, line)` on any \
                      caller path in this file",
-                    f.name
+                    def.name
                 ),
             });
         }

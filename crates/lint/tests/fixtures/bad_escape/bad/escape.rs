@@ -4,5 +4,5 @@
 // lint: allow(no-unwarp)
 pub fn misspelled() {}
 
-// lint: deny(no-unwrap)
+// lint: deny(no-wallclock)
 pub fn wrong_verb() {}

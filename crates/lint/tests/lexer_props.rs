@@ -63,7 +63,7 @@ fn rust_fragments() -> Vec<&'static str> {
         "ident",
         "::",
         "#[cfg(test)]",
-        "// lint: allow(no-unwrap)\n",
+        "// lint: allow(no-wallclock)\n",
         "é λ 🦀",
     ]
 }

@@ -19,8 +19,8 @@
 //! This module provides the container plus bounds-checked primitive
 //! reads; the per-archive column codecs live next to their text
 //! counterparts in each crate's `format` module, where the same lint
-//! scoping (no-unwrap, located-errors, no-string-keyed-hot-map)
-//! applies.
+//! scoping (located-errors, no-unbounded-collect,
+//! no-string-keyed-hot-map) applies.
 
 use crate::error::ParseError;
 use crate::intern::{InternId, StrId, StringInterner};

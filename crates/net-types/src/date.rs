@@ -71,6 +71,7 @@ pub struct Date {
 impl Date {
     /// Construct from civil year/month/day. Panics if the day is invalid
     /// for the month (use [`Date::try_from_ymd`] for fallible construction).
+    #[allow(clippy::panic)] // documented invariant of this infallible constructor
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Date {
         Self::try_from_ymd(year, month, day)
             .unwrap_or_else(|| panic!("invalid date {year:04}-{month:02}-{day:02}"))

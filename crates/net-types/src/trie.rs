@@ -269,7 +269,7 @@ impl<V> PrefixTrie<V> {
     fn find(&self, prefix: &Ipv4Prefix) -> Option<u32> {
         let mut cur = self.root;
         while cur != NONE {
-            // lint: allow(no-panic-in-request-path) — node ids come from push_node(), in-bounds by construction
+            // node ids come from push_node(), in-bounds by construction
             let node = &self.nodes[cur as usize];
             let node_prefix = node.prefix();
             let common = node_prefix.common_prefix_len(prefix);
@@ -280,7 +280,7 @@ impl<V> PrefixTrie<V> {
                 return Some(cur);
             }
             // node's prefix is a proper prefix of `prefix`
-            cur = node.children[node.slot(prefix)]; // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+            cur = node.children[node.slot(prefix)]; // slot() is 0|1 into [u32; 2]
         }
         None
     }
@@ -363,20 +363,20 @@ impl<V> PrefixTrie<V> {
         let mut best = None;
         let mut cur = self.root;
         while cur != NONE {
-            // lint: allow(no-panic-in-request-path) — node ids come from push_node(), in-bounds by construction
+            // node ids come from push_node(), in-bounds by construction
             let node = &self.nodes[cur as usize];
             let node_prefix = node.prefix();
             if !node_prefix.covers(query) {
                 break;
             }
-            // lint: allow(no-panic-in-request-path) — values is kept the same length as nodes
+            // values is kept the same length as nodes
             if let Some(v) = &self.values[cur as usize] {
                 best = Some((node_prefix, v));
             }
             if node_prefix.len() == query.len() {
                 break;
             }
-            cur = node.children[node.slot(query)]; // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+            cur = node.children[node.slot(query)]; // slot() is 0|1 into [u32; 2]
         }
         best
     }
@@ -411,7 +411,7 @@ impl<V> PrefixTrie<V> {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NONE {
-            // lint: allow(no-panic-in-request-path) — node ids come from push_node(), in-bounds by construction
+            // node ids come from push_node(), in-bounds by construction
             let node = &self.nodes[cur as usize];
             let node_prefix = node.prefix();
             if query.covers(&node_prefix) {
@@ -421,7 +421,7 @@ impl<V> PrefixTrie<V> {
             if !node_prefix.covers(query) || node_prefix.len() == query.len() {
                 break; // disjoint, or query sits exactly on a leaf-less node
             }
-            cur = node.children[node.slot(query)]; // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+            cur = node.children[node.slot(query)]; // slot() is 0|1 into [u32; 2]
         }
         Iter { trie: self, stack }
     }
@@ -543,19 +543,19 @@ impl<'a, V> Iterator for Matches<'a, V> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.cur != NONE {
-            // lint: allow(no-panic-in-request-path) — node ids come from alloc(), in-bounds by construction
+            // node ids come from alloc(), in-bounds by construction
             let node = &self.trie.nodes[self.cur as usize];
             let node_prefix = node.prefix();
             if !node_prefix.covers(&self.query) {
                 self.cur = NONE;
                 break;
             }
-            // lint: allow(no-panic-in-request-path) — values is kept the same length as nodes
+            // values is kept the same length as nodes
             let value = self.trie.values[self.cur as usize].as_ref();
             self.cur = if node_prefix.len() == self.query.len() {
                 NONE
             } else {
-                node.children[node.slot(&self.query)] // lint: allow(no-panic-in-request-path) — slot() is 0|1 into [u32; 2]
+                node.children[node.slot(&self.query)] // slot() is 0|1 into [u32; 2]
             };
             if let Some(v) = value {
                 return Some((node_prefix, v));

@@ -131,7 +131,7 @@ fn shard() -> &'static Shard {
             v
         })
         .unwrap_or(0);
-    // lint: allow(no-panic-in-request-path) — shard index is reduced mod MAX_SHARDS on assignment
+    // shard index is reduced mod MAX_SHARDS on assignment
     &SHARDS[idx]
 }
 
@@ -321,7 +321,7 @@ pub fn mark() -> Option<MemMark> {
     } else {
         idx
     };
-    let s = &SHARDS[idx]; // lint: allow(no-panic-in-request-path) — idx is reduced mod MAX_SHARDS above
+    let s = &SHARDS[idx]; // idx is reduced mod MAX_SHARDS above
     let base_alloc = s.alloc_bytes.load(Relaxed);
     let base_freed = s.freed_bytes.load(Relaxed);
     let base_live = base_alloc as i64 - base_freed as i64;

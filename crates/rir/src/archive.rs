@@ -103,11 +103,11 @@ impl RirStatsArchive {
     /// Add a snapshot assembled from the (up to five) per-RIR files
     /// published on `date`. Snapshots must be added in chronological
     /// order; panics otherwise (archives are built by one writer).
+    // Documented invariant of this infallible wrapper; ingestion paths
+    // go through `try_add_snapshot` instead.
+    #[allow(clippy::panic)]
     pub fn add_snapshot(&mut self, date: Date, files: &[StatsFile]) {
         if let Err(e) = self.try_add_snapshot(date, files) {
-            // Documented invariant of this infallible wrapper; ingestion
-            // paths go through `try_add_snapshot` instead.
-            // lint: allow(no-unwrap)
             panic!("snapshots must be added in chronological order: {e}");
         }
     }

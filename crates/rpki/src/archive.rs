@@ -90,7 +90,7 @@ impl RoaArchive {
         self.by_prefix
             .matches(prefix)
             .into_iter()
-            // lint: allow(no-panic-in-request-path) — idxs are positions recorded at insert time
+            // idxs are positions recorded at insert time
             .flat_map(|(_, idxs)| idxs.iter().map(|&i| &self.records[i]))
             .filter(|r| tals.contains(&r.roa.tal))
             .collect() // lint: allow(no-unbounded-collect) — bounded by covering ROAs (prefix tree fan-in)

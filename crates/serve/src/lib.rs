@@ -11,6 +11,10 @@
 //!
 //! The robustness contract, end to end:
 //!
+//! * **no panics on untrusted input** — clippy denies `unwrap`,
+//!   `expect`, `panic!`, `todo!`, `unimplemented!` and, in this crate,
+//!   indexing and slicing: every byte a client sends is read through
+//!   checked access, and a bad frame becomes a located error;
 //! * **deadlines everywhere** — every socket is wrapped in a
 //!   [`DeadlineStream`](net::DeadlineStream) that configures read and
 //!   write timeouts at construction; `droplens lint`'s
@@ -46,6 +50,10 @@
 //! exactly that through `droplens-faults`' seeded network-fault proxy.
 
 #![warn(missing_docs)]
+// Indexing is a panic source clippy's workspace table does not cover;
+// deny it here, where every frame is attacker-controlled. A site that
+// is in bounds by construction takes an item-level allow with a reason.
+#![deny(clippy::indexing_slicing)]
 
 pub mod client;
 pub mod engine;

@@ -272,15 +272,15 @@ fn drive_thread(
         let req = random_request(&mut mix, oracle);
         let kind = req.kind_index();
         part.sent += 1;
-        part.kinds[kind][0] += 1;
         let sw = Stopwatch::start();
-        match client.query(&req) {
+        let ok = match client.query(&req) {
             Ok(reply) => {
                 let elapsed = sw.elapsed_ns();
                 histogram.record(elapsed);
-                kind_hists[kind].record(elapsed);
+                if let Some(hist) = kind_hists.get(kind) {
+                    hist.record(elapsed);
+                }
                 part.ok += 1;
-                part.kinds[kind][1] += 1;
                 // Stats and Metrics replies mix in live state; every
                 // other kind must equal the offline answer exactly.
                 if !matches!(req, Request::Stats | Request::Metrics) && reply != oracle.answer(&req)
@@ -291,14 +291,19 @@ fn drive_thread(
                             .push(format!("oracle mismatch on {} query", req.label()));
                     }
                 }
+                true
             }
             Err(e) => {
                 part.failed += 1;
-                part.kinds[kind][2] += 1;
                 if part.samples.len() < REPORT_SAMPLES_KEPT {
                     part.samples.push(e.to_string());
                 }
+                false
             }
+        };
+        if let Some([sent, oks, failed]) = part.kinds.get_mut(kind) {
+            *sent += 1;
+            *if ok { oks } else { failed } += 1;
         }
     }
     part
@@ -309,11 +314,15 @@ fn drive_thread(
 fn random_request(rng: &mut StdRng, oracle: &Engine) -> Request {
     let study = oracle.study();
     let entries = &study.entries;
-    if entries.is_empty() {
+    let entry = match entries.len() {
+        0 => None,
+        n => entries.get(rng.gen_range(0..n)),
+    };
+    let Some(entry) = entry else {
         // Degenerate world: nothing to ask about beyond liveness.
         return Request::Ping;
-    }
-    let prefix = entries[rng.gen_range(0..entries.len())].prefix();
+    };
+    let prefix = entry.prefix();
     let window = study.config.window;
     let date = window.start() + rng.gen_range(0..window.len().max(1)) as i32;
     match rng.gen_range(0..12u32) {

@@ -126,8 +126,8 @@ pub struct Telemetry {
     io_errors: WindowedCounter,
     /// Per-kind series, indexed by [`Request::kind_index`].
     kinds: Vec<KindSeries>,
-    /// Per-phase latency, indexed like [`PHASE_LABELS`].
-    phases: Vec<WindowedHistogram>,
+    /// Per-phase latency, in [`PHASE_LABELS`] order.
+    phases: [WindowedHistogram; PHASE_LABELS.len()],
     slow_threshold_ns: u64,
     slow: Mutex<SlowLedger>,
 }
@@ -145,10 +145,7 @@ impl Telemetry {
                 latency: WindowedHistogram::new(clock.clone(), window),
             })
             .collect();
-        let phases = PHASE_LABELS
-            .iter()
-            .map(|_| WindowedHistogram::new(clock.clone(), window))
-            .collect();
+        let phases = std::array::from_fn(|_| WindowedHistogram::new(clock.clone(), window));
         Telemetry {
             queue_depth: Gauge::new(),
             in_flight: Gauge::new(),
@@ -189,7 +186,8 @@ impl Telemetry {
     /// A worker pulled a connection that waited `wait_ns` in the queue.
     pub fn dequeued(&self, wait_ns: u64) {
         self.queue_depth.add(-1);
-        self.phases[0].record(wait_ns); // lint: allow(no-panic-in-request-path) — constant index into [_; 4]
+        let [queue_wait, ..] = &self.phases;
+        queue_wait.record(wait_ns);
     }
 
     /// A worker started serving a connection.
@@ -227,18 +225,19 @@ impl Telemetry {
         timing: RequestTiming,
         args: impl FnOnce() -> String,
     ) {
-        let i = req.kind_index();
-        let series = &self.kinds[i]; // lint: allow(no-panic-in-request-path) — kind_index() < kinds.len() by construction
-        series.total.inc();
-        series.queries.inc();
-        series.latency.record(timing.total_ns());
-        self.queries.inc();
-        self.phases[1].record(timing.decode_ns); // lint: allow(no-panic-in-request-path) — constant index into [_; 4]
-        self.phases[2].record(timing.engine_ns); // lint: allow(no-panic-in-request-path) — constant index into [_; 4]
-        self.phases[3].record(timing.write_ns); // lint: allow(no-panic-in-request-path) — constant index into [_; 4]
-        if !ok {
-            series.errors.inc();
+        if let Some(series) = self.kinds.get(req.kind_index()) {
+            series.total.inc();
+            series.queries.inc();
+            series.latency.record(timing.total_ns());
+            if !ok {
+                series.errors.inc();
+            }
         }
+        self.queries.inc();
+        let [_, decode, engine, write] = &self.phases;
+        decode.record(timing.decode_ns);
+        engine.record(timing.engine_ns);
+        write.record(timing.write_ns);
         if timing.total_ns() >= self.slow_threshold_ns {
             let sample = SlowQuery {
                 kind: req.label(),

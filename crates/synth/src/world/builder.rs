@@ -1399,6 +1399,7 @@ impl Builder {
 /// Parse one of the paper's scripted prefix literals. A failure is a
 /// typo in the generator itself, not bad input, so it aborts loudly
 /// with the offending literal.
+#[allow(clippy::panic)] // a generator typo, not bad input: abort loudly
 fn lit_prefix(s: &str) -> Ipv4Prefix {
     match s.parse() {
         Ok(p) => p,

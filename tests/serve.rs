@@ -314,6 +314,7 @@ fn chaos_every_query_succeeds_and_matches_offline() {
 }
 
 /// Fetch and parse one `Metrics` frame from a running server.
+#[allow(clippy::panic)] // test helper: a wrong reply kind fails the test
 fn metrics_snapshot(client: &mut Client) -> droplens_obs::json::Value {
     let reply = client.query(&Request::Metrics).expect("metrics query");
     let Reply::Metrics { json } = reply else {
