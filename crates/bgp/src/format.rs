@@ -14,8 +14,6 @@
 //! token, peer ASN, prefix, and (for announcements and dump entries) the
 //! AS path.
 
-// lint: allow(ordered-output) — dedup index only, never iterated
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use droplens_net::{Asn, BinReader, BinWriter, Date, ParseError, Quarantine};
@@ -275,12 +273,14 @@ pub const BIN_KIND: &str = "bgp/updates";
 /// prefix len, path id; [`NO_ID`] in the path column marks a withdrawal).
 /// Loads without per-line scanning — the fast path next to the canonical
 /// text archive from [`write_updates`].
+#[allow(clippy::disallowed_types)] // `ids` is lookups only; output order comes from `paths`
 pub fn write_updates_bin(updates: &[BgpUpdate]) -> Vec<u8> {
     use droplens_net::NO_ID;
+    use std::collections::HashMap;
     let mut w = BinWriter::new(BIN_KIND);
     // Path dictionary in first-appearance order. The dedup index is never
     // iterated, so hash order cannot leak into the payload.
-    let mut ids: HashMap<&AsPath, u32> = HashMap::new(); // lint: allow(ordered-output) — lookups only; output order comes from `paths`
+    let mut ids: HashMap<&AsPath, u32> = HashMap::new();
     let mut paths: Vec<&AsPath> = Vec::new();
     let mut path_col: Vec<u32> = Vec::with_capacity(updates.len());
     for u in updates {

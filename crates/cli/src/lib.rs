@@ -127,10 +127,11 @@ MEM (compare memory reports, gate regressions):
 LINT (check the workspace's own invariants; DESIGN.md §9):
     PATHS are files or directories to scan (default: the current
     directory; `target/`, `vendor/`, and fixture corpora are skipped,
-    explicitly named files are always linted). Rules: ordered-output,
-    no-wallclock, seeded-rng-only, located-errors, no-unbounded-collect,
+    explicitly named files are always linted). Rules: no-wallclock,
+    seeded-rng-only, located-errors, no-unbounded-collect,
     no-string-keyed-hot-map, no-deadline-free-io, lock-across-io.
-    Panic-freedom is clippy's (`cargo clippy`; workspace lint table).
+    Panic-freedom and the HashMap/HashSet ban are clippy's (`cargo
+    clippy`; workspace lint table and clippy.toml).
     Suppress one finding with a trailing `// lint: allow(<rule>)`.
     --format text|json|sarif  diagnostic rendering (default text);
                               exits nonzero when violations survive

@@ -6,16 +6,16 @@
 //! reviewers' heads. This crate makes them machine-enforced: a
 //! zero-dependency, token-level static analysis over the workspace's
 //! own sources, run as `droplens lint` locally and as a CI gate.
-//! Panic-freedom is not here: clippy enforces it (the workspace lint
-//! table plus `clippy::indexing_slicing` on `droplens-serve`; DESIGN.md
-//! §9).
+//! Panic-freedom and the ban on hash containers are not here: clippy
+//! enforces them (the workspace lint table, `clippy.toml`'s
+//! `disallowed-types`, and `clippy::indexing_slicing` on
+//! `droplens-serve`; DESIGN.md §9).
 //!
-//! Eight token-level rules, each scoped to the modules where its
+//! Seven token-level rules, each scoped to the modules where its
 //! invariant bites (see [`rules_for_path`] and DESIGN.md §9):
 //!
 //! | rule | scope | bans |
 //! |------|-------|------|
-//! | `ordered-output` | modules that write archives, reports, or traces | `HashMap`, `HashSet` |
 //! | `no-wallclock` | everything outside `crates/obs` | `Instant::now`, `SystemTime::now` |
 //! | `seeded-rng-only` | everywhere | `thread_rng`, `from_entropy`, `from_os_rng`, `OsRng`, `rand::random` |
 //! | `located-errors` | parser modules (format/journal/list) | `ParseError::new` with no `.with_location` on any intra-file caller path |
@@ -45,9 +45,6 @@ use rules::FileView;
 /// The rules droplens-lint knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No `HashMap`/`HashSet` in modules that write archives, reports,
-    /// or trace exports.
-    OrderedOutput,
     /// `Instant::now`/`SystemTime::now` only inside `crates/obs`.
     NoWallclock,
     /// No entropy-seeded RNG construction anywhere.
@@ -78,8 +75,7 @@ pub enum Rule {
 impl Rule {
     /// Every scannable rule (excludes [`Rule::BadEscape`], which is
     /// emitted by the escape parser, not scanned for).
-    pub const ALL: [Rule; 8] = [
-        Rule::OrderedOutput,
+    pub const ALL: [Rule; 7] = [
         Rule::NoWallclock,
         Rule::SeededRngOnly,
         Rule::LocatedErrors,
@@ -92,7 +88,6 @@ impl Rule {
     /// The kebab-case name used in diagnostics and escapes.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::OrderedOutput => "ordered-output",
             Rule::NoWallclock => "no-wallclock",
             Rule::SeededRngOnly => "seeded-rng-only",
             Rule::LocatedErrors => "located-errors",
@@ -324,12 +319,10 @@ fn json_escape(s: &str) -> String {
 ///   `fixtures/` dir) — only `seeded-rng-only`;
 /// * `crates/obs/` is exempt from `no-wallclock` (it owns the clock);
 /// * file-stem scopes: `located-errors` on format/journal/list,
-///   `ordered-output` on the output writers (format, layout, sbltext,
-///   report, run_report, json, trace, registry, perf, paper,
-///   experiments/*), `no-unbounded-collect` and
-///   `no-string-keyed-hot-map` on the per-record hot paths (format,
-///   archive), `no-deadline-free-io` and `lock-across-io` on the
-///   socket-touching serve paths (server, client, loadgen, net).
+///   `no-unbounded-collect` and `no-string-keyed-hot-map` on the
+///   per-record hot paths (format, archive), `no-deadline-free-io` and
+///   `lock-across-io` on the socket-touching serve paths (server,
+///   client, loadgen, net).
 pub fn rules_for_path(path: &str) -> Vec<Rule> {
     let norm = path.replace('\\', "/");
     let comps: Vec<&str> = norm
@@ -357,21 +350,6 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
     const DEADLINE_STEMS: [&str; 4] = ["server", "client", "loadgen", "net"];
     const LOCATED_STEMS: [&str; 3] = ["format", "journal", "list"];
     const COLLECT_STEMS: [&str; 2] = ["format", "archive"];
-    const ORDERED_STEMS: [&str; 10] = [
-        "format",
-        "layout",
-        "sbltext",
-        "report",
-        "run_report",
-        "json",
-        "trace",
-        "registry",
-        "perf",
-        "paper",
-    ];
-    if ORDERED_STEMS.contains(&stem) || has("experiments") {
-        rules.push(Rule::OrderedOutput);
-    }
     if LOCATED_STEMS.contains(&stem) {
         rules.push(Rule::LocatedErrors);
     }
@@ -582,7 +560,6 @@ mod tests {
     #[test]
     fn scope_classification_matches_the_tree() {
         let r = rules_for_path("crates/bgp/src/format.rs");
-        assert!(r.contains(&Rule::OrderedOutput));
         assert!(r.contains(&Rule::LocatedErrors));
         assert!(r.contains(&Rule::NoWallclock));
         assert!(r.contains(&Rule::NoUnboundedCollect));
@@ -593,8 +570,7 @@ mod tests {
         assert!(!r.contains(&Rule::NoUnboundedCollect), "cold paths exempt");
 
         let r = rules_for_path("crates/obs/src/trace.rs");
-        assert!(!r.contains(&Rule::NoWallclock), "obs owns the clock");
-        assert!(r.contains(&Rule::OrderedOutput));
+        assert_eq!(r, vec![Rule::SeededRngOnly], "obs owns the clock");
 
         let r = rules_for_path("crates/bgp/tests/proptests.rs");
         assert_eq!(r, vec![Rule::SeededRngOnly]);
@@ -616,8 +592,8 @@ mod tests {
         );
 
         // Fixtures classify like sources, not like tests.
-        let r = rules_for_path("crates/lint/tests/fixtures/ordered_output/format.rs");
-        assert!(r.contains(&Rule::OrderedOutput));
+        let r = rules_for_path("crates/lint/tests/fixtures/located_errors/format.rs");
+        assert!(r.contains(&Rule::LocatedErrors));
     }
 
     #[test]
@@ -633,8 +609,8 @@ mod tests {
                 "crates/bgp/tests/proptests.rs",
             ),
             (
-                r"crates\lint\tests\fixtures\ordered_output\format.rs",
-                "crates/lint/tests/fixtures/ordered_output/format.rs",
+                r"crates\lint\tests\fixtures\located_errors\format.rs",
+                "crates/lint/tests/fixtures/located_errors/format.rs",
             ),
             (r"crates\serve\src\server.rs", "crates/serve/src/server.rs"),
         ] {
@@ -669,20 +645,27 @@ mod tests {
 
     #[test]
     fn rules_handed_to_clippy_are_unknown() {
-        // Panic-freedom is clippy's now: an escape naming one of these
-        // retired rules is a bad escape, not a silent no-op.
-        for name in ["no-unwrap", "no-panic-in-request-path", "wallclock-taint"] {
+        // Panic-freedom and the hash-container ban are clippy's now: an
+        // escape naming one of these retired rules is a bad escape, not
+        // a silent no-op.
+        for name in [
+            "no-unwrap",
+            "no-panic-in-request-path",
+            "wallclock-taint",
+            "ordered-output",
+        ] {
             assert_eq!(Rule::from_name(name), None, "{name}");
         }
     }
 
     #[test]
     fn cfg_test_code_is_exempt() {
-        let body = "fn t() { let m: HashMap<u32, u32> = HashMap::new(); let t = Instant::now(); }";
+        let body =
+            "fn t() { let m: HashMap<String, u32> = HashMap::new(); let t = Instant::now(); }";
         let (diags, _) = lint_source("crates/x/src/format.rs", &format!("{body}\n"));
         assert_eq!(
             diags.len(),
-            3,
+            2,
             "outside a test module the body fires: {diags:?}"
         );
         let src = format!("fn f() -> u32 {{ 1 }}\n#[cfg(test)]\nmod tests {{\n    {body}\n}}\n");

@@ -214,7 +214,6 @@ impl<'a> FileView<'a> {
 /// Run `rule` over the file, appending hits.
 pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
     match rule {
-        Rule::OrderedOutput => ordered_output(view, hits),
         Rule::NoWallclock => no_wallclock(view, hits),
         Rule::SeededRngOnly => seeded_rng_only(view, hits),
         Rule::LocatedErrors => located_errors(view, hits),
@@ -224,30 +223,6 @@ pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
         Rule::LockAcrossIo => lock_across_io(view, hits),
         // Emitted during escape parsing, never scanned for.
         Rule::BadEscape => {}
-    }
-}
-
-/// `ordered-output`: `HashMap`/`HashSet` are banned in any module that
-/// writes archives, reports, or trace exports. Their iteration order is
-/// seeded per-process, so anything they feed into an output file can
-/// silently stop being byte-stable. Use `BTreeMap`/`BTreeSet` or sort a
-/// `Vec` explicitly.
-fn ordered_output(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    for i in 0..view.len() {
-        if view.is_test_code(i) || view.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let name = view.text(i);
-        if name == "HashMap" || name == "HashSet" {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::OrderedOutput,
-                message: format!(
-                    "`{name}` in an output-writing module — iteration order is not deterministic; \
-                     use BTreeMap/BTreeSet or a sorted Vec"
-                ),
-            });
-        }
     }
 }
 

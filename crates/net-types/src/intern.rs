@@ -17,7 +17,6 @@
 //! span table, so a million interned handles cost two allocations, not
 //! a million.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::marker::PhantomData;
@@ -78,6 +77,7 @@ intern_id! {
 /// equal ids; distinct strings to distinct ids; ids count up from 0 in
 /// first-appearance order.
 #[derive(Debug, Clone)]
+#[allow(clippy::disallowed_types)] // `dedup` is never iterated: ids follow insertion order
 pub struct StringInterner<I> {
     /// Every interned string, concatenated.
     buf: String,
@@ -86,17 +86,18 @@ pub struct StringInterner<I> {
     /// Hash → candidate ids. Never iterated (see the module docs), so
     /// the seeded default hasher is fine; collisions are resolved by
     /// comparing against the actual span text.
-    dedup: HashMap<u64, Vec<u32>>,
+    dedup: std::collections::HashMap<u64, Vec<u32>>,
     hasher: RandomState,
     _marker: PhantomData<I>,
 }
 
+#[allow(clippy::disallowed_types)] // the never-iterated `dedup` table
 impl<I> Default for StringInterner<I> {
     fn default() -> Self {
         StringInterner {
             buf: String::new(),
             spans: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: std::collections::HashMap::new(),
             hasher: RandomState::new(),
             _marker: PhantomData,
         }

@@ -88,6 +88,15 @@ impl Registry {
         map.entry(name.to_owned()).or_default().clone()
     }
 
+    /// Store `counter` under `name`, replacing any counter already
+    /// there: the registry then reads a count that its owner keeps
+    /// elsewhere (a server's per-server record, say) without a second
+    /// increment. Handles resolved under `name` before the install keep
+    /// the old counter.
+    pub fn install_counter(&self, name: &str, counter: Counter) {
+        lock(&self.inner.counters).insert(name.to_owned(), counter);
+    }
+
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut map = lock(&self.inner.gauges);
@@ -196,6 +205,20 @@ mod tests {
         assert_eq!(r.counter("x").value(), 3);
         let snap = r.report();
         assert_eq!(snap.counters["x"], 3);
+    }
+
+    #[test]
+    fn installed_counters_stay_live() {
+        let r = Registry::new();
+        let stale = r.counter("x");
+        let owned = Counter::new();
+        owned.add(4);
+        r.install_counter("x", owned.clone());
+        owned.inc();
+        assert_eq!(r.counter("x").value(), 5);
+        assert_eq!(r.report().counters["x"], 5);
+        stale.inc();
+        assert_eq!(r.counter("x").value(), 5, "the replaced handle is detached");
     }
 
     #[test]

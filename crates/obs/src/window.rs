@@ -1,10 +1,15 @@
 //! Windowed metrics: rolling counters and histograms over the last N
-//! seconds, not process lifetime.
+//! seconds.
 //!
-//! A lifetime [`crate::Counter`] answers "how many, ever"; a live
-//! telemetry plane needs "how many, *lately*" — current q/s, the p99 of
-//! the last few seconds. Both types here compute that over a **ring of
-//! time slots**: the window is `slots × slot_ns` wide, each slot owns
+//! A live telemetry plane needs "how many, *lately*" — current q/s, the
+//! p99 of the last few seconds — next to "how many, ever". A
+//! [`WindowedCounter`] answers both for one event: each write lands in
+//! the window and in a lifetime [`Counter`]
+//! ([`WindowedCounter::lifetime`]), so one `inc()` feeds both questions
+//! and the two counts cannot disagree.
+//!
+//! Both types here compute the recent view over a **ring of time
+//! slots**: the window is `slots × slot_ns` wide, each slot owns
 //! one `slot_ns`-sized stripe of the timeline, and a slot is lazily
 //! reset the first time a write lands in a new stripe that maps onto
 //! it. Reads merge only the slots whose stripe is still inside the
@@ -38,7 +43,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::clock::Clock;
-use crate::metrics::{Histogram, HistogramSummary};
+use crate::metrics::{Counter, Histogram, HistogramSummary};
 
 /// Writer shards per windowed metric. Thread→shard assignment wraps
 /// modulo this; see the module docs for the collision tolerance.
@@ -124,9 +129,11 @@ struct CountSlot {
     count: AtomicU64,
 }
 
-/// A rolling event counter: totals and rates over the last window.
+/// A rolling event counter: totals and rates over the last window, plus
+/// the lifetime count of the same events.
 ///
-/// Cloning shares the ring (an `Arc`), like [`crate::Counter`].
+/// Cloning shares the ring and the lifetime count (an `Arc`), like
+/// [`Counter`].
 #[derive(Debug, Clone)]
 pub struct WindowedCounter(Arc<WindowedCounterInner>);
 
@@ -137,6 +144,8 @@ struct WindowedCounterInner {
     /// `WINDOW_SHARDS` shards of `config.slots` slots each, flattened
     /// shard-major: shard `s`, slot `i` lives at `s * slots + i`.
     slots: Vec<CountSlot>,
+    /// Every event ever added, window or not.
+    lifetime: Counter,
 }
 
 impl WindowedCounter {
@@ -153,6 +162,7 @@ impl WindowedCounter {
             config,
             clock,
             slots,
+            lifetime: Counter::new(),
         }))
     }
 
@@ -174,6 +184,14 @@ impl WindowedCounter {
             slot.epoch.store(epoch, Relaxed);
         }
         slot.count.fetch_add(n, Relaxed);
+        inner.lifetime.add(n);
+    }
+
+    /// The lifetime count: every event ever added, expired or not. The
+    /// handle shares its value, so it can be installed in a
+    /// [`crate::Registry`] and stay live.
+    pub fn lifetime(&self) -> &Counter {
+        &self.0.lifetime
     }
 
     /// Events inside the current window.
@@ -325,9 +343,11 @@ mod tests {
         clock.advance(Duration::from_millis(2));
         assert_eq!(c.total(), 1, "the 3 early events expired");
 
-        // And far in the future everything is gone.
+        // And far in the future everything is gone from the window,
+        // while the lifetime count keeps every event.
         clock.advance(Duration::from_secs(1));
         assert_eq!(c.total(), 0);
+        assert_eq!(c.lifetime().value(), 4);
     }
 
     #[test]
@@ -401,6 +421,7 @@ mod tests {
         twin.add(5);
         c.add(2);
         assert_eq!(c.total(), 7);
+        assert_eq!(twin.lifetime().value(), 7);
 
         let h = WindowedHistogram::new(clock, WindowConfig::default());
         let htwin = h.clone();
@@ -426,6 +447,7 @@ mod tests {
             }
         });
         assert_eq!(c.total(), 4_000);
+        assert_eq!(c.lifetime().value(), 4_000);
         assert_eq!(h.summary().count, 4_000);
     }
 }

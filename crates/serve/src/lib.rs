@@ -24,8 +24,9 @@
 //!   [`Reply::Busy`](protocol::Reply::Busy) within the write deadline
 //!   and closes, never queueing unboundedly and never hanging;
 //! * **per-connection error isolation** — a malformed or adversarial
-//!   frame kills only its own connection; the fault is counted and
-//!   sampled in a quarantine-style [`ServeLedger`](server::ServeLedger);
+//!   frame, or a transport error on a read or a reply write, kills only
+//!   its own connection; the fault is counted and sampled in a
+//!   quarantine-style [`ServeLedger`](server::ServeLedger);
 //! * **graceful drain** — on shutdown (signal or
 //!   [`ServerHandle::stop`](server::ServerHandle::stop)) the listener
 //!   closes, queued connections get a typed `Busy`, the request in
@@ -37,11 +38,14 @@
 //!   attempt budget.
 //!
 //! A running server is observable while it runs: the [`telemetry`]
-//! plane keeps windowed per-kind q/s and latency quantiles, live
-//! queue-depth/in-flight gauges, per-phase timings, and a bounded
-//! slow-query ledger, answered over the wire as a `Metrics` frame
-//! (one stable JSON document) and consumed by `droplens top` and
-//! `droplens slo check`.
+//! plane is each server's one record of serve events. It keeps
+//! lifetime and windowed per-kind counts, latency quantiles, live
+//! queue-depth/in-flight gauges, per-phase timings, a bounded
+//! slow-query ledger and the fault samples, answered over the wire as
+//! a `Metrics` frame (one stable JSON document) and consumed by
+//! `droplens top` and `droplens slo check`. The `stats` reply and the
+//! final [`ServeReport`] read the same record, so every count is that
+//! server's own.
 //!
 //! The [`loadgen`] module hammers a server with many concurrent
 //! client threads while obs records latency histograms, and

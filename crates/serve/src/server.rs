@@ -26,8 +26,16 @@
 //!   in flight always goes out whole (single `write_all` per frame), so
 //!   a drain can tear nothing.
 //! * A malformed frame closes only its own connection, after a best-
-//!   effort located [`Reply::Error`]; the fault is counted and sampled
-//!   in the [`ServeLedger`], mirroring the ingestion quarantine.
+//!   effort located [`Reply::Error`]. So does a transport error, on the
+//!   read of a request or on the write of its reply. Both faults are
+//!   counted and sampled in the [`ServeLedger`], mirroring the
+//!   ingestion quarantine.
+//! * Each event is one call into the server's [`Telemetry`], its only
+//!   record: the `stats` reply, the `Metrics` snapshot and the
+//!   [`ServeReport`] all read it, so every count is this server's own.
+//!   [`Server::start`] points the process registry's `serve.*`
+//!   counters at the same record; with several servers in one process,
+//!   the registry reads the one started last.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,12 +44,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use droplens_obs::json::escape;
 use droplens_obs::{Clock, WindowConfig};
 
 use crate::engine::Engine;
 use crate::net::DeadlineStream;
-use crate::protocol::{self, Reply, Request, WireError};
-use crate::telemetry::{request_args, LifetimeTotals, RequestTiming, Telemetry};
+use crate::protocol::{self, FrameError, Reply, Request, WireError};
+use crate::telemetry::{request_args, RequestTiming, Telemetry};
 
 /// How many fault messages the ledger retains verbatim.
 pub const LEDGER_SAMPLES_KEPT: usize = 16;
@@ -87,24 +96,13 @@ pub struct ServeLedger {
     /// Connections killed by a frame that did not decode.
     pub malformed: u64,
     /// Connections killed by a transport error (timeout, reset, torn
-    /// read) outside a clean between-frames EOF.
+    /// read, failed reply write) outside a clean between-frames EOF.
     pub io_errors: u64,
     /// Sampled fault messages, in arrival order.
     pub samples: Vec<String>,
 }
 
 impl ServeLedger {
-    fn record(&mut self, malformed: bool, message: String) {
-        if malformed {
-            self.malformed += 1;
-        } else {
-            self.io_errors += 1;
-        }
-        if self.samples.len() < LEDGER_SAMPLES_KEPT {
-            self.samples.push(message);
-        }
-    }
-
     /// Render as the JSON artifact CI uploads.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -113,33 +111,15 @@ impl ServeLedger {
         out.push_str("  \"samples\": [\n");
         for (i, s) in self.samples.iter().enumerate() {
             let comma = if i + 1 == self.samples.len() { "" } else { "," };
-            out.push_str(&format!("    {}{}\n", json_string(s), comma));
+            out.push_str(&format!("    \"{}\"{}\n", escape(s), comma));
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// What the server did over its lifetime; returned by
-/// [`ServerHandle::stop`].
+/// [`ServerHandle::stop`], copied from the server's [`Telemetry`].
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Connections accepted and handed to workers.
@@ -162,50 +142,6 @@ impl ServeReport {
     }
 }
 
-/// Obs handles the hot path bumps without registry lookups.
-struct Counters {
-    connections: droplens_obs::Counter,
-    queries: droplens_obs::Counter,
-    busy: droplens_obs::Counter,
-    malformed: droplens_obs::Counter,
-    io_errors: droplens_obs::Counter,
-}
-
-impl Counters {
-    fn new() -> Counters {
-        let reg = droplens_obs::global();
-        Counters {
-            connections: reg.counter("serve.connections"),
-            queries: reg.counter("serve.queries"),
-            busy: reg.counter("serve.busy"),
-            malformed: reg.counter("serve.malformed"),
-            io_errors: reg.counter("serve.io_errors"),
-        }
-    }
-
-    /// Live counter pairs merged into a `stats` reply, sorted by name.
-    fn stats_pairs(&self) -> Vec<(String, u64)> {
-        vec![
-            ("serve.busy".to_owned(), self.busy.value()),
-            ("serve.connections".to_owned(), self.connections.value()),
-            ("serve.io_errors".to_owned(), self.io_errors.value()),
-            ("serve.malformed".to_owned(), self.malformed.value()),
-            ("serve.queries".to_owned(), self.queries.value()),
-        ]
-    }
-
-    /// The same counters as a snapshot struct for the telemetry plane.
-    fn totals(&self) -> LifetimeTotals {
-        LifetimeTotals {
-            connections: self.connections.value(),
-            queries: self.queries.value(),
-            busy: self.busy.value(),
-            malformed: self.malformed.value(),
-            io_errors: self.io_errors.value(),
-        }
-    }
-}
-
 /// A connection waiting in the bounded queue, stamped on accept so the
 /// pulling worker can charge the queue-wait phase.
 struct Queued {
@@ -216,20 +152,8 @@ struct Queued {
 /// State shared by the acceptor and every worker.
 struct Shared {
     engine: Arc<Engine>,
-    counters: Counters,
     telemetry: Telemetry,
-    queue_capacity: usize,
-    workers: usize,
-    ledger: Mutex<ServeLedger>,
     shutdown: AtomicBool,
-}
-
-impl Shared {
-    /// Render the live telemetry snapshot (what `Metrics` answers).
-    fn metrics_json(&self) -> String {
-        self.telemetry
-            .snapshot_json(self.counters.totals(), self.queue_capacity, self.workers)
-    }
 }
 
 /// The server's entry point. See the module docs for the architecture.
@@ -247,7 +171,9 @@ pub struct ServerHandle {
 
 impl Server {
     /// Bind, spawn the worker pool and the acceptor, and return the
-    /// handle. The engine is shared read-only across all workers.
+    /// handle. The engine is shared read-only across all workers. The
+    /// process registry's `serve.*` counters read this server from here
+    /// on.
     ///
     /// A zero [`ServerConfig::deadline`] is refused with
     /// `ErrorKind::InvalidInput` before binding: no socket can carry it.
@@ -261,22 +187,28 @@ impl Server {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
 
+        let queue_depth = config.queue_depth.max(1);
+        let worker_count = config.workers.max(1);
         let slow_ns = u64::try_from(config.slow_threshold.as_nanos()).unwrap_or(u64::MAX);
+        let telemetry = Telemetry::new(
+            Clock::real(),
+            WindowConfig::default(),
+            slow_ns,
+            queue_depth,
+            worker_count,
+        );
+        telemetry.install(droplens_obs::global());
         let shared = Arc::new(Shared {
             engine,
-            counters: Counters::new(),
-            telemetry: Telemetry::new(Clock::real(), WindowConfig::default(), slow_ns),
-            queue_capacity: config.queue_depth.max(1),
-            workers: config.workers.max(1),
-            ledger: Mutex::new(ServeLedger::default()),
+            telemetry,
             shutdown: AtomicBool::new(false),
         });
 
-        let (tx, rx) = sync_channel::<Queued>(config.queue_depth.max(1));
+        let (tx, rx) = sync_channel::<Queued>(queue_depth);
         let rx = Arc::new(Mutex::new(rx));
 
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
+        let mut workers = Vec::with_capacity(worker_count);
+        for i in 0..worker_count {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&shared);
             workers.push(
@@ -321,7 +253,7 @@ impl ServerHandle {
     /// answers — for in-process consumers (tests, the CLI's
     /// `--metrics-snapshot` artifact) without a socket round-trip.
     pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
+        self.shared.telemetry.snapshot_json()
     }
 
     /// Request a drain without waiting for it: stop accepting, shed the
@@ -348,19 +280,7 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let c = &self.shared.counters;
-        let ledger = self
-            .shared
-            .ledger
-            .lock()
-            .map(|g| g.clone())
-            .unwrap_or_default();
-        ServeReport {
-            connections: c.connections.value(),
-            queries: c.queries.value(),
-            busy: c.busy.value(),
-            ledger,
-        }
+        self.shared.telemetry.report()
     }
 }
 
@@ -433,7 +353,6 @@ fn wake(addr: SocketAddr) {
 /// Typed overload shedding: one `Busy` frame inside the write deadline,
 /// then close.
 fn shed(conn: &mut DeadlineStream, shared: &Shared) {
-    shared.counters.busy.inc();
     shared.telemetry.shed();
     let _ = Reply::Busy.write_to(conn);
 }
@@ -462,7 +381,6 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Queued>>>, shared: &Shared) {
             shed(&mut conn, shared);
             continue;
         }
-        shared.counters.connections.inc();
         shared.telemetry.conn_started();
         handle_conn(&mut conn, shared);
         shared.telemetry.conn_finished();
@@ -488,9 +406,7 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
                 return;
             }
             Err(WireError::Io(e)) => {
-                shared.counters.io_errors.inc();
-                shared.telemetry.io_error();
-                record_fault(shared, false, e.to_string());
+                shared.telemetry.io_error(e.to_string());
                 return;
             }
         };
@@ -508,16 +424,16 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
         let decode_done = clock.now_ns();
         let mut reply = shared.engine.answer(&req);
         if let Reply::Stats { pairs } = &mut reply {
-            pairs.extend(shared.counters.stats_pairs());
+            pairs.extend(shared.telemetry.stats_pairs());
             pairs.sort();
         }
         if let Reply::Metrics { json } = &mut reply {
             // Like Stats: the engine leaves the live part to the server.
-            *json = shared.metrics_json();
+            *json = shared.telemetry.snapshot_json();
         }
         let engine_done = clock.now_ns();
-        shared.counters.queries.inc();
-        let write_ok = reply.write_to(conn).is_ok();
+        shared.telemetry.answered();
+        let written = reply.write_to(conn);
         let timing = RequestTiming {
             decode_ns: decode_done.saturating_sub(read_done),
             engine_ns: engine_done.saturating_sub(decode_done),
@@ -525,13 +441,12 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
         };
         shared
             .telemetry
-            .request_served(&req, write_ok, timing, || request_args(&req));
-        if !write_ok {
+            .request_served(&req, written.is_ok(), timing, || request_args(&req));
+        if let Err(e) = written {
             // Peer gone mid-reply (reset or write deadline); isolated
             // to this connection. The per-kind error series was already
             // bumped by `request_served`.
-            shared.counters.io_errors.inc();
-            shared.telemetry.io_error();
+            shared.telemetry.io_error(format!("reply write: {e}"));
             return;
         }
     }
@@ -539,20 +454,48 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
 
 /// Shared malformed-frame exit: count, sample, best-effort located
 /// error reply, and the caller kills only this connection.
-fn malformed_fault(conn: &mut DeadlineStream, shared: &Shared, e: &crate::protocol::FrameError) {
-    shared.counters.malformed.inc();
-    shared.telemetry.malformed();
-    record_fault(shared, true, e.to_string());
-    let _ = Reply::Error {
-        message: e.to_string(),
-    }
-    .write_to(conn);
+fn malformed_fault(conn: &mut DeadlineStream, shared: &Shared, e: &FrameError) {
+    let message = e.to_string();
+    shared.telemetry.malformed(message.clone());
+    let _ = Reply::Error { message }.write_to(conn);
 }
 
-fn record_fault(shared: &Shared, malformed: bool, message: String) {
-    let mut ledger = match shared.ledger.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    ledger.record(malformed, message);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the `--ledger` artifact bytes, escapes included.
+    #[test]
+    fn ledger_json_bytes_are_pinned() {
+        assert_eq!(
+            ServeLedger::default().to_json(),
+            "{\n  \"malformed\": 0,\n  \"io_errors\": 0,\n  \"samples\": [\n  ]\n}\n"
+        );
+        let ledger = ServeLedger {
+            malformed: 1,
+            io_errors: 4,
+            samples: [
+                "quote \" here",
+                "back\\slash",
+                "line\nbreak",
+                "tab\there",
+                "ctl\u{1}",
+            ]
+            .map(str::to_owned)
+            .to_vec(),
+        };
+        let expected = r#"{
+  "malformed": 1,
+  "io_errors": 4,
+  "samples": [
+    "quote \" here",
+    "back\\slash",
+    "line\nbreak",
+    "tab\there",
+    "ctl\u0001"
+  ]
+}
+"#;
+        assert_eq!(ledger.to_json(), expected);
+    }
 }

@@ -1,14 +1,26 @@
-//! The live telemetry plane: windowed per-kind series, request-path
-//! phase timings, live gauges, and the slow-query ledger.
+//! The live telemetry plane: the server's one record of serve events.
 //!
-//! Where [`crate::server::ServeReport`] is a post-mortem — written once
-//! after the process exits — this module is what a *running* server
-//! answers [`Request::Metrics`](crate::Request::Metrics) with: current
-//! q/s and tail latency per query kind over the last few seconds
-//! ([`droplens_obs::window`]), how deep the accept queue is right now,
-//! how many connections were shed lately, and verbatim samples of the
-//! slowest requests with their per-phase timing breakdown
-//! (queue wait → decode → engine → write).
+//! Each event a server handles — a connection taken, a request
+//! answered, a connection shed, a malformed frame, a transport error —
+//! is one call into its [`Telemetry`], and each count is stored once:
+//! a [`WindowedCounter`] carries both the recent and the lifetime count
+//! of its event. Every view of the server reads this record:
+//!
+//! * the `stats` reply's five `serve.*` pairs
+//!   ([`Telemetry::stats_pairs`]);
+//! * the [`Request::Metrics`](crate::Request::Metrics) snapshot
+//!   ([`Telemetry::snapshot_json`]): current q/s and tail latency per
+//!   query kind over the last few seconds ([`droplens_obs::window`]),
+//!   how deep the accept queue is right now, lifetime totals, and
+//!   verbatim samples of the slowest requests with their per-phase
+//!   timing breakdown (queue wait → decode → engine → write);
+//! * the post-mortem [`ServeReport`] and its fault ledger
+//!   ([`Telemetry::report`]);
+//! * the process registry's `serve.*` counters, which
+//!   [`Telemetry::install`] points at this record's lifetime counts.
+//!
+//! Counts are per server: two servers in one process never see each
+//! other's traffic.
 //!
 //! Every time read goes through one [`Clock`], injected at
 //! construction: under [`Clock::mock`] the whole plane — window expiry,
@@ -21,14 +33,16 @@
 //! CI artifacts all consume the same bytes.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use droplens_obs::json::JsonObject;
 use droplens_obs::{
-    Clock, Counter, Gauge, HistogramSummary, WindowConfig, WindowedCounter, WindowedHistogram,
+    Clock, Counter, Gauge, HistogramSummary, Registry, WindowConfig, WindowedCounter,
+    WindowedHistogram,
 };
 
 use crate::protocol::{Request, KIND_LABELS};
+use crate::server::{ServeLedger, ServeReport, LEDGER_SAMPLES_KEPT};
 
 /// How many slow-query samples the ledger retains (most recent first
 /// out, oldest evicted).
@@ -43,10 +57,9 @@ pub const METRICS_SCHEMA: &str = "droplens-metrics/1";
 
 /// Windowed series for one query kind.
 struct KindSeries {
-    /// Lifetime requests of this kind (what `droplens top` diffs
-    /// between snapshots to show per-interval deltas).
-    total: Counter,
-    /// Requests inside the window.
+    /// Requests of this kind, inside the window and over the lifetime
+    /// (what `droplens top` diffs between snapshots to show
+    /// per-interval deltas).
     queries: WindowedCounter,
     /// Failed requests (write errors) inside the window.
     errors: WindowedCounter,
@@ -93,33 +106,24 @@ struct SlowLedger {
     samples: VecDeque<SlowQuery>,
 }
 
-/// Lifetime counter values the server merges into each snapshot (the
-/// same counters `stats` exposes; the telemetry plane itself only owns
-/// windowed state and gauges).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LifetimeTotals {
-    /// Connections accepted and handed to workers.
-    pub connections: u64,
-    /// Requests answered.
-    pub queries: u64,
-    /// Connections shed with a typed `Busy`.
-    pub busy: u64,
-    /// Connections killed by malformed frames.
-    pub malformed: u64,
-    /// Connections killed by transport errors.
-    pub io_errors: u64,
-}
-
-/// The server's live telemetry state. One per server; cheap handles are
-/// not needed because the server shares it behind its existing `Arc`.
+/// One server's record of serve events. The server shares it behind
+/// its existing `Arc`, so no cheap handles are needed.
 pub struct Telemetry {
     clock: Clock,
     window: WindowConfig,
+    /// Accept-queue capacity, as configured.
+    queue_capacity: usize,
+    /// Worker threads, as configured.
+    workers: usize,
+    /// Connections handed to a worker (lifetime only).
+    connections: Counter,
     /// Connections waiting in the accept queue right now.
     queue_depth: Gauge,
     /// Connections being served by a worker right now.
     in_flight: Gauge,
-    /// Windowed global series.
+    /// Requests answered, connections shed with `Busy`, connections
+    /// killed by a malformed frame or a transport error: each over the
+    /// window and over the lifetime.
     queries: WindowedCounter,
     shed: WindowedCounter,
     malformed: WindowedCounter,
@@ -130,16 +134,25 @@ pub struct Telemetry {
     phases: [WindowedHistogram; PHASE_LABELS.len()],
     slow_threshold_ns: u64,
     slow: Mutex<SlowLedger>,
+    /// The first [`LEDGER_SAMPLES_KEPT`] fault messages (malformed
+    /// frames and transport errors), in arrival order.
+    faults: Mutex<Vec<String>>,
 }
 
 impl Telemetry {
-    /// Build the plane over `clock` with the given window geometry and
-    /// slow-query threshold.
-    pub fn new(clock: Clock, window: WindowConfig, slow_threshold_ns: u64) -> Telemetry {
+    /// Build the record over `clock` with the given window geometry and
+    /// slow-query threshold, for a server with `queue_capacity` queue
+    /// slots and `workers` workers.
+    pub fn new(
+        clock: Clock,
+        window: WindowConfig,
+        slow_threshold_ns: u64,
+        queue_capacity: usize,
+        workers: usize,
+    ) -> Telemetry {
         let kinds = KIND_LABELS
             .iter()
             .map(|_| KindSeries {
-                total: Counter::new(),
                 queries: WindowedCounter::new(clock.clone(), window),
                 errors: WindowedCounter::new(clock.clone(), window),
                 latency: WindowedHistogram::new(clock.clone(), window),
@@ -147,6 +160,9 @@ impl Telemetry {
             .collect();
         let phases = std::array::from_fn(|_| WindowedHistogram::new(clock.clone(), window));
         Telemetry {
+            queue_capacity,
+            workers,
+            connections: Counter::new(),
             queue_depth: Gauge::new(),
             in_flight: Gauge::new(),
             queries: WindowedCounter::new(clock.clone(), window),
@@ -157,8 +173,19 @@ impl Telemetry {
             phases,
             slow_threshold_ns,
             slow: Mutex::new(SlowLedger::default()),
+            faults: Mutex::new(Vec::new()),
             clock,
             window,
+        }
+    }
+
+    /// Point `registry`'s five `serve.*` counters at this record's
+    /// lifetime counts, so a run report reads them live without a second
+    /// increment. With several servers in one process, the registry
+    /// reads the one installed last.
+    pub fn install(&self, registry: &Registry) {
+        for (name, count) in self.lifetime_counts() {
+            registry.install_counter(name, count.clone());
         }
     }
 
@@ -192,6 +219,7 @@ impl Telemetry {
 
     /// A worker started serving a connection.
     pub fn conn_started(&self) {
+        self.connections.inc();
         self.in_flight.add(1);
     }
 
@@ -205,19 +233,38 @@ impl Telemetry {
         self.shed.inc();
     }
 
-    /// A connection died on a malformed frame.
-    pub fn malformed(&self) {
+    /// A connection died on a malformed frame; `message` says where.
+    pub fn malformed(&self, message: String) {
         self.malformed.inc();
+        self.sample_fault(message);
     }
 
-    /// A connection died on a transport error. (Per-kind error series
-    /// are bumped by [`Telemetry::request_served`] with `ok=false`.)
-    pub fn io_error(&self) {
+    /// A connection died on a transport error, reading a request or
+    /// writing its reply. (Per-kind error series are bumped by
+    /// [`Telemetry::request_served`] with `ok=false`.)
+    pub fn io_error(&self, message: String) {
         self.io_errors.inc();
+        self.sample_fault(message);
     }
 
-    /// One request was served (or its write failed — pass `ok=false`).
-    /// `args` is rendered lazily: only slow requests pay for it.
+    fn sample_fault(&self, message: String) {
+        let mut faults = lock(&self.faults);
+        if faults.len() < LEDGER_SAMPLES_KEPT {
+            faults.push(message);
+        }
+    }
+
+    /// A request was answered and its reply is about to be written.
+    /// Counted before the write, so a client that reads the reply and
+    /// then asks `stats` on another connection sees it counted.
+    pub fn answered(&self) {
+        self.queries.inc();
+    }
+
+    /// One answered request's reply went out (or its write failed —
+    /// pass `ok=false`): the per-kind series, the phases and the
+    /// slow-query ledger. `args` is rendered lazily: only slow requests
+    /// pay for it.
     pub fn request_served(
         &self,
         req: &Request,
@@ -226,14 +273,12 @@ impl Telemetry {
         args: impl FnOnce() -> String,
     ) {
         if let Some(series) = self.kinds.get(req.kind_index()) {
-            series.total.inc();
             series.queries.inc();
             series.latency.record(timing.total_ns());
             if !ok {
                 series.errors.inc();
             }
         }
-        self.queries.inc();
         let [_, decode, engine, write] = &self.phases;
         decode.record(timing.decode_ns);
         engine.record(timing.engine_ns);
@@ -244,10 +289,7 @@ impl Telemetry {
                 args: args(),
                 timing,
             };
-            let mut ledger = match self.slow.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut ledger = lock(&self.slow);
             ledger.seen += 1;
             if ledger.samples.len() == SLOW_SAMPLES_KEPT {
                 ledger.samples.pop_front();
@@ -256,20 +298,49 @@ impl Telemetry {
         }
     }
 
+    /// The five lifetime counts under their `serve.*` names, sorted by
+    /// name.
+    fn lifetime_counts(&self) -> [(&'static str, &Counter); 5] {
+        [
+            ("serve.busy", self.shed.lifetime()),
+            ("serve.connections", &self.connections),
+            ("serve.io_errors", self.io_errors.lifetime()),
+            ("serve.malformed", self.malformed.lifetime()),
+            ("serve.queries", self.queries.lifetime()),
+        ]
+    }
+
+    /// The live pairs a `stats` reply merges in, sorted by name.
+    pub fn stats_pairs(&self) -> Vec<(String, u64)> {
+        self.lifetime_counts()
+            .into_iter()
+            .map(|(name, count)| (name.to_owned(), count.value()))
+            .collect()
+    }
+
+    /// What the server did over its lifetime, fault ledger included.
+    pub fn report(&self) -> ServeReport {
+        ServeReport {
+            connections: self.connections.value(),
+            queries: self.queries.lifetime().value(),
+            busy: self.shed.lifetime().value(),
+            ledger: ServeLedger {
+                malformed: self.malformed.lifetime().value(),
+                io_errors: self.io_errors.lifetime().value(),
+                samples: lock(&self.faults).clone(),
+            },
+        }
+    }
+
     /// Render the full snapshot as one stable `droplens-metrics/1` JSON
     /// document.
-    pub fn snapshot_json(
-        &self,
-        totals: LifetimeTotals,
-        queue_capacity: usize,
-        workers: usize,
-    ) -> String {
+    pub fn snapshot_json(&self) -> String {
         let mut doc = JsonObject::new();
         doc.field_str("schema", METRICS_SCHEMA)
             .field_u64("uptime_ns", self.clock.now_ns())
             .field_u64("window_ns", self.window.window_ns())
-            .field_u64("workers", workers as u64)
-            .field_u64("queue_capacity", queue_capacity as u64)
+            .field_u64("workers", self.workers as u64)
+            .field_u64("queue_capacity", self.queue_capacity as u64)
             .field_i64("queue_depth", self.queue_depth.value())
             .field_i64("in_flight", self.in_flight.value());
 
@@ -284,11 +355,11 @@ impl Telemetry {
 
         let mut lifetime = JsonObject::new();
         lifetime
-            .field_u64("connections", totals.connections)
-            .field_u64("queries", totals.queries)
-            .field_u64("busy", totals.busy)
-            .field_u64("malformed", totals.malformed)
-            .field_u64("io_errors", totals.io_errors);
+            .field_u64("connections", self.connections.value())
+            .field_u64("queries", self.queries.lifetime().value())
+            .field_u64("busy", self.shed.lifetime().value())
+            .field_u64("malformed", self.malformed.lifetime().value())
+            .field_u64("io_errors", self.io_errors.lifetime().value());
         doc.field_object("totals", lifetime);
 
         let kinds = KIND_LABELS
@@ -297,7 +368,7 @@ impl Telemetry {
             .map(|(label, series)| {
                 let mut k = JsonObject::new();
                 k.field_str("kind", label)
-                    .field_u64("total", series.total.value())
+                    .field_u64("total", series.queries.lifetime().value())
                     .field_u64("window_queries", series.queries.total())
                     .field_f64("qps", series.queries.rate_per_sec())
                     .field_u64("window_errors", series.errors.total())
@@ -320,10 +391,7 @@ impl Telemetry {
         doc.field_object_array("phases", phases);
 
         let (seen, samples) = {
-            let ledger = match self.slow.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let ledger = lock(&self.slow);
             (
                 ledger.seen,
                 ledger.samples.iter().cloned().collect::<Vec<_>>(),
@@ -350,6 +418,12 @@ impl Telemetry {
 
         doc.finish()
     }
+}
+
+/// Lock `m`, continuing with the data if another thread panicked while
+/// holding it: every critical section here leaves its ledger valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A histogram summary as the nested object every latency field uses.
@@ -404,6 +478,8 @@ mod tests {
                 slot_ns: 1_000_000,
             },
             1_000_000,
+            64,
+            4,
         );
         (clock, t)
     }
@@ -416,6 +492,13 @@ mod tests {
         }
     }
 
+    /// One request as the server records it: counted before the reply
+    /// write, timed after it.
+    fn serve(t: &Telemetry, req: &Request, ok: bool, ns: u64) {
+        t.answered();
+        t.request_served(req, ok, timing(ns), String::new);
+    }
+
     #[test]
     fn snapshot_reflects_recorded_requests() {
         let (_clock, t) = plane();
@@ -423,11 +506,11 @@ mod tests {
         t.dequeued(500);
         t.conn_started();
         for _ in 0..5 {
-            t.request_served(&Request::Ping, true, timing(1_000), String::new);
+            serve(&t, &Request::Ping, true, 1_000);
         }
-        t.request_served(&Request::Stats, false, timing(2_000), String::new);
+        serve(&t, &Request::Stats, false, 2_000);
 
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).expect("valid json");
+        let doc = parse(&t.snapshot_json()).expect("valid json");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(METRICS_SCHEMA));
         assert_eq!(doc.get("queue_depth").unwrap().as_i64(), Some(0));
         assert_eq!(doc.get("in_flight").unwrap().as_i64(), Some(1));
@@ -464,21 +547,25 @@ mod tests {
     fn window_slides_past_old_requests() {
         let (clock, t) = plane();
         for _ in 0..10 {
-            t.request_served(&Request::Ping, true, timing(100), String::new);
+            serve(&t, &Request::Ping, true, 100);
         }
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json()).unwrap();
         assert_eq!(
             doc.get("window").unwrap().get("queries").unwrap().as_u64(),
             Some(10)
         );
 
         clock.advance(Duration::from_millis(10)); // far past the 4 ms window
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json()).unwrap();
         assert_eq!(
             doc.get("window").unwrap().get("queries").unwrap().as_u64(),
             Some(0)
         );
-        // Lifetime per-kind totals survive the slide.
+        // Lifetime totals survive the slide.
+        assert_eq!(
+            doc.get("totals").unwrap().get("queries").unwrap().as_u64(),
+            Some(10)
+        );
         let ping = &doc.get("kinds").unwrap().items()[0];
         assert_eq!(ping.get("total").unwrap().as_u64(), Some(10));
         assert_eq!(ping.get("window_queries").unwrap().as_u64(), Some(0));
@@ -497,7 +584,7 @@ mod tests {
         for _ in 0..SLOW_SAMPLES_KEPT + 5 {
             t.request_served(&req, true, timing(5_000_000), || request_args(&req));
         }
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json()).unwrap();
         let slow = doc.get("slow").unwrap();
         assert_eq!(
             slow.get("seen").unwrap().as_u64(),
@@ -509,6 +596,86 @@ mod tests {
         assert_eq!(s.get("kind").unwrap().as_str(), Some("drop_history"));
         assert_eq!(s.get("args").unwrap().as_str(), Some("198.51.100.0/24"));
         assert_eq!(s.get("total_ns").unwrap().as_u64(), Some(5_000_000));
+    }
+
+    /// A failed reply write is one `io_error` call, and every view of
+    /// the record reads it the same way.
+    #[test]
+    fn a_write_error_shows_up_once_in_every_view() {
+        let (_clock, t) = plane();
+        t.conn_started();
+        serve(&t, &Request::Ping, false, 1_000);
+        t.io_error("reply write: transport: broken pipe".to_owned());
+        t.conn_finished();
+
+        let report = t.report();
+        assert_eq!(report.ledger.io_errors, 1);
+        assert_eq!(
+            report.ledger.samples,
+            ["reply write: transport: broken pipe"]
+        );
+        assert_eq!((report.connections, report.queries), (1, 1));
+        let pairs = t.stats_pairs();
+        assert!(
+            pairs.contains(&("serve.io_errors".to_owned(), 1)),
+            "{pairs:?}"
+        );
+        let doc = parse(&t.snapshot_json()).unwrap();
+        assert_eq!(
+            doc.get("totals")
+                .unwrap()
+                .get("io_errors")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+        assert_eq!(
+            doc.get("window")
+                .unwrap()
+                .get("io_errors")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn fault_samples_keep_the_first_few() {
+        let (_clock, t) = plane();
+        for i in 0..LEDGER_SAMPLES_KEPT + 3 {
+            t.malformed(format!("bad frame {i}"));
+        }
+        t.io_error("late".to_owned());
+        let ledger = t.report().ledger;
+        assert_eq!(
+            (ledger.malformed, ledger.io_errors),
+            (LEDGER_SAMPLES_KEPT as u64 + 3, 1)
+        );
+        assert_eq!(ledger.samples.len(), LEDGER_SAMPLES_KEPT);
+        assert_eq!(ledger.samples[0], "bad frame 0");
+    }
+
+    /// `stats` names the five lifetime counts in sorted order, and the
+    /// registry install reads the same handles live.
+    #[test]
+    fn lifetime_counts_are_shared_with_stats_and_the_registry() {
+        let (_clock, t) = plane();
+        let registry = Registry::new();
+        t.install(&registry);
+        t.conn_started();
+        serve(&t, &Request::Ping, true, 1_000);
+        t.shed();
+        let names: Vec<String> = t.stats_pairs().into_iter().map(|(n, _)| n).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(names, sorted);
+        assert_eq!(names.len(), 5);
+        let counters = registry.report().counters;
+        for (name, value) in t.stats_pairs() {
+            assert_eq!(counters.get(&name), Some(&value), "{name}");
+        }
+        assert_eq!(counters["serve.queries"], 1);
+        assert_eq!(counters["serve.busy"], 1);
     }
 
     #[test]

@@ -13,17 +13,23 @@
 //!   server neither crashes nor deadlocks;
 //! * **accept** — a connection is taken as soon as it arrives, so
 //!   sequential connect-per-query traffic is paced by the transport,
-//!   not by the acceptor.
+//!   not by the acceptor;
+//! * **stop** — an idle server or chaos proxy, blocked in `accept`,
+//!   stops promptly and counts nothing;
+//! * **per-server counts** — every count a server reports is its own,
+//!   so the servers these tests start side by side never see each
+//!   other's traffic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use droplens_core::{paper, Study};
 use droplens_faults::{ChaosProfile, ChaosProxy};
+use droplens_obs::json::Value;
 use droplens_obs::Stopwatch;
 use droplens_serve::net::DeadlineStream;
 use droplens_serve::{
@@ -40,6 +46,11 @@ fn engine() -> Arc<Engine> {
 
 fn start(engine: &Arc<Engine>, config: ServerConfig) -> droplens_serve::ServerHandle {
     Server::start(Arc::clone(engine), config).expect("bind server")
+}
+
+/// The value of the `stats` pair `name`.
+fn stat(pairs: &[(String, u64)], name: &str) -> Option<u64> {
+    pairs.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
 }
 
 #[test]
@@ -85,17 +96,131 @@ fn stats_merges_live_counters_sorted() {
     let mut sorted = names.clone();
     sorted.sort_unstable();
     assert_eq!(names, sorted, "stats pairs arrive sorted");
-    let queries = pairs
-        .iter()
-        .find(|(n, _)| n == "serve.queries")
-        .map(|(_, v)| *v)
-        .expect("serve.queries counter present");
-    assert!(queries >= 1, "the ping was counted");
+    assert_eq!(
+        stat(&pairs, "serve.queries"),
+        Some(1),
+        "the ping was counted, and only this server's"
+    );
     assert!(
         names.iter().any(|n| n.starts_with("study.")),
         "study facts present: {names:?}"
     );
     handle.stop();
+}
+
+/// Two servers in one process: A answers 3 pings and then a `stats`,
+/// B answers 5 pings in between. Each server's `stats`, final `Metrics`
+/// totals and `ServeReport` count its own traffic and nothing else.
+#[test]
+fn two_servers_in_one_process_count_only_their_own_traffic() {
+    let engine = engine();
+    let a = start(&engine, ServerConfig::default());
+    let b = start(&engine, ServerConfig::default());
+    let mut client_a = Client::new(ClientConfig::to_addr(a.addr()));
+    let mut client_b = Client::new(ClientConfig::to_addr(b.addr()));
+    for _ in 0..3 {
+        assert_eq!(client_a.query(&Request::Ping).expect("ping A"), Reply::Pong);
+    }
+    for _ in 0..5 {
+        assert_eq!(client_b.query(&Request::Ping).expect("ping B"), Reply::Pong);
+    }
+    let reply = client_a.query(&Request::Stats).expect("stats A");
+    let Reply::Stats { pairs } = reply else {
+        panic!("expected Stats, got {reply:?}");
+    };
+    assert_eq!(stat(&pairs, "serve.queries"), Some(3), "{pairs:?}");
+
+    // One connection per query: A served 4 (the stats included), B 5.
+    for (name, handle, own) in [("A", a, 4), ("B", b, 5)] {
+        let doc = droplens_obs::json::parse(&handle.metrics_json()).expect("metrics JSON");
+        let total = |key: &str| {
+            doc.get("totals")
+                .and_then(|t| t.get(key))
+                .and_then(Value::as_u64)
+        };
+        assert_eq!(
+            (total("connections"), total("queries")),
+            (Some(own), Some(own)),
+            "server {name}'s Metrics totals"
+        );
+        let report = handle.stop();
+        assert_eq!(
+            (report.connections, report.queries),
+            (own, own),
+            "server {name}: {}",
+            report.summary()
+        );
+    }
+}
+
+/// Run `f` on its own thread and wait at most 5 s for it, so a `stop()`
+/// whose wake was lost fails the test instead of hanging it.
+fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("stop() returned within the 5 s watchdog");
+    thread.join().expect("watchdog thread");
+    out
+}
+
+/// Stop a server nobody connected to: `stop()` wakes the acceptor with
+/// a connection of its own, which must return promptly and be counted
+/// nowhere.
+fn idle_server_stops_and_counts_nothing(addr: SocketAddr) {
+    let handle = start(
+        &engine(),
+        ServerConfig {
+            addr,
+            ..ServerConfig::default()
+        },
+    );
+    let (snapshot, report) = within_watchdog(move || {
+        handle.request_drain();
+        let snapshot = handle.metrics_json();
+        (snapshot, handle.stop())
+    });
+    assert_eq!(
+        (
+            report.connections,
+            report.queries,
+            report.busy,
+            report.ledger.io_errors
+        ),
+        (0, 0, 0, 0),
+        "bound to {addr}: {}",
+        report.summary()
+    );
+    let doc = droplens_obs::json::parse(&snapshot).expect("metrics JSON");
+    assert_eq!(doc.get("queue_depth").and_then(Value::as_i64), Some(0));
+    assert_eq!(doc.get("in_flight").and_then(Value::as_i64), Some(0));
+}
+
+#[test]
+fn idle_loopback_server_stops_promptly() {
+    idle_server_stops_and_counts_nothing(SocketAddr::from(([127, 0, 0, 1], 0)));
+}
+
+/// Bound to every interface, the wake goes to loopback.
+#[test]
+fn idle_wildcard_server_stops_promptly() {
+    idle_server_stops_and_counts_nothing(SocketAddr::from(([0, 0, 0, 0], 0)));
+}
+
+#[test]
+fn idle_chaos_proxy_stops_promptly() {
+    // An upstream that is never dialled: no client ever connects.
+    let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+    let proxy = ChaosProxy::start(
+        upstream.local_addr().expect("upstream address"),
+        ChaosProfile::standard(5),
+    )
+    .expect("start proxy");
+    let log = within_watchdog(move || proxy.stop());
+    assert_eq!(log.connections, 0, "{log:?}");
 }
 
 /// One client, one worker, a fresh connection per query: 1000 pings
@@ -335,7 +460,6 @@ fn metrics_snapshot(client: &mut Client) -> droplens_obs::json::Value {
 /// coherent latency quantiles.
 #[test]
 fn metrics_frames_expose_windowed_series() {
-    use droplens_obs::json::Value;
     let engine = engine();
     let handle = start(
         &engine,
@@ -425,7 +549,6 @@ fn metrics_frames_expose_windowed_series() {
 /// agree with that externally-arranged state exactly.
 #[test]
 fn overload_gauges_match_occupier_ground_truth() {
-    use droplens_obs::json::Value;
     let engine = engine();
     let handle = start(
         &engine,
@@ -516,7 +639,6 @@ fn overload_gauges_match_occupier_ground_truth() {
 /// retries, never a torn or half-rendered snapshot.
 #[test]
 fn chaos_metrics_frames_stay_coherent() {
-    use droplens_obs::json::Value;
     let engine = engine();
     let handle = start(&engine, ServerConfig::default());
     let proxy = ChaosProxy::start(handle.addr(), ChaosProfile::standard(23)).expect("start proxy");

@@ -1,7 +1,10 @@
-//! Signal-driven graceful shutdown of the real `droplens serve`
-//! binary: on SIGTERM the process stops accepting, finishes in-flight
-//! replies whole (no torn frames on any client), writes its final
-//! summary to stdout, and exits 0.
+//! The real `droplens serve` binary:
+//!
+//! * signal-driven graceful shutdown: on SIGTERM the process stops
+//!   accepting, finishes in-flight replies whole (no torn frames on any
+//!   client), writes its final summary to stdout, and exits 0;
+//! * the `--metrics` run report: its `serve.*` counters read the
+//!   server's own record, so they agree with the summary line.
 
 #![cfg(unix)]
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
@@ -14,12 +17,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use droplens_obs::json::Value;
 use droplens_serve::net::DeadlineStream;
 use droplens_serve::{Reply, Request, WireError};
 
-/// A scratch world directory unique to this test process.
-fn world_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("droplens-serve-signals-{}", std::process::id()));
+/// A scratch world directory unique to this test process and `tag`.
+fn world_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("droplens-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     droplens_cli::commands::generate(&dir, 7, "small").expect("generate world");
     dir
@@ -27,7 +31,7 @@ fn world_dir() -> PathBuf {
 
 #[test]
 fn sigterm_drains_cleanly_with_no_torn_replies() {
-    let dir = world_dir();
+    let dir = world_dir("signals");
     let mut child = Command::new(env!("CARGO_BIN_EXE_droplens"))
         .args(["serve", "--dir"])
         .arg(&dir)
@@ -138,5 +142,48 @@ fn sigterm_drains_cleanly_with_no_torn_replies() {
         ok.load(Ordering::Relaxed) > 0,
         "some queries succeeded before the signal"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `droplens --metrics=PATH serve --load-gen …`: the run report's
+/// `serve.queries` and `serve.connections` are the counts the summary
+/// line prints.
+#[test]
+fn metrics_run_report_counts_what_the_summary_prints() {
+    let dir = world_dir("run-report");
+    let report_path = dir.join("run-report.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_droplens"))
+        .arg(format!("--metrics={}", report_path.display()))
+        .args(["serve", "--dir"])
+        .arg(&dir)
+        .args(["--load-gen", "2", "--queries", "5", "--seed", "7"])
+        .output()
+        .expect("run droplens serve");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "serve exited {:?}: {stdout}",
+        output.status
+    );
+
+    // "served N queries over M connections (…)"
+    let summary = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("served "))
+        .unwrap_or_else(|| panic!("no summary line in {stdout:?}"));
+    let words: Vec<&str> = summary.split_whitespace().collect();
+    let queries: u64 = words[0].parse().expect("query count");
+    let connections: u64 = words[3].parse().expect("connection count");
+    assert!(queries >= 10, "2 load connections × 5 queries: {summary}");
+
+    let json = std::fs::read_to_string(&report_path).expect("read run report");
+    let doc = droplens_obs::json::parse(&json).expect("run report parses");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(counter("serve.queries"), Some(queries), "{json}");
+    assert_eq!(counter("serve.connections"), Some(connections), "{json}");
     let _ = std::fs::remove_dir_all(&dir);
 }
