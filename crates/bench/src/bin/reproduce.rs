@@ -15,15 +15,16 @@
 //!
 //! Every stage runs under a `droplens-obs` span; `--metrics-json PATH`
 //! writes the resulting run report (per-stage wall clock, per-parser
-//! record counters) as stable JSON — the file committed as
-//! `BENCH_<date>.json`.
+//! record counters) as stable JSON. CI's perf-smoke job uploads it;
+//! the benchmark figures themselves come from `perfbench/` and live in
+//! `BENCH_LEDGER.jsonl`.
 //!
 //! `--scale N` multiplies the record-producing populations
 //! ([`WorldConfig::paper_scaled`]): N× the routed prefixes, listings,
 //! journal entries and ROA events, over the same study window. The
 //! stderr summary and the run report gain total-record and records/sec
-//! ingest-throughput figures — `--scale N --mem=PATH` is how the
-//! committed `BENCH_<date>_scale.json` trajectory is measured.
+//! ingest-throughput figures. CI's scale-smoke job runs `--scale 4
+//! --mem=PATH` at 1 and 8 workers and compares the span totals.
 //!
 //! `--format binary` round-trips the world through the `droplens-bin/1`
 //! columnar sidecars instead of the text archives. Stdout is
@@ -45,11 +46,10 @@
 //!
 //! `--mem` prints the allocation summary (bytes/ops allocated and
 //! freed, peak, peak RSS) to stderr; `--mem=PATH` instead folds the
-//! `mem.*` gauges into the run report and writes it as JSON to PATH —
-//! the file `droplens mem diff` compares and CI's mem-gate commits as
-//! `BENCH_<date>_mem.json`. The binary carries the tracking allocator
-//! unconditionally (a few relaxed atomics per allocation); the flags
-//! only control reporting, and stdout stays byte-identical either way.
+//! `mem.*` gauges into the run report and writes it as JSON to PATH.
+//! The binary carries the tracking allocator unconditionally (a few
+//! relaxed atomics per allocation); the flags only control reporting,
+//! and stdout stays byte-identical either way.
 
 use std::fmt::Display;
 use std::path::PathBuf;

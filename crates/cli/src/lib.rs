@@ -15,7 +15,6 @@
 
 pub mod commands;
 pub mod layout;
-pub mod perf;
 pub mod slo;
 pub mod top;
 
@@ -33,10 +32,10 @@ pub enum CliError {
     Ingest(droplens_net::IngestError),
     /// Bad usage (unknown flag, missing argument, ...).
     Usage(String),
-    /// A perf or mem regression gate tripped: the carried string is the
-    /// full diff rendering, which the binary prints before exiting
-    /// nonzero (no usage text — the invocation was fine, the numbers
-    /// weren't).
+    /// `droplens slo check --gate` found a violated target: the carried
+    /// string is the full SLO table, which the binary prints before
+    /// exiting nonzero (no usage text — the invocation was fine, the
+    /// numbers weren't).
     Gate(String),
     /// `droplens lint` found violations: the carried string is the full
     /// report (text or JSON as requested), printed before exiting
@@ -87,8 +86,6 @@ USAGE:
     droplens scorecard --dir DIR [INGEST FLAGS]
     droplens classify [FILE]            (stdin when no file)
     droplens validate --roas FILE --date YYYY-MM-DD [--all-tals] PREFIX ASN
-    droplens perf diff BASE HEAD [--gate PCT] [--floor-ms MS]
-    droplens mem diff BASE HEAD [--gate PCT] [--floor-bytes N]
     droplens lint [--format text|json|sarif] [--baseline FILE]
                   [--write-baseline FILE] [--changed [REF]] [PATHS...]
     droplens serve --dir DIR [SERVE FLAGS] [INGEST FLAGS]
@@ -106,23 +103,6 @@ GLOBAL FLAGS:
     --trace=PATH        record a hierarchical trace of the run and write
                         it as Chrome trace-event JSON to PATH (open in
                         Perfetto or chrome://tracing)
-
-PERF (compare run reports, gate regressions):
-    BASE and HEAD are comma-separated lists of --metrics=PATH JSON files;
-    each side is collapsed best-of-N (per-span minimum) to strip noise.
-    --gate PCT          exit nonzero when any span regresses more than
-                        PCT percent (default: report only)
-    --floor-ms MS       spans faster than MS on the base side are never
-                        gated (default 5)
-
-MEM (compare memory reports, gate regressions):
-    BASE and HEAD are comma-separated lists of --mem=PATH JSON files;
-    compares every mem.* gauge (peak RSS, bytes/ops allocated) and each
-    span's alloc_bytes column, collapsed best-of-N like perf diff.
-    --gate PCT          exit nonzero when any metric regresses more than
-                        PCT percent (default: report only)
-    --floor-bytes N     metrics under N bytes on the base side are never
-                        gated (default 1048576)
 
 LINT (check the workspace's own invariants; DESIGN.md §9):
     PATHS are files or directories to scan (default: the current

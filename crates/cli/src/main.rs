@@ -99,8 +99,8 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        // A tripped perf/mem gate still prints its diff table; the
-        // failure is in the measured numbers, not the invocation.
+        // A tripped SLO gate still prints its table; the failure is in
+        // the measured numbers, not the invocation.
         Err(CliError::Gate(output)) => {
             print!("{output}");
             eprintln!("droplens: regression gate failed");
@@ -272,74 +272,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 i += 1;
             }
             commands::lint(&paths, &opts)
-        }
-        Some("perf") => {
-            let Some("diff") = it.next() else {
-                return Err(CliError::Usage("perf needs the diff subcommand".into()));
-            };
-            let mut opts = droplens_cli::perf::DiffOptions::default();
-            let mut positional: Vec<&str> = Vec::new();
-            let rest: Vec<&str> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--gate" => {
-                        let raw = value(&rest, &mut i)?;
-                        opts.gate_pct = Some(raw.parse().map_err(|_| {
-                            CliError::Usage(format!("--gate wants a percentage, got {raw:?}"))
-                        })?);
-                    }
-                    "--floor-ms" => {
-                        let raw = value(&rest, &mut i)?;
-                        opts.floor_ms = raw.parse().map_err(|_| {
-                            CliError::Usage(format!("--floor-ms wants milliseconds, got {raw:?}"))
-                        })?;
-                    }
-                    other => positional.push(other),
-                }
-                i += 1;
-            }
-            let [base, head] = positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "perf diff needs BASE and HEAD report lists".into(),
-                ));
-            };
-            droplens_cli::perf::diff(base, head, &opts)
-        }
-        Some("mem") => {
-            let Some("diff") = it.next() else {
-                return Err(CliError::Usage("mem needs the diff subcommand".into()));
-            };
-            let mut opts = droplens_cli::perf::MemDiffOptions::default();
-            let mut positional: Vec<&str> = Vec::new();
-            let rest: Vec<&str> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--gate" => {
-                        let raw = value(&rest, &mut i)?;
-                        opts.gate_pct = Some(raw.parse().map_err(|_| {
-                            CliError::Usage(format!("--gate wants a percentage, got {raw:?}"))
-                        })?);
-                    }
-                    "--floor-bytes" => {
-                        let raw = value(&rest, &mut i)?;
-                        opts.floor_bytes = raw.parse().map_err(|_| {
-                            CliError::Usage(format!(
-                                "--floor-bytes wants a byte count, got {raw:?}"
-                            ))
-                        })?;
-                    }
-                    other => positional.push(other),
-                }
-                i += 1;
-            }
-            let [base, head] = positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "mem diff needs BASE and HEAD report lists".into(),
-                ));
-            };
-            droplens_cli::perf::mem_diff(base, head, &opts)
         }
         Some("serve") => {
             let mut dir: Option<PathBuf> = None;

@@ -14,7 +14,7 @@
 //! --report PATH`, whose `kinds` array carries per-kind sent/ok/failed
 //! tallies and end-to-end latency quantiles. Violations always render
 //! in the table; `--gate` additionally turns them into
-//! [`CliError::Gate`] so CI exits nonzero, mirroring `perf diff`.
+//! [`CliError::Gate`] so CI exits nonzero.
 
 use std::collections::BTreeMap;
 use std::path::Path;

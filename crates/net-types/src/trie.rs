@@ -13,8 +13,8 @@
 //! pool instead of a ~56-byte boxed node scattered across the heap.
 //! Values sit in a parallel column indexed by the same ids, so a
 //! `PrefixTrie<V>` is two allocations however many prefixes it holds —
-//! the struct-of-arrays diet ROADMAP item 3 calls for. Removed nodes go
-//! on a free list and are reused by later inserts.
+//! the struct-of-arrays diet of DESIGN.md §11. Removed nodes go on a
+//! free list and are reused by later inserts.
 
 use std::fmt;
 

@@ -7,7 +7,8 @@
 //! reports add them from `BTreeMap`s, so the output is byte-stable for a
 //! given set of metrics. Reading ([`parse`]) is a small recursive-descent
 //! parser over the same subset (plus bools/null for robustness), enough
-//! for `droplens perf diff` to load run reports back.
+//! for `droplens slo check` to load a load report and `droplens top` to
+//! read a telemetry snapshot.
 
 use std::fmt::Write as _;
 
@@ -151,14 +152,6 @@ impl Value {
         match self {
             Value::Object(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    /// The object's members, or an empty slice.
-    pub fn members(&self) -> &[(String, Value)] {
-        match self {
-            Value::Object(m) => m,
-            _ => &[],
         }
     }
 

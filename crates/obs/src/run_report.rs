@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::json::{self, JsonObject, Value};
+use crate::json::JsonObject;
 use crate::metrics::HistogramSummary;
 use crate::registry::{ErrorLog, SpanStat};
 use crate::report::TextTable;
@@ -221,8 +221,9 @@ impl RunReport {
     /// Stable machine-readable JSON (schema `droplens-obs/1`).
     ///
     /// Key order is deterministic (maps are sorted by name, field order
-    /// is fixed), so identical runs produce byte-identical documents —
-    /// suitable for committing as `BENCH_<date>.json`.
+    /// is fixed), so identical runs produce byte-identical documents that
+    /// scripts can read back (CI's `scale-smoke` compares span totals
+    /// across worker counts this way).
     pub fn to_json(&self) -> String {
         let mut root = JsonObject::new();
         root.field_str("schema", "droplens-obs/1");
@@ -287,95 +288,6 @@ impl RunReport {
         let mut out = root.finish();
         out.push('\n');
         out
-    }
-
-    /// Parse a report back from its [`RunReport::to_json`] document —
-    /// how `droplens perf diff` loads the two sides it compares.
-    /// Unknown top-level fields are ignored; a malformed document or a
-    /// wrong schema tag is an error.
-    pub fn from_json(text: &str) -> Result<RunReport, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some("droplens-obs/1") => {}
-            Some(other) => return Err(format!("unsupported schema {other:?}")),
-            None => return Err("missing \"schema\" field".to_owned()),
-        }
-        let section = |name: &str| doc.get(name).map(Value::members).unwrap_or(&[]).iter();
-        let need_u64 = |v: &Value, what: &str, key: &str| {
-            v.as_u64()
-                .ok_or_else(|| format!("{what} {key:?}: not a u64"))
-        };
-        let mut report = RunReport::default();
-        for (k, v) in section("meta") {
-            let s = v
-                .as_str()
-                .ok_or_else(|| format!("meta {k:?}: not a string"))?;
-            report.meta.insert(k.clone(), s.to_owned());
-        }
-        for (k, v) in section("counters") {
-            report
-                .counters
-                .insert(k.clone(), need_u64(v, "counter", k)?);
-        }
-        for (k, v) in section("gauges") {
-            let n = v
-                .as_i64()
-                .ok_or_else(|| format!("gauge {k:?}: not an i64"))?;
-            report.gauges.insert(k.clone(), n);
-        }
-        for (k, v) in section("histograms") {
-            let field = |name: &str| {
-                need_u64(
-                    v.get(name).unwrap_or(&Value::Num(0.0)),
-                    "histogram field",
-                    name,
-                )
-            };
-            report.histograms.insert(
-                k.clone(),
-                HistogramSummary {
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                    p50: field("p50")?,
-                    p90: field("p90")?,
-                    p99: field("p99")?,
-                },
-            );
-        }
-        for (k, v) in section("spans") {
-            let count = need_u64(v.get("count").unwrap_or(&Value::Null), "span", k)?;
-            let total_ns = need_u64(v.get("total_ns").unwrap_or(&Value::Null), "span", k)?;
-            // Optional: absent in timing-only documents.
-            let alloc_bytes = v.get("alloc_bytes").and_then(Value::as_u64).unwrap_or(0);
-            let freed_bytes = v.get("freed_bytes").and_then(Value::as_u64).unwrap_or(0);
-            report.spans.insert(
-                k.clone(),
-                SpanStat {
-                    count,
-                    total_ns,
-                    alloc_bytes,
-                    freed_bytes,
-                },
-            );
-        }
-        for (k, v) in section("errors") {
-            let seen = need_u64(v.get("seen").unwrap_or(&Value::Null), "error", k)?;
-            let samples = match v.get("samples") {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|s| {
-                        s.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| format!("error {k:?}: non-string sample"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => Vec::new(),
-            };
-            report.errors.insert(k.clone(), ErrorLog { seen, samples });
-        }
-        Ok(report)
     }
 }
 
@@ -495,9 +407,6 @@ mod tests {
         assert!(json.contains("\"alloc_bytes\":2048"), "{json}");
         // Timing-only spans omit the byte fields entirely.
         assert!(!json.contains("\"alloc_bytes\":0"), "{json}");
-        let back = RunReport::from_json(&json).expect("parses");
-        assert_eq!(back.spans, r.spans);
-        assert_eq!(back.to_json(), json);
     }
 
     #[test]
@@ -523,52 +432,5 @@ mod tests {
                 .any(|l| l.starts_with("run ") && l.contains('-')),
             "{text}"
         );
-    }
-
-    #[test]
-    fn json_round_trips_through_from_json() {
-        let mut r = RunReport::default();
-        r.meta.insert("seed".into(), "42".into());
-        r.counters.insert("bgp.parsed".into(), 7);
-        r.gauges.insert("depth".into(), -3);
-        r.histograms.insert(
-            "lat".into(),
-            HistogramSummary {
-                count: 2,
-                sum: 30,
-                min: 10,
-                max: 20,
-                p50: 10,
-                p90: 20,
-                p99: 20,
-            },
-        );
-        r.spans.insert("run/load".into(), stat(3, 1234));
-        r.errors.insert(
-            "bgp".into(),
-            ErrorLog {
-                seen: 2,
-                samples: vec!["line 3: bad \"prefix\"".into()],
-            },
-        );
-        let json = r.to_json();
-        let back = RunReport::from_json(&json).expect("parses");
-        assert_eq!(back.meta, r.meta);
-        assert_eq!(back.counters, r.counters);
-        assert_eq!(back.gauges, r.gauges);
-        assert_eq!(back.histograms, r.histograms);
-        assert_eq!(back.spans, r.spans);
-        assert_eq!(back.errors, r.errors);
-        // Byte-stable round trip.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(RunReport::from_json("not json").is_err());
-        assert!(RunReport::from_json("{}").is_err());
-        assert!(RunReport::from_json("{\"schema\":\"other/9\"}").is_err());
-        let bad_span = r#"{"schema":"droplens-obs/1","spans":{"x":{"count":"q"}}}"#;
-        assert!(RunReport::from_json(bad_span).is_err());
     }
 }

@@ -71,8 +71,8 @@ pub struct LoadReport {
     pub elapsed_ns: u64,
 }
 
-/// Load tallies for one query kind; what BENCH_serve envelopes and
-/// `droplens slo check` target individually.
+/// Load tallies for one query kind; what `droplens slo check` targets
+/// individually.
 #[derive(Debug, Clone)]
 pub struct KindReport {
     /// The kind label (one of [`KIND_LABELS`]).

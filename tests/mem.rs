@@ -171,7 +171,7 @@ fn registry_spans_gain_byte_columns() {
         "registry span missed bytes: {stat:?}"
     );
     assert!(stat.freed_bytes >= 3 * MIB as u64, "{stat:?}");
-    // The byte columns survive the JSON round trip and feed mem diff.
+    // The byte columns reach the JSON report.
     let json = report.to_json();
     assert!(json.contains("\"alloc_bytes\""), "{json}");
     // mem gauges fold into the same registry on demand.

@@ -1,7 +1,7 @@
 //! Size-of regression tests for the hot data-model types.
 //!
-//! ROADMAP item 3 (10–100× worlds) is gated on a columnar diet of the
-//! per-record structs; these tests pin the post-diet sizes so accidental
+//! Larger worlds rest on the columnar diet of the per-record structs
+//! (DESIGN.md §11); these tests pin the post-diet sizes so accidental
 //! struct growth — a new field on a type instantiated millions of times —
 //! fails CI instead of landing silently. If a size change is
 //! *intentional*, update the constant here in the same commit and say

@@ -1,8 +1,9 @@
 //! The pipeline's run-report span table, pinned.
 //!
-//! `droplens perf diff` and `droplens mem diff` key on span paths, so
-//! the table `Study::from_text` + `ExperimentResults::compute` records
-//! must not depend on the worker count or on whether tracing is on.
+//! CI's scale-smoke job compares span totals path by path between 1 and
+//! 8 workers, so the table `Study::from_text` +
+//! `ExperimentResults::compute` records must not depend on the worker
+//! count or on whether tracing is on.
 //! Lives alone in its own test binary: it owns the process-global
 //! registry, the global tracer and `DROPLENS_THREADS`.
 
