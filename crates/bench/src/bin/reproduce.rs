@@ -54,9 +54,10 @@
 use std::fmt::Display;
 use std::path::PathBuf;
 
-use droplens_core::{paper, Study, StudyConfig};
+use droplens_core::{paper, IngestError, Study, StudyConfig};
 use droplens_net::{DateRange, IngestPolicy};
-use droplens_synth::{World, WorldConfig};
+use droplens_synth::codec::{self, Codec};
+use droplens_synth::{Archives, World, WorldConfig};
 
 /// Always-on allocation tracking (see the module docs): collection is
 /// cheap enough to leave compiled in, `--mem` only controls reporting.
@@ -192,9 +193,8 @@ fn main() {
 
     // Round-trip through the wire formats so the run report counts every
     // parsed record — the same path a deployment against real feeds uses.
-    // (`Study::from_text`, `Study::from_binary` and `Study::from_world`
-    // produce identical studies; the round trips are covered by core's
-    // tests.)
+    // (`Study::load` under either codec and `Study::from_world` produce
+    // identical studies; the round trips are covered by core's tests.)
     let study_span = obs.span("study");
     let mut study_config = StudyConfig::new(DateRange::inclusive(
         world.config.study_start,
@@ -203,29 +203,18 @@ fn main() {
     study_config.ingest = policy;
     study_config.manual_labels = world.manual_labels();
     let loaded = match format {
-        Format::Text => {
-            let mut text = {
-                let _span = obs.span("serialize");
-                world.to_text_archives()
-            };
+        Format::Text => load(&world, study_config, &codec::TEXT, |text| {
             if let Some(chaos_seed) = chaos {
                 let log = droplens_faults::Corruptor::new(chaos_seed)
                     .with_rate(0.005)
-                    .corrupt_archives(&mut text);
+                    .corrupt_archives(text);
                 eprintln!(
                     "chaos: injected {} corruption events (seed {chaos_seed}, rate 0.5%)",
                     log.total()
                 );
             }
-            Study::from_text(study_config, world.peers.clone(), &text)
-        }
-        Format::Binary => {
-            let bin = {
-                let _span = obs.span("serialize");
-                world.to_binary_archives()
-            };
-            Study::from_binary(study_config, world.peers.clone(), &bin)
-        }
+        }),
+        Format::Binary => load(&world, study_config, &codec::BINARY, |_| {}),
     };
     let study = match loaded {
         Ok(study) => study,
@@ -377,6 +366,22 @@ fn main() {
         }
         None => {}
     }
+}
+
+/// Serialize the world with `codec`, let `damage` rot the archives, and
+/// parse them back into a study.
+fn load<B: Send + Sync>(
+    world: &World,
+    config: StudyConfig,
+    codec: &Codec<B>,
+    damage: impl FnOnce(&mut Archives<B>),
+) -> Result<Study, IngestError> {
+    let mut archives = {
+        let _span = droplens_obs::global().span("serialize");
+        world.to_archives(codec)
+    };
+    damage(&mut archives);
+    Study::load(config, world.peers.clone(), codec, &archives)
 }
 
 /// Reject a malformed command line: print the complaint and exit

@@ -8,6 +8,7 @@ use droplens_drop::{classify, extract_asns};
 use droplens_net::{Asn, Date, Ipv4Prefix};
 use droplens_rpki::format::parse_events;
 use droplens_rpki::{RoaArchive, RovOutcome, Tal};
+use droplens_synth::codec::{Codec, BINARY, TEXT};
 use droplens_synth::{World, WorldConfig};
 
 use crate::layout;
@@ -74,7 +75,7 @@ impl std::str::FromStr for ArchiveFormat {
 /// representation (default: binary sidecars when complete).
 #[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
-    /// Parsing policy handed to [`Study::from_text`] / `from_binary`.
+    /// Parsing policy handed to [`Study::load`].
     pub policy: IngestPolicy,
     /// Where to write the ingest ledger JSON, if anywhere.
     pub quarantine: Option<PathBuf>,
@@ -85,19 +86,15 @@ pub struct IngestOptions {
 /// Load the archive tree under `dir` into a study, honouring the
 /// ingest options (shared by `analyze` and `scorecard`).
 fn load_study(dir: &Path, ingest: &IngestOptions) -> Result<Study, CliError> {
-    let format = match ingest.format {
-        ArchiveFormat::Auto if layout::binary_sidecars_complete(dir) => ArchiveFormat::Binary,
-        ArchiveFormat::Auto => ArchiveFormat::Text,
-        explicit => explicit,
+    let binary = match ingest.format {
+        ArchiveFormat::Auto => layout::binary_sidecars_complete(dir),
+        ArchiveFormat::Text => false,
+        ArchiveFormat::Binary => true,
     };
-    let study = if format == ArchiveFormat::Binary {
-        let (mut config, peers, bin) = layout::read_binary_archives(dir)?;
-        config.ingest = ingest.policy;
-        Study::from_binary(config, peers, &bin)?
+    let study = if binary {
+        load_tree(dir, &BINARY, ingest.policy)?
     } else {
-        let (mut config, peers, text) = layout::read_archives(dir)?;
-        config.ingest = ingest.policy;
-        Study::from_text(config, peers, &text)?
+        load_tree(dir, &TEXT, ingest.policy)?
     };
     if let Some(path) = &ingest.quarantine {
         std::fs::write(path, study.ingest.to_json())
@@ -106,42 +103,59 @@ fn load_study(dir: &Path, ingest: &IngestOptions) -> Result<Study, CliError> {
     Ok(study)
 }
 
+/// Read the tree's files stored with `codec` and parse them under
+/// `policy`.
+fn load_tree<B: Sync>(
+    dir: &Path,
+    codec: &Codec<B>,
+    policy: IngestPolicy,
+) -> Result<Study, CliError> {
+    let (mut config, peers) = layout::read_manifest(dir)?;
+    config.ingest = policy;
+    let archives = layout::read_archives(dir, codec)?;
+    Ok(Study::load(config, peers, codec, &archives)?)
+}
+
 /// `droplens analyze`: load an archive tree and run experiments.
 pub fn analyze(dir: &Path, experiment: &str, ingest: &IngestOptions) -> Result<String, CliError> {
     let study = load_study(dir, ingest)?;
     run_experiments(&study, experiment)
 }
 
-/// Run one named experiment (or `all`) and render it.
+/// One `analyze` section: its name and how to render it.
+type Section = (&'static str, fn(&Study) -> String);
+
+/// Run one named experiment (or `all`) and render it. Only the
+/// sections that are printed are computed.
 pub fn run_experiments(study: &Study, experiment: &str) -> Result<String, CliError> {
+    let sections: [Section; 16] = [
+        ("summary", |s| experiments::summary::compute(s).to_string()),
+        ("fig1", |s| experiments::fig1::compute(s).to_string()),
+        ("fig2", |s| experiments::fig2::compute(s).to_string()),
+        ("fig3", |s| experiments::fig3::compute(s).to_string()),
+        ("fig4", |s| experiments::fig4::compute(s).to_string()),
+        ("fig5", |s| experiments::fig5::compute(s).to_string()),
+        ("fig6", |s| experiments::fig6::compute(s).to_string()),
+        ("fig7", |s| experiments::fig7::compute(s).to_string()),
+        ("table1", |s| experiments::table1::compute(s).to_string()),
+        ("table2", |s| experiments::table2::compute(s).to_string()),
+        ("sec4", |s| experiments::sec4::compute(s).to_string()),
+        ("sec5", |s| experiments::sec5::compute(s).to_string()),
+        ("sec6", |s| experiments::sec6::compute(s).to_string()),
+        ("ext_maxlen", |s| {
+            experiments::ext_maxlen::compute(s).to_string()
+        }),
+        ("ext_profiles", |s| {
+            experiments::ext_profiles::compute(s).to_string()
+        }),
+        ("ext_rov", |s| experiments::ext_rov::compute(s).to_string()),
+    ];
     let mut out = String::new();
-    let mut run = |name: &str, body: String| {
+    for (name, compute) in sections {
         if experiment == "all" || experiment == name {
-            let _ = writeln!(out, "## {name}\n{body}");
+            let _ = writeln!(out, "## {name}\n{}", compute(study));
         }
-    };
-    run("summary", experiments::summary::compute(study).to_string());
-    run("fig1", experiments::fig1::compute(study).to_string());
-    run("fig2", experiments::fig2::compute(study).to_string());
-    run("fig3", experiments::fig3::compute(study).to_string());
-    run("fig4", experiments::fig4::compute(study).to_string());
-    run("fig5", experiments::fig5::compute(study).to_string());
-    run("fig6", experiments::fig6::compute(study).to_string());
-    run("fig7", experiments::fig7::compute(study).to_string());
-    run("table1", experiments::table1::compute(study).to_string());
-    run("table2", experiments::table2::compute(study).to_string());
-    run("sec4", experiments::sec4::compute(study).to_string());
-    run("sec5", experiments::sec5::compute(study).to_string());
-    run("sec6", experiments::sec6::compute(study).to_string());
-    run(
-        "ext_maxlen",
-        experiments::ext_maxlen::compute(study).to_string(),
-    );
-    run(
-        "ext_profiles",
-        experiments::ext_profiles::compute(study).to_string(),
-    );
-    run("ext_rov", experiments::ext_rov::compute(study).to_string());
+    }
     if out.is_empty() {
         return Err(CliError::Usage(format!(
             "unknown experiment {experiment:?}"

@@ -12,12 +12,14 @@
 //!   labels/manual_labels.tsv         analyst labels for keyword-less records
 //! ```
 //!
-//! Every dataset also gets a `droplens-bin/1` sidecar next to its text
-//! form (`bgp/updates.bin`, `rpki/roas.bin`, `rir/<date>/delegated-
-//! <rir>-extended.bin`, ...). Text stays canonical; the sidecars are
-//! the columnar fast path [`read_binary_archives`] loads without
-//! per-line parsing. [`binary_sidecars_complete`] reports whether a
-//! tree carries the full set, which is how loaders decide the default.
+//! Every dataset is stored in both codecs of [`droplens_synth::codec`]:
+//! the canonical text above and a `droplens-bin/1` sidecar next to it
+//! (`bgp/updates.bin`, `rpki/roas.bin`, `rir/<date>/delegated-<rir>-
+//! extended.bin`, ...), each file named by [`Codec::path`]. One writer
+//! and one reader ([`read_archives`]) serve both codecs.
+//! [`binary_sidecars_complete`] reports whether every file the text
+//! reader reads has its binary counterpart, which is how loaders decide
+//! the default.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -28,36 +30,28 @@ use droplens_core::StudyConfig;
 use droplens_drop::{Category, SblId};
 use droplens_net::{Asn, Date, DateRange};
 use droplens_rir::Rir;
-use droplens_synth::{BinaryArchives, TextArchives, World};
+use droplens_synth::codec::{Codec, BINARY, DROP_DIR, RIR_DIR, TEXT};
+use droplens_synth::{Archives, World};
 
 use crate::CliError;
 
-fn write(path: &Path, contents: &str) -> Result<(), CliError> {
+fn io_error(path: &Path) -> impl FnOnce(std::io::Error) -> CliError + '_ {
+    move |e| CliError::Io(path.display().to_string(), e)
+}
+
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
     if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| CliError::Io(parent.display().to_string(), e))?;
+        fs::create_dir_all(parent).map_err(io_error(parent))?;
     }
-    fs::write(path, contents).map_err(|e| CliError::Io(path.display().to_string(), e))
+    fs::write(path, contents).map_err(io_error(path))
 }
 
 fn read(path: &Path) -> Result<String, CliError> {
-    fs::read_to_string(path).map_err(|e| CliError::Io(path.display().to_string(), e))
-}
-
-fn write_bytes(path: &Path, contents: &[u8]) -> Result<(), CliError> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| CliError::Io(parent.display().to_string(), e))?;
-    }
-    fs::write(path, contents).map_err(|e| CliError::Io(path.display().to_string(), e))
-}
-
-fn read_bytes(path: &Path) -> Result<Vec<u8>, CliError> {
-    fs::read(path).map_err(|e| CliError::Io(path.display().to_string(), e))
+    fs::read_to_string(path).map_err(io_error(path))
 }
 
 /// Serialize a world into the archive tree rooted at `dir`.
 pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
-    let text = world.to_text_archives();
-
     // Manifest: window plus the peer table.
     let mut manifest = String::from("# droplens archive manifest\n");
     manifest.push_str(&format!(
@@ -74,41 +68,9 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     }
     write(&dir.join("manifest.tsv"), &manifest)?;
 
-    write(&dir.join("bgp/updates.txt"), &text.bgp_updates)?;
-    write(&dir.join("irr/journal.txt"), &text.irr_journal)?;
-    write(&dir.join("rpki/roas.csv"), &text.roa_events)?;
-    for (date, files) in &text.rir_snapshots {
-        for (rir, body) in Rir::ALL.iter().zip(files) {
-            let path = dir
-                .join("rir")
-                .join(date.to_compact_string())
-                .join(format!("delegated-{}-extended.txt", rir.token()));
-            write(&path, body)?;
-        }
-    }
-    for (date, body) in &text.drop_snapshots {
-        write(&dir.join("drop").join(format!("{date}.txt")), body)?;
-    }
-    write(&dir.join("sbl/records.txt"), &text.sbl_records)?;
-
+    write_archives(dir, world, &TEXT)?;
     // The binary sidecars, one per dataset, next to the canonical text.
-    let bin = world.to_binary_archives();
-    write_bytes(&dir.join("bgp/updates.bin"), &bin.bgp_updates)?;
-    write_bytes(&dir.join("irr/journal.bin"), &bin.irr_journal)?;
-    write_bytes(&dir.join("rpki/roas.bin"), &bin.roa_events)?;
-    for (date, files) in &bin.rir_snapshots {
-        for (rir, body) in Rir::ALL.iter().zip(files) {
-            let path = dir
-                .join("rir")
-                .join(date.to_compact_string())
-                .join(format!("delegated-{}-extended.bin", rir.token()));
-            write_bytes(&path, body)?;
-        }
-    }
-    for (date, body) in &bin.drop_snapshots {
-        write_bytes(&dir.join("drop").join(format!("{date}.bin")), body)?;
-    }
-    write_bytes(&dir.join("sbl/records.bin"), &bin.sbl_records)?;
+    write_archives(dir, world, &BINARY)?;
 
     // The analyst's manual labels for keyword-less records.
     let mut labels = String::from("# sbl-id\tcategories\n");
@@ -120,8 +82,22 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Read the manifest and labels shared by both archive representations.
-fn read_common(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
+/// Serialize the world with `codec` and write every file under `dir`,
+/// named by the codec.
+fn write_archives<B: AsRef<[u8]> + Send>(
+    dir: &Path,
+    world: &World,
+    codec: &Codec<B>,
+) -> Result<(), CliError> {
+    for (file, bytes) in world.to_archives(codec).files() {
+        write(&dir.join(codec.path(file)), bytes)?;
+    }
+    Ok(())
+}
+
+/// Read the manifest and labels shared by both archive representations:
+/// the study configuration (window, manual labels) and the peer table.
+pub fn read_manifest(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
     let manifest = read(&dir.join("manifest.tsv"))?;
     let mut window: Option<DateRange> = None;
     let mut peers: Vec<Peer> = Vec::new();
@@ -154,115 +130,54 @@ fn read_common(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
     Ok((config, peers))
 }
 
-/// Read an archive tree back into the pieces `Study::from_text` needs.
-pub fn read_archives(dir: &Path) -> Result<(StudyConfig, Vec<Peer>, TextArchives), CliError> {
-    let (config, peers) = read_common(dir)?;
-
-    // Dated subdirectories, sorted by name (= chronological).
-    let rir_snapshots = read_rir_tree(&dir.join("rir"))?;
-    let drop_snapshots = read_drop_tree(&dir.join("drop"))?;
-
-    let text = TextArchives {
-        bgp_updates: read(&dir.join("bgp/updates.txt"))?,
-        irr_journal: read(&dir.join("irr/journal.txt"))?,
-        roa_events: read(&dir.join("rpki/roas.csv"))?,
-        rir_snapshots,
-        drop_snapshots,
-        sbl_records: read(&dir.join("sbl/records.txt"))?,
-    };
-    Ok((config, peers, text))
+/// Read an archive tree's files stored with `codec`. Any missing file
+/// is an error — use [`binary_sidecars_complete`] first when falling
+/// back to text is an option.
+pub fn read_archives<B>(dir: &Path, codec: &Codec<B>) -> Result<Archives<B>, CliError> {
+    dates(dir, codec)?.try_map(|file, ()| {
+        let path = dir.join(codec.path(file));
+        (codec.read)(&path).map_err(io_error(&path))
+    })
 }
 
-/// Read an archive tree's binary sidecars into the pieces
-/// `Study::from_binary` needs. Any missing sidecar is an error — use
-/// [`binary_sidecars_complete`] first when falling back to text is an
-/// option.
-pub fn read_binary_archives(
-    dir: &Path,
-) -> Result<(StudyConfig, Vec<Peer>, BinaryArchives), CliError> {
-    let (config, peers) = read_common(dir)?;
-
+/// The snapshot dates of the tree under `dir` as `codec` stores them:
+/// every dated `rir/` directory (one file per registry) and every
+/// `drop/` day with the codec's extension. Entries sort by name, which
+/// is chronological.
+fn dates<B>(dir: &Path, codec: &Codec<B>) -> Result<Archives<()>, CliError> {
     let mut rir_snapshots = Vec::new();
-    for datedir in sorted_entries(&dir.join("rir"))? {
-        let name = datedir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let date = Date::parse_compact(&name)?;
-        let mut files = Vec::with_capacity(5);
-        for rir in Rir::ALL {
-            let path = datedir.join(format!("delegated-{}-extended.bin", rir.token()));
-            files.push(read_bytes(&path)?);
-        }
-        rir_snapshots.push((date, files));
+    for datedir in sorted_entries(&dir.join(RIR_DIR))? {
+        let date = Date::parse_compact(file_name(&datedir))?;
+        rir_snapshots.push((date, vec![(); Rir::ALL.len()]));
     }
-
+    let suffix = format!(".{}", codec.extension);
     let mut drop_snapshots = Vec::new();
-    for file in sorted_entries(&dir.join("drop"))? {
-        let name = file
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let Some(stem) = name.strip_suffix(".bin") else {
-            continue;
-        };
-        let date: Date = stem.parse()?;
-        drop_snapshots.push((date, read_bytes(&file)?));
+    for file in sorted_entries(&dir.join(DROP_DIR))? {
+        if let Some(stem) = file_name(&file).strip_suffix(suffix.as_str()) {
+            drop_snapshots.push((stem.parse()?, ()));
+        }
     }
-
-    let bin = BinaryArchives {
-        bgp_updates: read_bytes(&dir.join("bgp/updates.bin"))?,
-        irr_journal: read_bytes(&dir.join("irr/journal.bin"))?,
-        roa_events: read_bytes(&dir.join("rpki/roas.bin"))?,
+    Ok(Archives {
+        bgp_updates: (),
+        irr_journal: (),
+        roa_events: (),
         rir_snapshots,
         drop_snapshots,
-        sbl_records: read_bytes(&dir.join("sbl/records.bin"))?,
-    };
-    Ok((config, peers, bin))
+        sbl_records: (),
+    })
 }
 
-/// Whether the tree carries a binary sidecar for every dataset its text
-/// archives cover — the condition under which loading defaults to the
-/// binary fast path. A tree written by an older droplens (or with a
-/// sidecar deleted) is incomplete and loads from text.
+/// Whether every file the text reader reads has its binary sidecar —
+/// the condition under which loading defaults to the binary fast path.
+/// A tree written by an older droplens (or with a sidecar deleted) is
+/// incomplete and loads from text.
 pub fn binary_sidecars_complete(dir: &Path) -> bool {
-    for fixed in [
-        "bgp/updates.bin",
-        "irr/journal.bin",
-        "rpki/roas.bin",
-        "sbl/records.bin",
-    ] {
-        if !dir.join(fixed).is_file() {
-            return false;
-        }
-    }
-    let Ok(datedirs) = sorted_entries(&dir.join("rir")) else {
-        return false;
-    };
-    for datedir in datedirs {
-        for rir in Rir::ALL {
-            if !datedir
-                .join(format!("delegated-{}-extended.bin", rir.token()))
-                .is_file()
-            {
-                return false;
-            }
-        }
-    }
-    let Ok(files) = sorted_entries(&dir.join("drop")) else {
-        return false;
-    };
-    for file in files {
-        // Every text snapshot needs its sidecar; bin-only days are fine.
-        if file.extension().and_then(|e| e.to_str()) == Some("txt")
-            && !file.with_extension("bin").is_file()
-        {
-            return false;
-        }
-    }
-    true
+    dates(dir, &TEXT).is_ok_and(|dates| {
+        dates
+            .files()
+            .into_iter()
+            .all(|(file, ())| dir.join(BINARY.path(file)).is_file())
+    })
 }
 
 fn read_labels(path: &Path) -> Result<BTreeMap<SblId, Vec<Category>>, CliError> {
@@ -290,45 +205,15 @@ fn read_labels(path: &Path) -> Result<BTreeMap<SblId, Vec<Category>>, CliError> 
 
 fn sorted_entries(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
     let mut out: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| CliError::Io(dir.display().to_string(), e))?
+        .map_err(io_error(dir))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
     out.sort();
     Ok(out)
 }
 
-fn read_rir_tree(dir: &Path) -> Result<Vec<(Date, Vec<String>)>, CliError> {
-    let mut out = Vec::new();
-    for datedir in sorted_entries(dir)? {
-        let name = datedir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let date = Date::parse_compact(&name)?;
-        let mut files = Vec::with_capacity(5);
-        for rir in Rir::ALL {
-            let path = datedir.join(format!("delegated-{}-extended.txt", rir.token()));
-            files.push(read(&path)?);
-        }
-        out.push((date, files));
-    }
-    Ok(out)
-}
-
-fn read_drop_tree(dir: &Path) -> Result<Vec<(Date, String)>, CliError> {
-    let mut out = Vec::new();
-    for file in sorted_entries(dir)? {
-        let name = file
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let Some(stem) = name.strip_suffix(".txt") else {
-            continue;
-        };
-        let date: Date = stem.parse()?;
-        out.push((date, read(&file)?));
-    }
-    Ok(out)
+fn file_name(path: &Path) -> &str {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or_default()
 }

@@ -64,20 +64,49 @@ fn binary_sidecar_detection_and_explicit_formats() {
     let dir = temp_dir("formats");
     commands::generate(&dir, 11, "small").expect("generate");
     let baseline = commands::analyze(&dir, "summary", &IngestOptions::default()).expect("auto");
-
-    // Deleting one sidecar demotes auto to the text path...
-    std::fs::remove_file(dir.join("irr/journal.bin")).expect("remove sidecar");
-    assert!(!layout::binary_sidecars_complete(&dir));
-    let from_text = commands::analyze(&dir, "summary", &IngestOptions::default()).expect("text");
-    assert_eq!(from_text, baseline);
-
-    // ...while an explicit --format binary refuses the incomplete tree.
+    let first = |sub: &str| {
+        let mut names: Vec<String> = std::fs::read_dir(dir.join(sub))
+            .expect("dated dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names.swap_remove(0)
+    };
+    let rir_date = first("rir");
+    let drop_day = first("drop");
+    let drop_day = drop_day.split('.').next().expect("dated name");
     let bin_opts = IngestOptions {
         format: ArchiveFormat::Binary,
         ..IngestOptions::default()
     };
-    let err = commands::analyze(&dir, "summary", &bin_opts).expect_err("incomplete tree");
-    assert!(err.to_string().contains("irr/journal.bin"), "{err}");
+
+    // (sidecar, whether an explicit --format binary must refuse the tree
+    // without it). The binary reader takes its DROP days from the
+    // sidecars present, so a missing day sidecar only demotes auto.
+    for (sidecar, refused) in [
+        ("irr/journal.bin".to_owned(), true),
+        (format!("rir/{rir_date}/delegated-arin-extended.bin"), true),
+        (format!("drop/{drop_day}.bin"), false),
+    ] {
+        let path = dir.join(&sidecar);
+        let kept = std::fs::read(&path).expect("sidecar exists");
+        std::fs::remove_file(&path).expect("remove sidecar");
+
+        // Deleting one sidecar demotes auto to the text path...
+        assert!(!layout::binary_sidecars_complete(&dir), "{sidecar}");
+        let from_text =
+            commands::analyze(&dir, "summary", &IngestOptions::default()).expect("text");
+        assert_eq!(from_text, baseline, "{sidecar}");
+
+        // ...while an explicit --format binary refuses the incomplete tree.
+        if refused {
+            let err = commands::analyze(&dir, "summary", &bin_opts).expect_err("incomplete tree");
+            assert!(err.to_string().contains(&sidecar), "{err}");
+        }
+
+        std::fs::write(&path, kept).expect("restore sidecar");
+        assert!(layout::binary_sidecars_complete(&dir), "{sidecar}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -147,7 +176,7 @@ fn analyze_permissive_quarantines_corruption_and_writes_ledger() {
 fn layout_read_rejects_missing_manifest() {
     let dir = temp_dir("nomanifest");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    assert!(layout::read_archives(&dir).is_err());
+    assert!(layout::read_manifest(&dir).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

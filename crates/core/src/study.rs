@@ -2,21 +2,21 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use droplens_bgp::{format as bgpfmt, BgpArchive, BgpUpdate, Peer};
+use droplens_bgp::{BgpArchive, BgpUpdate, Peer};
 use droplens_drop::{
-    classify, extract_asns, format as dropfmt, Category, DropEntry, DropSnapshot, DropTimeline,
-    SblDatabase, SblId,
+    classify, extract_asns, Category, DropEntry, DropSnapshot, DropTimeline, SblDatabase, SblId,
 };
-use droplens_irr::{format as irrbin, journal, IrrRegistry, JournalEntry};
+use droplens_irr::{IrrRegistry, JournalEntry};
 use droplens_net::{
     AddressSpace, Asn, Date, DateRange, IngestError, IngestPolicy, IngestReport, Ipv4Prefix,
     ParseError, Quarantine, SourceCoverage, SourceIngest,
 };
-use droplens_rir::format::{parse_stats_file_bin_with, parse_stats_file_with, StatsFile};
+use droplens_rir::format::StatsFile;
 use droplens_rir::{Rir, RirStatsArchive};
-use droplens_rpki::format::{parse_events_bin_with, parse_events_with, RoaEvent};
+use droplens_rpki::format::RoaEvent;
 use droplens_rpki::RoaArchive;
-use droplens_synth::{BinaryArchives, TextArchives, World};
+use droplens_synth::codec::{ArchiveFile, Codec, BINARY, TEXT};
+use droplens_synth::{Archives, BinaryArchives, TextArchives, World};
 
 /// Expected days between RIR delegated-stats snapshots: the synthetic
 /// world publishes them monthly, so a ≤31-day delta is not a gap.
@@ -131,7 +131,7 @@ pub struct Study {
 }
 
 /// Every source's parsed records plus its quarantine ledger — the output
-/// of a load stage (text or binary), ready for indexing.
+/// of the load spine, ready for indexing.
 struct LoadedSources {
     updates: Vec<BgpUpdate>,
     bgp_q: Quarantine,
@@ -204,56 +204,79 @@ impl Study {
         peers: Vec<Peer>,
         text: &TextArchives,
     ) -> Result<Study, IngestError> {
+        Self::load(config, peers, &TEXT, text)
+    }
+
+    /// Build a study from `droplens-bin/1` sidecar archives — the binary
+    /// fast path. Loads the very same records as [`Study::from_text`]
+    /// (a round-trip equivalence test in this crate proves the resulting
+    /// studies are identical), without per-line scanning.
+    ///
+    /// Quarantine semantics differ only in granularity: a binary sidecar
+    /// cannot be resynchronized mid-stream, so damage quarantines the
+    /// whole archive rather than one record.
+    pub fn from_binary(
+        config: StudyConfig,
+        peers: Vec<Peer>,
+        bin: &BinaryArchives,
+    ) -> Result<Study, IngestError> {
+        Self::load(config, peers, &BINARY, bin)
+    }
+
+    /// The load spine: parse archives stored with `codec`, repair the
+    /// RIR and DROP flickers that damaged snapshots leave, and merge the
+    /// quarantine ledgers in fixed input order, then index and assemble.
+    /// Every ledger is labelled with the file's path under `codec`.
+    pub fn load<B: Sync>(
+        config: StudyConfig,
+        peers: Vec<Peer>,
+        codec: &Codec<B>,
+        archives: &Archives<B>,
+    ) -> Result<Study, IngestError> {
         let obs = droplens_obs::global();
         let mut load_span = obs.span("load");
         let policy = config.ingest;
-        // The five wire formats parse independently (each closure owns one
+        let ledger = |file| Quarantine::for_policy(codec.path(file), &policy);
+        // The five sources parse independently (each closure owns one
         // source, its counters commute, and its quarantine ledger is
         // merged in fixed input order), so the load stage fans out while
         // staying deterministic at any worker count.
         let (bgp_res, irr_res, rpki_res, rir_res, drop_res) = droplens_par::join5(
             || {
-                let mut q = Quarantine::for_policy("bgp/updates.txt", &policy);
-                let updates = bgpfmt::parse_updates_with(&text.bgp_updates, &mut q)?;
+                let mut q = ledger(ArchiveFile::BgpUpdates);
+                let updates = (codec.parse_updates)(&archives.bgp_updates, &mut q)?;
                 Ok::<_, ParseError>((updates, q))
             },
             || {
-                let mut q = Quarantine::for_policy("irr/journal.txt", &policy);
-                let entries = journal::parse_journal_with(&text.irr_journal, &mut q)?;
+                let mut q = ledger(ArchiveFile::IrrJournal);
+                let entries = (codec.parse_journal)(&archives.irr_journal, &mut q)?;
                 Ok::<_, ParseError>((entries, q))
             },
             || {
-                let mut q = Quarantine::for_policy("rpki/roas.csv", &policy);
-                let events = parse_events_with(&text.roa_events, &mut q)?;
+                let mut q = ledger(ArchiveFile::Roas);
+                let events = (codec.parse_events)(&archives.roa_events, &mut q)?;
                 Ok::<_, ParseError>((events, q))
             },
             || {
-                let per_snapshot = droplens_par::par_map(&text.rir_snapshots, |(date, files)| {
-                    let mut kept = Vec::with_capacity(files.len());
-                    let mut merged = Quarantine::for_policy("rir", &policy);
-                    for (i, f) in files.iter().enumerate() {
-                        let label = match Rir::ALL.get(i) {
-                            Some(r) => format!(
-                                "rir/{}/delegated-{}-extended.txt",
-                                date.compact(),
-                                r.token()
-                            ),
-                            None => format!("rir/{}/file{}", date.compact(), i),
-                        };
-                        let mut q = Quarantine::for_policy(label, &policy);
-                        // `None` = the file was structurally unusable and
-                        // quarantined whole; the snapshot keeps the rest.
-                        if let Some(file) = parse_stats_file_with(f, &mut q)? {
-                            kept.push(file);
+                let per_snapshot =
+                    droplens_par::par_map(&archives.rir_snapshots, |(date, files)| {
+                        let mut kept = Vec::with_capacity(files.len());
+                        let mut merged = Quarantine::for_policy("rir", &policy);
+                        for (rir, f) in Rir::ALL.into_iter().zip(files) {
+                            let mut q = ledger(ArchiveFile::Stats(*date, rir));
+                            // `None` = the file was unusable and quarantined
+                            // whole; the snapshot keeps the rest.
+                            if let Some(file) = (codec.parse_stats_file)(f, &mut q)? {
+                                kept.push(file);
+                            }
+                            merged.absorb(q);
                         }
-                        merged.absorb(q);
-                    }
-                    Ok::<_, ParseError>((*date, kept, merged))
-                });
+                        Ok::<_, ParseError>((*date, kept, merged))
+                    });
                 let mut out = Vec::new();
                 let mut partial = Vec::new();
                 let mut q = Quarantine::for_policy("rir", &policy);
-                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&text.rir_snapshots) {
+                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&archives.rir_snapshots) {
                     let (date, kept, merged) = r?;
                     // Quarantined rows or a dropped file make the
                     // snapshot untrustworthy about *absent* spans.
@@ -270,11 +293,12 @@ impl Study {
                 Ok::<_, ParseError>((out, q))
             },
             || {
-                let per_snapshot = droplens_par::par_map(&text.drop_snapshots, |(date, body)| {
-                    let mut q = Quarantine::for_policy(format!("drop/{date}.txt"), &policy);
-                    let snap = DropSnapshot::parse_with(*date, body, &mut q)?;
-                    Ok::<_, ParseError>((snap, q))
-                });
+                let per_snapshot =
+                    droplens_par::par_map(&archives.drop_snapshots, |(date, body)| {
+                        let mut q = ledger(ArchiveFile::DropSnapshot(*date));
+                        let snap = (codec.parse_snapshot)(*date, body, &mut q)?;
+                        Ok::<_, ParseError>((snap, q))
+                    });
                 let mut snapshots = Vec::with_capacity(per_snapshot.len());
                 let mut partial = Vec::with_capacity(per_snapshot.len());
                 let mut q = Quarantine::for_policy("drop", &policy);
@@ -287,8 +311,8 @@ impl Study {
                     snapshots.push(snap);
                 }
                 droplens_drop::repair_flickers(&mut snapshots, &partial);
-                let mut sbl_q = Quarantine::for_policy("sbl/records.txt", &policy);
-                let sbl = SblDatabase::parse_with(&text.sbl_records, &mut sbl_q)?;
+                let mut sbl_q = ledger(ArchiveFile::SblRecords);
+                let sbl = (codec.parse_sbl)(&archives.sbl_records, &mut sbl_q)?;
                 Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
             },
         );
@@ -323,133 +347,9 @@ impl Study {
         )
     }
 
-    /// Build a study from `droplens-bin/1` sidecar archives — the binary
-    /// fast path. Loads the very same records as [`Study::from_text`]
-    /// (a round-trip equivalence test in this crate proves the resulting
-    /// studies are identical), without per-line scanning.
-    ///
-    /// Quarantine semantics differ only in granularity: a binary sidecar
-    /// cannot be resynchronized mid-stream, so damage quarantines the
-    /// whole archive rather than one record.
-    pub fn from_binary(
-        config: StudyConfig,
-        peers: Vec<Peer>,
-        bin: &BinaryArchives,
-    ) -> Result<Study, IngestError> {
-        let obs = droplens_obs::global();
-        let mut load_span = obs.span("load");
-        let policy = config.ingest;
-        // Same fan-out shape as `from_text`: five independent sources,
-        // fixed tuple positions, deterministic at any worker count.
-        let (bgp_res, irr_res, rpki_res, rir_res, drop_res) = droplens_par::join5(
-            || {
-                let mut q = Quarantine::for_policy("bgp/updates.bin", &policy);
-                let updates = bgpfmt::parse_updates_bin_with(&bin.bgp_updates, &mut q)?;
-                Ok::<_, ParseError>((updates, q))
-            },
-            || {
-                let mut q = Quarantine::for_policy("irr/journal.bin", &policy);
-                let entries = irrbin::parse_journal_bin_with(&bin.irr_journal, &mut q)?;
-                Ok::<_, ParseError>((entries, q))
-            },
-            || {
-                let mut q = Quarantine::for_policy("rpki/roas.bin", &policy);
-                let events = parse_events_bin_with(&bin.roa_events, &mut q)?;
-                Ok::<_, ParseError>((events, q))
-            },
-            || {
-                let per_snapshot = droplens_par::par_map(&bin.rir_snapshots, |(date, files)| {
-                    let mut kept = Vec::with_capacity(files.len());
-                    let mut merged = Quarantine::for_policy("rir", &policy);
-                    for (i, f) in files.iter().enumerate() {
-                        let label = match Rir::ALL.get(i) {
-                            Some(r) => format!(
-                                "rir/{}/delegated-{}-extended.bin",
-                                date.compact(),
-                                r.token()
-                            ),
-                            None => format!("rir/{}/file{}", date.compact(), i),
-                        };
-                        let mut q = Quarantine::for_policy(label, &policy);
-                        // `None` = the sidecar was damaged and quarantined
-                        // whole; the snapshot keeps the rest.
-                        if let Some(file) = parse_stats_file_bin_with(f, &mut q)? {
-                            kept.push(file);
-                        }
-                        merged.absorb(q);
-                    }
-                    Ok::<_, ParseError>((*date, kept, merged))
-                });
-                let mut out = Vec::new();
-                let mut partial = Vec::new();
-                let mut q = Quarantine::for_policy("rir", &policy);
-                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&bin.rir_snapshots) {
-                    let (date, kept, merged) = r?;
-                    let damaged = merged.quarantined > 0 || kept.len() < raw_files.len();
-                    q.absorb(merged);
-                    if !kept.is_empty() {
-                        out.push((date, kept));
-                        partial.push(damaged);
-                    }
-                }
-                droplens_rir::format::repair_flickers(&mut out, &partial);
-                Ok::<_, ParseError>((out, q))
-            },
-            || {
-                let per_snapshot = droplens_par::par_map(&bin.drop_snapshots, |(date, body)| {
-                    let mut q = Quarantine::for_policy(format!("drop/{date}.bin"), &policy);
-                    let snap = dropfmt::parse_snapshot_bin_with(*date, body, &mut q)?;
-                    Ok::<_, ParseError>((snap, q))
-                });
-                let mut snapshots = Vec::with_capacity(per_snapshot.len());
-                let mut partial = Vec::with_capacity(per_snapshot.len());
-                let mut q = Quarantine::for_policy("drop", &policy);
-                for r in per_snapshot {
-                    let (snap, file_q) = r?;
-                    partial.push(file_q.quarantined > 0);
-                    q.absorb(file_q);
-                    snapshots.push(snap);
-                }
-                droplens_drop::repair_flickers(&mut snapshots, &partial);
-                let mut sbl_q = Quarantine::for_policy("sbl/records.bin", &policy);
-                let sbl = dropfmt::parse_sbl_bin_with(&bin.sbl_records, &mut sbl_q)?;
-                Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
-            },
-        );
-        let (updates, bgp_q) = bgp_res?;
-        let (irr_journal, irr_q) = irr_res?;
-        let (roa_events, rpki_q) = rpki_res?;
-        let (rir_files, rir_q) = rir_res?;
-        let (snapshots, drop_q, sbl, sbl_q) = drop_res?;
-        load_span
-            .arg_u64("bgp_updates", updates.len() as u64)
-            .arg_u64("irr_entries", irr_journal.len() as u64)
-            .arg_u64("roa_events", roa_events.len() as u64)
-            .arg_u64("drop_days", snapshots.len() as u64);
-        load_span.finish();
-        Self::index_and_assemble(
-            config,
-            peers,
-            LoadedSources {
-                updates,
-                bgp_q,
-                irr_journal,
-                irr_q,
-                roa_events,
-                rpki_q,
-                rir_files,
-                rir_q,
-                snapshots,
-                drop_q,
-                sbl,
-                sbl_q,
-            },
-        )
-    }
-
-    /// The shared back half of [`Study::from_text`] and
-    /// [`Study::from_binary`]: build the ingestion ledger, enforce the
-    /// policy budgets, index the five sources, and assemble the study.
+    /// The back half of [`Study::load`]: build the ingestion ledger,
+    /// enforce the policy budgets, index the five sources, and assemble
+    /// the study.
     fn index_and_assemble(
         config: StudyConfig,
         peers: Vec<Peer>,

@@ -34,6 +34,7 @@ pub use net::{ChaosLog, ChaosProfile, ChaosProxy};
 
 use std::fmt;
 
+use droplens_synth::codec::{ArchiveFile, TEXT};
 use droplens_synth::TextArchives;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,8 +111,10 @@ impl fmt::Display for CorruptionClass {
 pub struct CorruptionEvent {
     /// The fault class.
     pub class: CorruptionClass,
-    /// Archive label, matching the quarantine source labels
-    /// (`bgp/updates.txt`, `drop/<date>.txt`, ...).
+    /// Archive label: the file's text path, as the text codec names it
+    /// (`bgp/updates.txt`, `rir/<YYYYMMDD>/delegated-<rir>-extended.txt`,
+    /// `drop/<date>.txt`, ...). It is the label the quarantine ledger
+    /// gives the same file, so `archive:line` finds the quarantined line.
     pub archive: String,
     /// 1-based line the fault landed on; `None` for day-level faults.
     pub line: Option<u32>,
@@ -219,20 +222,7 @@ impl Corruptor {
     /// is a deterministic function of the seed and the input.
     pub fn corrupt_archives(&mut self, text: &mut TextArchives) -> CorruptionLog {
         let mut log = CorruptionLog::default();
-        text.bgp_updates = self.corrupt_lines("bgp/updates.txt", &text.bgp_updates, &mut log);
-        text.irr_journal = self.corrupt_lines("irr/journal.txt", &text.irr_journal, &mut log);
-        text.roa_events = self.corrupt_lines("rpki/roas.csv", &text.roa_events, &mut log);
-        for (date, files) in &mut text.rir_snapshots {
-            for (i, body) in files.iter_mut().enumerate() {
-                let label = format!("rir/{}/file{}", date, i);
-                *body = self.corrupt_lines(&label, body, &mut log);
-            }
-        }
-        for (date, body) in &mut text.drop_snapshots {
-            let label = format!("drop/{date}.txt");
-            *body = self.corrupt_lines(&label, body, &mut log);
-        }
-        text.sbl_records = self.corrupt_lines("sbl/records.txt", &text.sbl_records, &mut log);
+        *text = text.map(|file, body| self.corrupt_lines(&TEXT.path(file), body, &mut log));
 
         if self.classes.contains(&CorruptionClass::DropDay) {
             let keep: Vec<bool> = text
@@ -246,7 +236,7 @@ impl Corruptor {
                 if !keep {
                     log.events.push(CorruptionEvent {
                         class: CorruptionClass::DropDay,
-                        archive: format!("drop/{date}.txt"),
+                        archive: TEXT.path(ArchiveFile::DropSnapshot(*date)),
                         line: None,
                     });
                 }

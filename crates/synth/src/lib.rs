@@ -25,18 +25,23 @@
 //! * [`World`] — the generated datasets (typed) plus [`GroundTruth`]
 //!   labels for every listed prefix, so tests can check the analysis
 //!   pipeline against what the generator actually did.
-//! * [`TextArchives`] — the datasets serialized into their wire formats.
+//! * [`codec`] — the two archive representations (canonical text and
+//!   `droplens-bin/1` sidecars): each dataset's writer, parser and file
+//!   name, and the [`Archives`] bundle a world serializes into
+//!   ([`TextArchives`], [`BinaryArchives`]).
 
 #![warn(missing_docs)]
 
 mod alloc;
+pub mod codec;
 mod config;
 mod sbltext;
 mod truth;
 mod world;
 
 pub use alloc::BlockAllocator;
+pub use codec::{Archives, BinaryArchives, TextArchives};
 pub use config::{CategoryMix, WorldConfig};
 pub use sbltext::SblTextGenerator;
 pub use truth::{GroundTruth, HijackKind, ListedTruth, TrueCategory};
-pub use world::{BinaryArchives, TextArchives, World};
+pub use world::World;

@@ -2,13 +2,14 @@
 
 mod builder;
 
-use droplens_bgp::{format as bgpfmt, BgpUpdate, Peer};
-use droplens_drop::{format as dropfmt, DropSnapshot, SblDatabase};
-use droplens_irr::{format as irrbin, journal as irrfmt, JournalEntry};
+use droplens_bgp::{BgpUpdate, Peer};
+use droplens_drop::{DropSnapshot, SblDatabase};
+use droplens_irr::JournalEntry;
 use droplens_net::Date;
-use droplens_rir::format::{write_stats_file, write_stats_file_bin, StatsFile};
-use droplens_rpki::format::{write_events, write_events_bin, RoaEvent};
+use droplens_rir::format::StatsFile;
+use droplens_rpki::format::RoaEvent;
 
+use crate::codec::{Archives, BinaryArchives, Codec, TextArchives, BINARY, TEXT};
 use crate::{GroundTruth, WorldConfig};
 
 /// A fully generated synthetic world: every dataset the paper's pipeline
@@ -97,69 +98,31 @@ impl World {
         out
     }
 
-    /// Serialize every dataset into its wire format.
-    pub fn to_text_archives(&self) -> TextArchives {
-        // The six archives serialize independently; fan out, collect into
-        // fixed tuple positions (identical output at any worker count).
+    /// Serialize every dataset with `codec`. The six datasets serialize
+    /// independently, so they fan out and collect into fixed positions
+    /// (identical output at any worker count).
+    pub fn to_archives<B: Send>(&self, codec: &Codec<B>) -> Archives<B> {
         let (bgp_updates, irr_journal, roa_events, rir_snapshots, drop_and_sbl) =
             droplens_par::join5(
-                || bgpfmt::write_updates(&self.bgp_updates, &self.peers),
-                || irrfmt::write_journal(&self.irr_journal),
-                || write_events(&self.roa_events),
+                || (codec.write_updates)(&self.bgp_updates, &self.peers),
+                || (codec.write_journal)(&self.irr_journal),
+                || (codec.write_events)(&self.roa_events),
                 || {
                     droplens_par::par_map(&self.rir_snapshots, |(date, files)| {
-                        (
-                            *date,
-                            files.iter().map(write_stats_file).collect::<Vec<_>>(),
-                        )
-                    })
-                },
-                || {
-                    (
-                        droplens_par::par_map(&self.drop_snapshots, |s| (s.date, s.to_text())),
-                        self.sbl_db.to_text(),
-                    )
-                },
-            );
-        let (drop_snapshots, sbl_records) = drop_and_sbl;
-        TextArchives {
-            bgp_updates,
-            irr_journal,
-            roa_events,
-            rir_snapshots,
-            drop_snapshots,
-            sbl_records,
-        }
-    }
-
-    /// Serialize every dataset into its `droplens-bin/1` sidecar form —
-    /// the same records as [`World::to_text_archives`], in length-prefixed
-    /// little-endian columns.
-    pub fn to_binary_archives(&self) -> BinaryArchives {
-        let (bgp_updates, irr_journal, roa_events, rir_snapshots, drop_and_sbl) =
-            droplens_par::join5(
-                || bgpfmt::write_updates_bin(&self.bgp_updates),
-                || irrbin::write_journal_bin(&self.irr_journal),
-                || write_events_bin(&self.roa_events),
-                || {
-                    droplens_par::par_map(&self.rir_snapshots, |(date, files)| {
-                        (
-                            *date,
-                            files.iter().map(write_stats_file_bin).collect::<Vec<_>>(),
-                        )
+                        (*date, files.iter().map(codec.write_stats_file).collect())
                     })
                 },
                 || {
                     (
                         droplens_par::par_map(&self.drop_snapshots, |s| {
-                            (s.date, dropfmt::write_snapshot_bin(s))
+                            (s.date, (codec.write_snapshot)(s))
                         }),
-                        dropfmt::write_sbl_bin(&self.sbl_db),
+                        (codec.write_sbl)(&self.sbl_db),
                     )
                 },
             );
         let (drop_snapshots, sbl_records) = drop_and_sbl;
-        BinaryArchives {
+        Archives {
             bgp_updates,
             irr_journal,
             roa_events,
@@ -168,40 +131,14 @@ impl World {
             sbl_records,
         }
     }
-}
 
-/// The datasets as archive text, exactly as a scraper would have fetched
-/// them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextArchives {
-    /// `bgpdump -m`-style update lines.
-    pub bgp_updates: String,
-    /// NRTM-style IRR journal.
-    pub irr_journal: String,
-    /// ROA CSV journal.
-    pub roa_events: String,
-    /// Per-date delegated-extended files (one string per RIR).
-    pub rir_snapshots: Vec<(Date, Vec<String>)>,
-    /// Per-date DROP list files.
-    pub drop_snapshots: Vec<(Date, String)>,
-    /// SBL record blocks.
-    pub sbl_records: String,
-}
+    /// Serialize every dataset into its wire format.
+    pub fn to_text_archives(&self) -> TextArchives {
+        self.to_archives(&TEXT)
+    }
 
-/// The datasets as `droplens-bin/1` sidecar payloads — the binary fast
-/// path mirroring [`TextArchives`] field for field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinaryArchives {
-    /// Columnar update stream (`bgp/updates`).
-    pub bgp_updates: Vec<u8>,
-    /// Columnar IRR journal (`irr/journal`).
-    pub irr_journal: Vec<u8>,
-    /// Columnar ROA journal (`rpki/roas`).
-    pub roa_events: Vec<u8>,
-    /// Per-date delegated-stats sidecars (one payload per RIR).
-    pub rir_snapshots: Vec<(Date, Vec<Vec<u8>>)>,
-    /// Per-date DROP snapshot sidecars.
-    pub drop_snapshots: Vec<(Date, Vec<u8>)>,
-    /// SBL database sidecar (`sbl/records`).
-    pub sbl_records: Vec<u8>,
+    /// Serialize every dataset into its `droplens-bin/1` sidecar form.
+    pub fn to_binary_archives(&self) -> BinaryArchives {
+        self.to_archives(&BINARY)
+    }
 }

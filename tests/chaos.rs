@@ -15,6 +15,8 @@
 //!   study, byte-for-byte, at any worker count.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
+use std::collections::BTreeSet;
+
 use droplens_core::{paper, IngestPolicy, Study, StudyConfig};
 use droplens_faults::{CorruptionClass, Corruptor};
 use droplens_net::DateRange;
@@ -274,4 +276,27 @@ fn permissive_chaos_study_is_byte_identical_across_worker_counts() {
     );
     assert_eq!(one.3, eight.3, "rendered experiments must match");
     assert_eq!(one.4, eight.4, "scorecard must match");
+}
+
+#[test]
+fn corruption_log_names_rir_files_as_the_ledger_does() {
+    // Truncation is always fatal, so every quarantined RIR line is one
+    // the harness damaged, and both ledgers must name it the same way.
+    let mut text = world().to_text_archives();
+    let log = Corruptor::new(1066)
+        .only(&[CorruptionClass::TruncateLine])
+        .corrupt_archives(&mut text);
+    let injected: BTreeSet<String> = log
+        .events
+        .iter()
+        .filter_map(|e| e.line.map(|line| format!("{}:{line}", e.archive)))
+        .collect();
+    let study = build(permissive_small_world(), &text).expect("in-budget truncation absorbed");
+    let samples = &study.ingest.sources["rir"].quarantine.samples;
+    assert!(!samples.is_empty(), "no RIR line was truncated");
+    for sample in samples {
+        let (file, line) = sample.location().expect("every sample is located");
+        let at = format!("{file}:{line}");
+        assert!(injected.contains(&at), "{at} is not in the corruption log");
+    }
 }
