@@ -38,4 +38,4 @@ mod study;
 pub use droplens_obs::report;
 
 pub use droplens_net::{IngestError, IngestPolicy, IngestReport};
-pub use study::{Study, StudyConfig, StudyEntry};
+pub use study::{load_rir_stats, LoadedStats, Study, StudyConfig, StudyEntry};

@@ -11,7 +11,7 @@ use droplens_net::{
     AddressSpace, Asn, Date, DateRange, IngestError, IngestPolicy, IngestReport, Ipv4Prefix,
     ParseError, Quarantine, SourceCoverage, SourceIngest,
 };
-use droplens_rir::format::StatsFile;
+use droplens_rir::format::{SharedStatsFile, StatsRows, StatsSeries};
 use droplens_rir::{Rir, RirStatsArchive};
 use droplens_rpki::format::RoaEvent;
 use droplens_rpki::RoaArchive;
@@ -139,8 +139,7 @@ struct LoadedSources {
     irr_q: Quarantine,
     roa_events: Vec<RoaEvent>,
     rpki_q: Quarantine,
-    rir_files: Vec<(Date, Vec<StatsFile>)>,
-    rir_q: Quarantine,
+    rir_stats: LoadedStats,
     snapshots: Vec<DropSnapshot>,
     drop_q: Quarantine,
     sbl: SblDatabase,
@@ -257,41 +256,7 @@ impl Study {
                 let events = (codec.parse_events)(&archives.roa_events, &mut q)?;
                 Ok::<_, ParseError>((events, q))
             },
-            || {
-                let per_snapshot =
-                    droplens_par::par_map(&archives.rir_snapshots, |(date, files)| {
-                        let mut kept = Vec::with_capacity(files.len());
-                        let mut merged = Quarantine::for_policy("rir", &policy);
-                        for (rir, f) in Rir::ALL.into_iter().zip(files) {
-                            let mut q = ledger(ArchiveFile::Stats(*date, rir));
-                            // `None` = the file was unusable and quarantined
-                            // whole; the snapshot keeps the rest.
-                            if let Some(file) = (codec.parse_stats_file)(f, &mut q)? {
-                                kept.push(file);
-                            }
-                            merged.absorb(q);
-                        }
-                        Ok::<_, ParseError>((*date, kept, merged))
-                    });
-                let mut out = Vec::new();
-                let mut partial = Vec::new();
-                let mut q = Quarantine::for_policy("rir", &policy);
-                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&archives.rir_snapshots) {
-                    let (date, kept, merged) = r?;
-                    // Quarantined rows or a dropped file make the
-                    // snapshot untrustworthy about *absent* spans.
-                    let damaged = merged.quarantined > 0 || kept.len() < raw_files.len();
-                    q.absorb(merged);
-                    // A snapshot with every file dropped is a gap, not an
-                    // empty registry.
-                    if !kept.is_empty() {
-                        out.push((date, kept));
-                        partial.push(damaged);
-                    }
-                }
-                droplens_rir::format::repair_flickers(&mut out, &partial);
-                Ok::<_, ParseError>((out, q))
-            },
+            || load_rir_stats(codec, &archives.rir_snapshots, &policy),
             || {
                 let per_snapshot =
                     droplens_par::par_map(&archives.drop_snapshots, |(date, body)| {
@@ -299,6 +264,7 @@ impl Study {
                         let snap = (codec.parse_snapshot)(*date, body, &mut q)?;
                         Ok::<_, ParseError>((snap, q))
                     });
+                let repair_span = droplens_obs::global().span("drop_repair");
                 let mut snapshots = Vec::with_capacity(per_snapshot.len());
                 let mut partial = Vec::with_capacity(per_snapshot.len());
                 let mut q = Quarantine::for_policy("drop", &policy);
@@ -311,6 +277,7 @@ impl Study {
                     snapshots.push(snap);
                 }
                 droplens_drop::repair_flickers(&mut snapshots, &partial);
+                repair_span.finish();
                 let mut sbl_q = ledger(ArchiveFile::SblRecords);
                 let sbl = (codec.parse_sbl)(&archives.sbl_records, &mut sbl_q)?;
                 Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
@@ -319,7 +286,7 @@ impl Study {
         let (updates, bgp_q) = bgp_res?;
         let (irr_journal, irr_q) = irr_res?;
         let (roa_events, rpki_q) = rpki_res?;
-        let (rir_files, rir_q) = rir_res?;
+        let rir_stats = rir_res?;
         let (snapshots, drop_q, sbl, sbl_q) = drop_res?;
         load_span
             .arg_u64("bgp_updates", updates.len() as u64)
@@ -337,8 +304,7 @@ impl Study {
                 irr_q,
                 roa_events,
                 rpki_q,
-                rir_files,
-                rir_q,
+                rir_stats,
                 snapshots,
                 drop_q,
                 sbl,
@@ -364,8 +330,7 @@ impl Study {
             irr_q,
             roa_events,
             rpki_q,
-            rir_files,
-            rir_q,
+            rir_stats,
             snapshots,
             drop_q,
             sbl,
@@ -374,7 +339,13 @@ impl Study {
 
         // Assemble the pipeline-wide ledger in fixed source order and
         // enforce the budgets before paying for indexing.
+        let ledger_span = obs.span("ledger");
         let drop_dates: Vec<Date> = snapshots.iter().map(|s| s.date).collect();
+        let LoadedStats {
+            rows: rir_rows,
+            snapshots: rir_files,
+            ledger: rir_q,
+        } = rir_stats;
         let rir_dates: Vec<Date> = rir_files.iter().map(|(d, _)| *d).collect();
         let mut report = IngestReport {
             window: Some(config.window),
@@ -448,11 +419,12 @@ impl Study {
             obs.gauge(&format!("ingest.{name}.missing_days"))
                 .set(i64::from(src.coverage.missing_days()));
         }
-
         let bgp_damaged = report
             .sources
             .get("bgp")
             .is_some_and(|s| s.quarantine.quarantined > 0);
+        ledger_span.finish();
+
         let index_span = obs.span("index");
         let (bgp, irr, roa, rir, drop) = droplens_par::join5(
             || {
@@ -474,7 +446,7 @@ impl Study {
             || {
                 let mut rir = RirStatsArchive::new();
                 for (date, files) in &rir_files {
-                    rir.try_add_snapshot(*date, files)?;
+                    rir.try_add_shared_snapshot(*date, &rir_rows, files)?;
                 }
                 Ok::<_, ParseError>(rir)
             },
@@ -482,6 +454,18 @@ impl Study {
         );
         let (rir, drop) = (rir?, drop?);
         index_span.finish();
+        // Everything parsed is indexed now: free it here, under a span
+        // of its own, rather than at the end of the build.
+        let release_span = obs.span("release");
+        std::mem::drop((
+            updates,
+            irr_journal,
+            roa_events,
+            rir_rows,
+            rir_files,
+            snapshots,
+        ));
+        release_span.finish();
         Ok(Self::assemble(
             config, peers, bgp, irr, roa, rir, drop, sbl, report,
         ))
@@ -554,6 +538,101 @@ impl Study {
     pub fn routed_at(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
         self.bgp.routed_at(prefix, date)
     }
+}
+
+/// The RIR stats of a load: every distinct row stored once, the
+/// snapshots over them, and the merged quarantine ledger.
+pub struct LoadedStats {
+    /// Every distinct row any file parsed to.
+    pub rows: StatsRows,
+    /// Each date with a usable file, its files in registry order over
+    /// `rows`, after flicker repair.
+    pub snapshots: Vec<(Date, Vec<SharedStatsFile>)>,
+    /// Every file's ledger, merged by date, then registry.
+    pub ledger: Quarantine,
+}
+
+/// The RIR stage of [`Study::load`]: walk each registry's files in date
+/// order, parsing a file only where it differs from the registry's
+/// previous one ([`StatsSeries`]), so each distinct row is parsed and
+/// stored once. Then assemble the snapshots, merge the ledgers and
+/// repair the flickers that damaged snapshots leave. `snapshots` holds
+/// one payload per registry in [`Rir::ALL`] order for each date, stored
+/// with `codec`.
+pub fn load_rir_stats<B: Sync>(
+    codec: &Codec<B>,
+    snapshots: &[(Date, Vec<B>)],
+    policy: &IngestPolicy,
+) -> Result<LoadedStats, ParseError> {
+    let per_rir = droplens_par::par_map(&Rir::ALL, |&rir| {
+        let slot = rir as usize;
+        let mut series = StatsSeries::new();
+        let mut files = Vec::with_capacity(snapshots.len());
+        for (at, (date, bodies)) in snapshots.iter().enumerate() {
+            // A date with fewer payloads has no file for the registries
+            // past them.
+            let Some(body) = bodies.get(slot) else {
+                files.push(None);
+                continue;
+            };
+            let mut q = Quarantine::for_policy(codec.path(ArchiveFile::Stats(*date, rir)), policy);
+            // `None` = the file was unusable and quarantined whole; the
+            // snapshot keeps the rest.
+            let file = (codec.parse_stats_file)(body, &mut series, &mut q).map_err(|e| (at, e))?;
+            files.push(Some((file, q)));
+        }
+        Ok::<_, (usize, ParseError)>((series.into_rows(), files))
+    });
+    let repair_span = droplens_obs::global().span("rir_repair");
+    // A strict failure is the earliest date's, and of that date's, the
+    // first registry's.
+    let mut failed: Option<(usize, ParseError)> = None;
+    let mut rows = StatsRows::default();
+    let mut by_rir = Vec::with_capacity(per_rir.len());
+    for r in per_rir {
+        match r {
+            Ok((table, mut files)) => {
+                rows.append(table, files.iter_mut().flatten().flat_map(|(f, _)| f));
+                by_rir.push(files.into_iter());
+            }
+            Err((at, e)) => {
+                if failed.as_ref().is_none_or(|(first, _)| at < *first) {
+                    failed = Some((at, e));
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    let mut out = Vec::new();
+    let mut partial = Vec::new();
+    let mut ledger = Quarantine::for_policy("rir", policy);
+    for (date, bodies) in snapshots {
+        let mut kept = Vec::with_capacity(bodies.len());
+        let mut merged = Quarantine::for_policy("rir", policy);
+        for (file, q) in by_rir.iter_mut().filter_map(|files| files.next().flatten()) {
+            kept.extend(file);
+            merged.absorb(q);
+        }
+        // Quarantined rows or a dropped file make the snapshot
+        // untrustworthy about *absent* spans.
+        let damaged = merged.quarantined > 0 || kept.len() < bodies.len();
+        ledger.absorb(merged);
+        // A snapshot with every file dropped is a gap, not an empty
+        // registry.
+        if !kept.is_empty() {
+            out.push((*date, kept));
+            partial.push(damaged);
+        }
+    }
+    droplens_rir::format::repair_flickers(&rows, &mut out, &partial);
+    repair_span.finish();
+    Ok(LoadedStats {
+        rows,
+        snapshots: out,
+        ledger,
+    })
 }
 
 fn annotate(

@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use droplens_net::{AddressSpace, Date, Ipv4Prefix, OrgId, ParseError, PrefixTrie, StringInterner};
 
-use crate::format::StatsFile;
-use crate::{AllocationStatus, Rir};
+use crate::format::{SharedStatsFile, StatsFile, StatsRows};
+use crate::{AllocationStatus, DelegationRecord, Rir};
 
 /// The allocation status of a prefix on a given day, as resolved by
 /// longest-match against the snapshot in force.
@@ -115,12 +115,31 @@ impl RirStatsArchive {
     /// Fallible variant of [`RirStatsArchive::add_snapshot`]: an
     /// out-of-order date is reported as a [`ParseError`] instead of
     /// panicking, so ingestion can surface the offending snapshot.
-    ///
-    /// The snapshot's rows resolve to one entry per CIDR block, a later
-    /// row overwriting an earlier one at the same block (files in order,
-    /// rows in file order). That list is diffed against the previous
-    /// snapshot's, and only the differences become change points.
     pub fn try_add_snapshot(&mut self, date: Date, files: &[StatsFile]) -> Result<(), ParseError> {
+        self.try_add_rows(date, files.iter().flat_map(|f| &f.records))
+    }
+
+    /// [`RirStatsArchive::try_add_snapshot`] for files whose rows live in
+    /// a shared table.
+    pub fn try_add_shared_snapshot(
+        &mut self,
+        date: Date,
+        table: &StatsRows,
+        files: &[SharedStatsFile],
+    ) -> Result<(), ParseError> {
+        self.try_add_rows(date, files.iter().flat_map(|f| f.records(table)))
+    }
+
+    /// Add the snapshot whose rows are `rows` (files in order, rows in
+    /// file order). They resolve to one entry per CIDR block, a later
+    /// row overwriting an earlier one at the same block. That list is
+    /// diffed against the previous snapshot's, and only the differences
+    /// become change points.
+    fn try_add_rows<'r>(
+        &mut self,
+        date: Date,
+        rows: impl Iterator<Item = &'r DelegationRecord> + Clone,
+    ) -> Result<(), ParseError> {
         if let Some(last) = self.snapshots.last() {
             if last.date >= date {
                 return Err(ParseError::new(
@@ -133,7 +152,6 @@ impl RirStatsArchive {
                 ));
             }
         }
-        let rows = files.iter().flat_map(|f| &f.records);
         let mut blocks: Vec<(Ipv4Prefix, IndexEntry<&str>)> =
             Vec::with_capacity(rows.clone().map(|r| r.blocks().count()).sum());
         let mut free_pool: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
@@ -331,7 +349,6 @@ impl RirStatsArchive {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
-    use crate::DelegationRecord;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()

@@ -67,17 +67,30 @@ pub fn write_stats_file(file: &StatsFile) -> String {
     out
 }
 
-/// What one stats-file line turned out to be.
-enum Row {
+/// What one stats-file line turned out to be; `R` is how a row is held
+/// (the parsed record, its id in a [`StatsRows`] table, or nothing once
+/// stored).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row<R> {
     /// The version header: registry and snapshot date.
     Version(Rir, Date),
     /// Summary line or non-ipv4 row — tolerated and skipped.
     Skip,
     /// A materialized IPv4 delegation row.
-    Record(DelegationRecord),
+    Record(R),
 }
 
-fn parse_stats_row(line: &str, saw_version: bool) -> Result<Row, ParseError> {
+impl<R> Row<R> {
+    fn map<T>(self, f: impl FnOnce(R) -> T) -> Row<T> {
+        match self {
+            Row::Version(rir, date) => Row::Version(rir, date),
+            Row::Skip => Row::Skip,
+            Row::Record(r) => Row::Record(f(r)),
+        }
+    }
+}
+
+fn parse_stats_row(line: &str, saw_version: bool) -> Result<Row<DelegationRecord>, ParseError> {
     // Split without heap allocation: delegated-extended rows have at
     // most 8 fields; overflow fields are dropped (never indexed).
     let mut fields = [""; 8];
@@ -143,6 +156,97 @@ pub fn parse_stats_file(text: &str) -> Result<StatsFile, ParseError> {
     }
 }
 
+/// Where the line loop puts what each line parsed to.
+trait RowSink<'a> {
+    /// What `line` parsed to earlier in the same context (before or
+    /// after the version line), if known; a row is taken into the
+    /// current file.
+    fn reuse(&mut self, line: &'a str, after_version: bool) -> Option<Row<()>>;
+    /// Keep what `line` just parsed to; a row is taken into the current
+    /// file.
+    fn keep(&mut self, line: &'a str, after_version: bool, row: Row<DelegationRecord>) -> Row<()>;
+}
+
+/// A one-off parse: nothing is known beforehand, and every row goes into
+/// the file's own list.
+impl RowSink<'_> for Vec<DelegationRecord> {
+    fn reuse(&mut self, _: &str, _: bool) -> Option<Row<()>> {
+        None
+    }
+
+    fn keep(&mut self, _: &str, _: bool, row: Row<DelegationRecord>) -> Row<()> {
+        row.map(|record| self.push(record))
+    }
+}
+
+/// The text parser's one line loop: classify every line, account it in
+/// `quarantine` and the `rir.stats.*` counters, and hand what it parsed
+/// to to `rows`. Returns the version line's registry and date; `None`
+/// when the file has no version line and was quarantined whole.
+fn scan_stats_file<'a>(
+    text: &'a str,
+    quarantine: &mut Quarantine,
+    rows: &mut impl RowSink<'a>,
+) -> Result<Option<(Rir, Date)>, ParseError> {
+    let obs = droplens_obs::global();
+    let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
+    tspan.arg_str("file", quarantine.source());
+    let parsed = obs.counter("rir.stats.parsed");
+    let skipped = obs.counter("rir.stats.skipped");
+    let malformed = obs.counter("rir.stats.malformed");
+    let mut version: Option<(Rir, Date)> = None;
+    let mut records = 0u64;
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            skipped.inc();
+            quarantine.record_skip();
+            continue;
+        }
+        let lineno = idx as u32 + 1;
+        let after_version = version.is_some();
+        // A malformed line is never kept, so wherever it repeats it is
+        // parsed again and its sample names its own line.
+        let row = match rows.reuse(line, after_version) {
+            Some(row) => row,
+            None => match parse_stats_row(line, after_version) {
+                Ok(row) => rows.keep(line, after_version, row),
+                Err(e) => {
+                    malformed.inc();
+                    let e = e.with_location(quarantine.source(), lineno);
+                    obs.error_sample("rir.stats", e.to_string());
+                    quarantine.reject(lineno, e)?;
+                    continue;
+                }
+            },
+        };
+        match row {
+            Row::Version(r, d) => {
+                version = Some((r, d));
+                quarantine.record_skip();
+            }
+            Row::Skip => {
+                skipped.inc();
+                quarantine.record_skip();
+            }
+            Row::Record(()) => {
+                parsed.inc();
+                quarantine.record_ok();
+                records += 1;
+            }
+        }
+    }
+    tspan.arg_u64("records", records);
+    if version.is_none() {
+        let e = ParseError::new("StatsFile", "", "missing version line");
+        malformed.inc();
+        let e = e.with_location(quarantine.source(), 1);
+        obs.error_sample("rir.stats", e.to_string());
+        quarantine.reject(1, e)?;
+    }
+    Ok(version)
+}
+
 /// Parse a delegated(-extended) stats file under the ingestion policy
 /// carried by `quarantine`. Strict rejects abort. Permissive row rejects
 /// are quarantined; a structurally unusable file (no version line) is
@@ -152,57 +256,219 @@ pub fn parse_stats_file_with(
     text: &str,
     quarantine: &mut Quarantine,
 ) -> Result<Option<StatsFile>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
-    tspan.arg_str("file", quarantine.source());
-    let parsed = obs.counter("rir.stats.parsed");
-    let skipped = obs.counter("rir.stats.skipped");
-    let malformed = obs.counter("rir.stats.malformed");
-    let mut rir: Option<Rir> = None;
-    let mut date: Option<Date> = None;
     let mut records = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            skipped.inc();
-            quarantine.record_skip();
-            continue;
-        }
-        let lineno = idx as u32 + 1;
-        match parse_stats_row(line, rir.is_some()) {
-            Ok(Row::Version(r, d)) => {
-                rir = Some(r);
-                date = Some(d);
-                quarantine.record_skip();
-            }
-            Ok(Row::Skip) => {
-                skipped.inc();
-                quarantine.record_skip();
-            }
-            Ok(Row::Record(rec)) => {
-                parsed.inc();
-                quarantine.record_ok();
-                records.push(rec);
-            }
-            Err(e) => {
-                malformed.inc();
-                let e = e.with_location(quarantine.source(), lineno);
-                obs.error_sample("rir.stats", e.to_string());
-                quarantine.reject(lineno, e)?;
+    let version = scan_stats_file(text, quarantine, &mut records)?;
+    Ok(version.map(|(rir, date)| StatsFile { rir, date, records }))
+}
+
+/// Index of a row in a [`StatsRows`] table.
+pub type RowId = u32;
+
+/// Distinct delegation rows, each stored once, which any number of
+/// [`SharedStatsFile`]s refer to by [`RowId`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StatsRows {
+    rows: Vec<DelegationRecord>,
+}
+
+impl StatsRows {
+    /// Number of rows stored.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when no row is stored.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn push(&mut self, record: DelegationRecord) -> RowId {
+        self.rows.push(record);
+        (self.rows.len() - 1) as RowId
+    }
+
+    /// Move `other`'s rows to the end of this table, and shift the ids
+    /// of `files`, which refer to `other`, to match.
+    pub fn append<'f>(
+        &mut self,
+        other: StatsRows,
+        files: impl IntoIterator<Item = &'f mut SharedStatsFile>,
+    ) {
+        let base = self.rows.len() as RowId;
+        self.rows.extend(other.rows);
+        for file in files {
+            for id in &mut file.rows {
+                *id += base;
             }
         }
     }
-    tspan.arg_u64("records", records.len() as u64);
-    match (rir, date) {
-        (Some(rir), Some(date)) => Ok(Some(StatsFile { rir, date, records })),
-        _ => {
-            let e = ParseError::new("StatsFile", "", "missing version line");
-            malformed.inc();
-            let e = e.with_location(quarantine.source(), 1);
-            obs.error_sample("rir.stats", e.to_string());
-            quarantine.reject(1, e)?;
-            Ok(None)
+}
+
+impl std::ops::Index<RowId> for StatsRows {
+    type Output = DelegationRecord;
+
+    fn index(&self, id: RowId) -> &DelegationRecord {
+        &self.rows[id as usize]
+    }
+}
+
+/// A stats file whose rows live in a [`StatsRows`] table: the version
+/// line's registry and date, and the file's IPv4 rows by id, in file
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SharedStatsFile {
+    /// Publishing registry (from the version line).
+    pub rir: Rir,
+    /// Snapshot date (from the version line).
+    pub date: Date,
+    /// IPv4 rows, in file order.
+    pub rows: Vec<RowId>,
+}
+
+impl SharedStatsFile {
+    /// The file's rows, looked up in `table`, in file order.
+    pub fn records<'t>(
+        &'t self,
+        table: &'t StatsRows,
+    ) -> impl Iterator<Item = &'t DelegationRecord> + Clone + 't {
+        self.rows.iter().map(move |&id| &table[id])
+    }
+}
+
+/// How many entries past the cursor [`StatsSeries`] looks for an
+/// unchanged line.
+const REUSE_WINDOW: usize = 16;
+
+/// What one line of the previous file parsed to, and in which context.
+#[derive(Debug, Clone, Copy)]
+struct Seen<'a> {
+    /// The trimmed line; empty for a row of a decoded sidecar, which has
+    /// none (no text line is empty once blank lines are skipped).
+    line: &'a str,
+    after_version: bool,
+    row: Row<RowId>,
+}
+
+/// The first of the [`REUSE_WINDOW`] entries of `prev` from `*at` on
+/// that `same` accepts; moves `*at` past it.
+fn find_near<'p, T>(prev: &'p [T], at: &mut usize, same: impl Fn(&T) -> bool) -> Option<&'p T> {
+    let k = prev.get(*at..)?.iter().take(REUSE_WINDOW).position(same)?;
+    *at += k + 1;
+    prev.get(*at - 1)
+}
+
+/// One registry's stats files, read in date order, each parsed only
+/// where it differs from the file before it.
+///
+/// Consecutive files of a registry repeat almost every line. A line
+/// equal to one of the previous file's, in the same context (before or
+/// after the version line, which the row parser reads differently),
+/// takes what that line parsed to, a row by its id; only other lines
+/// are parsed, and each new row is stored once in the series' table.
+/// Every line is still accounted in its own file's ledger, and a
+/// malformed line is parsed again wherever it repeats.
+///
+/// The previous file is walked with a cursor: a line is looked for among
+/// the 16 entries after the last one reused, which finds
+/// every unchanged line when rows are inserted, replaced, or deleted in
+/// runs shorter than the window, as in files sorted by address. A line
+/// that moved further, or follows a longer deletion, is parsed again:
+/// reuse saves work and never changes a result.
+#[derive(Debug, Default)]
+pub struct StatsSeries<'a> {
+    rows: StatsRows,
+    /// The previous file's lines, and the cursor into them.
+    prev: Vec<Seen<'a>>,
+    at: usize,
+    /// The current file's lines, and its row ids.
+    next: Vec<Seen<'a>>,
+    ids: Vec<RowId>,
+}
+
+impl<'a> StatsSeries<'a> {
+    /// A series with no file read yet.
+    pub fn new() -> StatsSeries<'a> {
+        StatsSeries::default()
+    }
+
+    /// Parse the series' next file as [`parse_stats_file_with`] does,
+    /// parsing only the lines the previous file did not have.
+    pub fn parse_text(
+        &mut self,
+        text: &'a str,
+        quarantine: &mut Quarantine,
+    ) -> Result<Option<SharedStatsFile>, ParseError> {
+        let version = scan_stats_file(text, quarantine, self);
+        let rows = self.end_file();
+        Ok(version?.map(|(rir, date)| SharedStatsFile { rir, date, rows }))
+    }
+
+    /// The series' next file from a decoded sidecar: a row equal to one
+    /// of the previous file's, near the cursor, takes its id.
+    pub fn add_file(&mut self, file: StatsFile) -> SharedStatsFile {
+        for record in file.records {
+            let rows = &self.rows;
+            let seen = find_near(
+                &self.prev,
+                &mut self.at,
+                |s| matches!(s.row, Row::Record(id) if rows[id] == record),
+            );
+            let id = match seen {
+                Some(&Seen {
+                    row: Row::Record(id),
+                    ..
+                }) => id,
+                _ => self.rows.push(record),
+            };
+            self.take(Seen {
+                line: "",
+                after_version: true,
+                row: Row::Record(id),
+            });
         }
+        SharedStatsFile {
+            rir: file.rir,
+            date: file.date,
+            rows: self.end_file(),
+        }
+    }
+
+    /// The table of every row the series stored.
+    pub fn into_rows(self) -> StatsRows {
+        self.rows
+    }
+
+    /// Account `seen` to the current file.
+    fn take(&mut self, seen: Seen<'a>) -> Row<()> {
+        self.next.push(seen);
+        seen.row.map(|id| self.ids.push(id))
+    }
+
+    /// Make the current file the one the next is diffed against; returns
+    /// its row ids.
+    fn end_file(&mut self) -> Vec<RowId> {
+        std::mem::swap(&mut self.prev, &mut self.next);
+        self.next.clear();
+        self.at = 0;
+        std::mem::take(&mut self.ids)
+    }
+}
+
+impl<'a> RowSink<'a> for StatsSeries<'a> {
+    fn reuse(&mut self, line: &'a str, after_version: bool) -> Option<Row<()>> {
+        let seen = *find_near(&self.prev, &mut self.at, |s| {
+            s.line == line && s.after_version == after_version
+        })?;
+        Some(self.take(seen))
+    }
+
+    fn keep(&mut self, line: &'a str, after_version: bool, row: Row<DelegationRecord>) -> Row<()> {
+        let row = row.map(|record| self.rows.push(record));
+        self.take(Seen {
+            line,
+            after_version,
+            row,
+        })
     }
 }
 
@@ -379,8 +645,8 @@ pub fn parse_stats_file_bin_with(
 }
 
 /// Repair quarantine flicker across a chronological series of stats
-/// snapshots (one `Vec<StatsFile>` per date, as the archive tree stores
-/// them).
+/// snapshots (one `Vec<SharedStatsFile>` per date over the `rows`
+/// table, as the load spine assembles them).
 ///
 /// A *partial* snapshot (`partial[i]`: one that quarantined at least
 /// one row, or dropped a whole structurally-broken file) cannot be
@@ -393,8 +659,12 @@ pub fn parse_stats_file_bin_with(
 /// Absences confirmed by an intact snapshot are left alone: genuine
 /// deallocations (§4.1 of the paper) still surface on the month an
 /// undamaged file first omits the span. With clean inputs this is a
-/// no-op.
-pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool]) {
+/// no-op that builds nothing.
+pub fn repair_flickers(
+    rows: &StatsRows,
+    snapshots: &mut [(Date, Vec<SharedStatsFile>)],
+    partial: &[bool],
+) {
     use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
 
@@ -403,14 +673,20 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
         partial.len(),
         "one partial flag per snapshot"
     );
+    if !partial.contains(&true) {
+        return;
+    }
     type Key = (Rir, Ipv4Addr, u64);
-    let key = |r: &DelegationRecord| (r.rir, r.start, r.count);
+    let key = |id: RowId| {
+        let r = &rows[id];
+        (r.rir, r.start, r.count)
+    };
     let mut keys: Vec<BTreeSet<Key>> = snapshots
         .iter()
         .map(|(_, files)| {
             files
                 .iter()
-                .flat_map(|f| f.records.iter().map(key))
+                .flat_map(|f| f.rows.iter().map(|&id| key(id)))
                 .collect() // lint: allow(no-unbounded-collect) — backfill needs each snapshot's full key set
         })
         .collect(); // lint: allow(no-unbounded-collect) — one key set per snapshot, dropped after the pass
@@ -418,13 +694,13 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
         if !partial[i] {
             continue;
         }
-        let prev: Vec<DelegationRecord> = snapshots[i - 1]
+        let prev: Vec<RowId> = snapshots[i - 1]
             .1
             .iter()
-            .flat_map(|f| f.records.iter().cloned())
+            .flat_map(|f| f.rows.iter().copied())
             .collect(); // lint: allow(no-unbounded-collect) — one predecessor snapshot, only for flagged-partial gaps
-        for record in prev {
-            let k = key(&record);
+        for id in prev {
+            let k = key(id);
             if keys[i].contains(&k) {
                 continue;
             }
@@ -442,6 +718,7 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
                 continue;
             }
             keys[i].insert(k);
+            let rir = rows[id].rir;
             let (date, files) = &mut snapshots[i];
             let tracer = droplens_obs::trace::global();
             if tracer.is_enabled() {
@@ -452,18 +729,18 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
                     vec![
                         ("source", ArgValue::Str("rir/delegated".into())),
                         ("date", ArgValue::Str(date.to_string())),
-                        ("rir", ArgValue::Str(format!("{:?}", record.rir))),
+                        ("rir", ArgValue::Str(format!("{rir:?}"))),
                     ],
                 );
             }
-            match files.iter_mut().find(|f| f.rir == record.rir) {
-                Some(f) => f.records.push(record),
+            match files.iter_mut().find(|f| f.rir == rir) {
+                Some(f) => f.rows.push(id),
                 // The registry's whole file was dropped: regrow it from
-                // the carried-forward records.
-                None => files.push(StatsFile {
-                    rir: record.rir,
+                // the carried-forward rows.
+                None => files.push(SharedStatsFile {
+                    rir,
                     date: *date,
-                    records: vec![record],
+                    rows: vec![id],
                 }),
             }
         }
@@ -571,6 +848,71 @@ apnic|AU|ipv4|nonsense|256|20110811|allocated|x
             .unwrap();
         assert!(out.is_none());
         assert!(q.quarantined >= 1);
+    }
+
+    #[test]
+    fn identical_files_parse_and_store_each_row_once() {
+        let text = write_stats_file(&sample());
+        let mut series = StatsSeries::new();
+        let files: Vec<SharedStatsFile> = (0..4)
+            .map(|_| {
+                let mut q = Quarantine::strict("rir/f");
+                let file = series.parse_text(&text, &mut q).unwrap().unwrap();
+                assert_eq!(q.parsed, 2);
+                file
+            })
+            .collect();
+        // A row is stored when it is parsed: two rows, once each.
+        assert!(files.iter().all(|f| f.rows == [0, 1]), "{files:?}");
+        let rows = series.into_rows();
+        assert_eq!(rows.len(), 2);
+        let records: Vec<_> = files[3].records(&rows).cloned().collect();
+        assert_eq!(records, sample().records);
+    }
+
+    #[test]
+    fn identical_sidecars_store_each_row_once() {
+        let mut series = StatsSeries::new();
+        let first = series.add_file(sample());
+        let second = series.add_file(sample());
+        assert_eq!(first.rows, [0, 1]);
+        assert_eq!(second.rows, first.rows);
+        assert_eq!(series.into_rows().len(), 2);
+    }
+
+    #[test]
+    fn a_line_is_reused_only_in_its_own_context() {
+        // In the first file a second version line is a skipped row; at
+        // the top of the next file the same line is its version line.
+        let feb = "2|apnic|20200201|1|19830613|20200201|+0000";
+        let row = "apnic|AU|ipv4|1.0.0.0|256|20110811|allocated|A";
+        let first = format!("2|apnic|20200101|1|19830613|20200101|+0000\n{feb}\n{row}\n");
+        let second = format!("{feb}\n{row}\n");
+        let mut series = StatsSeries::new();
+        let mut q = Quarantine::strict("rir/a");
+        let a = series.parse_text(&first, &mut q).unwrap().unwrap();
+        assert_eq!(a.date, Date::from_ymd(2020, 1, 1));
+        let mut q = Quarantine::strict("rir/b");
+        let b = series.parse_text(&second, &mut q).unwrap().unwrap();
+        assert_eq!(b.date, Date::from_ymd(2020, 2, 1));
+        assert_eq!(b.rows, a.rows);
+    }
+
+    #[test]
+    fn a_repeated_malformed_line_is_rejected_in_each_file() {
+        let text = "\
+2|apnic|20200101|2|19830613|20200101|+0000
+apnic|AU|ipv4|nonsense|256|20110811|allocated|x
+apnic|AU|ipv4|1.0.0.0|256|20110811|allocated|x
+";
+        let mut series = StatsSeries::new();
+        for name in ["rir/a", "rir/b"] {
+            let mut q = Quarantine::permissive(name);
+            let file = series.parse_text(text, &mut q).unwrap().unwrap();
+            assert_eq!((q.parsed, q.quarantined), (1, 1));
+            assert_eq!(q.samples[0].location(), Some((name, 2)));
+            assert_eq!(file.rows, [0]);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The `droplens-serve/1` wire protocol: length-prefixed binary frames
-//! with a versioned header.
+//! The `droplens-serve/2` wire protocol: length-prefixed binary frames
+//! with a versioned, self-checking header.
 //!
 //! ```text
-//! +----+----+---------+------+------------+----------------+-----------------+
-//! | 'D'| 'L'| version | kind | len u32 LE | check u32 LE   | payload (len B) |
-//! +----+----+---------+------+------------+----------------+-----------------+
+//! +----+----+---------+------+------------+--------------+--------------+-----------------+
+//! | 'D'| 'L'| version | kind | len u32 LE | check u32 LE | head u32 LE  | payload (len B) |
+//! +----+----+---------+------+------------+--------------+--------------+-----------------+
 //! ```
 //!
 //! `check` is an FNV-1a digest over version, kind, the length bytes,
@@ -14,6 +14,13 @@
 //! transit as retryable. (TCP's own checksum is too weak a guarantee
 //! once a deliberately hostile or fault-injecting middlebox — like the
 //! chaos proxy in `droplens-faults` — sits on the path.)
+//!
+//! `head` is an FNV-1a digest over every header byte after the magic
+//! (version, kind, len and check), verified before any payload byte is
+//! read or allocated. A flipped bit that inflates `len` while staying
+//! under [`MAX_PAYLOAD`] therefore fails at once as a located error,
+//! instead of leaving the reader waiting out its deadline for payload
+//! bytes that never come.
 //!
 //! Request kinds live in `0x01..=0x3f`, reply kinds in `0x81..=0xbf`,
 //! control replies (`Busy`, `Error`) in `0xf0..=0xff` — a frame can
@@ -38,29 +45,29 @@ use droplens_net::{Asn, Date, Ipv4Prefix};
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"DL";
 /// Protocol version carried in byte 2 of the header.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Hard cap on payload length; a header announcing more is malformed
 /// (adversarial lengths must not drive allocation).
 pub const MAX_PAYLOAD: u32 = 1 << 20;
 /// Bytes in the fixed frame header.
-pub const HEADER_LEN: usize = 12;
+pub const HEADER_LEN: usize = 16;
 
-/// FNV-1a over the integrity-protected header bytes and the payload.
+/// FNV-1a over `bytes`.
+fn fnv1a<'b>(bytes: impl IntoIterator<Item = &'b u8>) -> u32 {
+    bytes.into_iter().fold(0x811c_9dc5, |h: u32, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// The `check` digest: version, kind, the length bytes and the payload.
 fn checksum(version: u8, kind: u8, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut eat = |b: u8| {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    };
-    eat(version);
-    eat(kind);
-    for b in (payload.len() as u32).to_le_bytes() {
-        eat(b);
-    }
-    for &b in payload {
-        eat(b);
-    }
-    h
+    let len = (payload.len() as u32).to_le_bytes();
+    fnv1a([version, kind].iter().chain(&len).chain(payload))
+}
+
+/// The `head` digest: every header byte after the magic.
+fn header_digest(version: u8, kind: u8, len: [u8; 4], check: [u8; 4]) -> u32 {
+    fnv1a([version, kind].iter().chain(&len).chain(&check))
 }
 
 /// A located decoding error: which frame, where in it, and what was
@@ -448,11 +455,14 @@ impl<'a> Dec<'a> {
 /// checksummed — frames.
 pub fn seal_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let len = (payload.len() as u32).to_le_bytes();
+    let check = checksum(VERSION, kind, payload).to_le_bytes();
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(VERSION, kind, payload).to_le_bytes());
+    out.extend_from_slice(&len);
+    out.extend_from_slice(&check);
+    out.extend_from_slice(&header_digest(VERSION, kind, len, check).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -477,7 +487,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError>
     let mut rest = [0u8; HEADER_LEN - 1];
     r.read_exact(&mut rest).map_err(WireError::Io)?;
     let [b0] = first;
-    let [b1, version, kind, l0, l1, l2, l3, c0, c1, c2, c3] = rest;
+    let [b1, version, kind, l0, l1, l2, l3, c0, c1, c2, c3, h0, h1, h2, h3] = rest;
     if [b0, b1] != MAGIC {
         return Err(FrameError::new("header", 0, format!("bad magic {b0:02x}{b1:02x}")).into());
     }
@@ -489,13 +499,27 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError>
         )
         .into());
     }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    let declared = u32::from_le_bytes([c0, c1, c2, c3]);
+    let (len_bytes, check_bytes) = ([l0, l1, l2, l3], [c0, c1, c2, c3]);
+    let len = u32::from_le_bytes(len_bytes);
+    let declared = u32::from_le_bytes(check_bytes);
     if len > MAX_PAYLOAD {
         return Err(FrameError::new(
             "header",
             4,
             format!("payload length {len} exceeds the {MAX_PAYLOAD}-byte cap"),
+        )
+        .into());
+    }
+    // Only a header that checks out may size the payload read.
+    let head = u32::from_le_bytes([h0, h1, h2, h3]);
+    let head_computed = header_digest(version, kind, len_bytes, check_bytes);
+    if head_computed != head {
+        return Err(FrameError::new(
+            "header",
+            12,
+            format!(
+                "header checksum mismatch: frame says {head:08x}, header hashes to {head_computed:08x}"
+            ),
         )
         .into());
     }

@@ -20,7 +20,7 @@ use droplens_bgp::{format as bgpfmt, BgpUpdate, Peer};
 use droplens_drop::{format as dropfmt, DropSnapshot, SblDatabase};
 use droplens_irr::{format as irrbin, journal as irrfmt, JournalEntry};
 use droplens_net::{Date, ParseError, Quarantine};
-use droplens_rir::format::{self as rirfmt, StatsFile};
+use droplens_rir::format::{self as rirfmt, SharedStatsFile, StatsFile, StatsSeries};
 use droplens_rir::Rir;
 use droplens_rpki::format::{self as rpkifmt, RoaEvent};
 
@@ -75,9 +75,14 @@ pub struct Codec<B> {
     pub parse_journal: fn(&B, &mut Quarantine) -> Result<Vec<JournalEntry>, ParseError>,
     /// Parse the ROA journal.
     pub parse_events: fn(&B, &mut Quarantine) -> Result<Vec<RoaEvent>, ParseError>,
-    /// Parse one delegated-stats file; `None` when it was quarantined
-    /// whole.
-    pub parse_stats_file: fn(&B, &mut Quarantine) -> Result<Option<StatsFile>, ParseError>,
+    /// Parse one delegated-stats file as the next file of its
+    /// registry's series, which stores each distinct row once; `None`
+    /// when the file was quarantined whole.
+    pub parse_stats_file: for<'a> fn(
+        &'a B,
+        &mut StatsSeries<'a>,
+        &mut Quarantine,
+    ) -> Result<Option<SharedStatsFile>, ParseError>,
     /// Parse the DROP snapshot published on the given date.
     pub parse_snapshot: fn(Date, &B, &mut Quarantine) -> Result<DropSnapshot, ParseError>,
     /// Parse the SBL database.
@@ -120,7 +125,7 @@ pub const TEXT: Codec<String> = Codec {
     parse_updates: |text, q| bgpfmt::parse_updates_with(text, q),
     parse_journal: |text, q| irrfmt::parse_journal_with(text, q),
     parse_events: |text, q| rpkifmt::parse_events_with(text, q),
-    parse_stats_file: |text, q| rirfmt::parse_stats_file_with(text, q),
+    parse_stats_file: |text, series, q| series.parse_text(text, q),
     parse_snapshot: |date, text, q| DropSnapshot::parse_with(date, text, q),
     parse_sbl: |text, q| SblDatabase::parse_with(text, q),
 };
@@ -141,7 +146,9 @@ pub const BINARY: Codec<Vec<u8>> = Codec {
     parse_updates: |bytes, q| bgpfmt::parse_updates_bin_with(bytes, q),
     parse_journal: |bytes, q| irrbin::parse_journal_bin_with(bytes, q),
     parse_events: |bytes, q| rpkifmt::parse_events_bin_with(bytes, q),
-    parse_stats_file: |bytes, q| rirfmt::parse_stats_file_bin_with(bytes, q),
+    parse_stats_file: |bytes, series, q| {
+        Ok(rirfmt::parse_stats_file_bin_with(bytes, q)?.map(|file| series.add_file(file)))
+    },
     parse_snapshot: |date, bytes, q| dropfmt::parse_snapshot_bin_with(date, bytes, q),
     parse_sbl: |bytes, q| dropfmt::parse_sbl_bin_with(bytes, q),
 };

@@ -1,4 +1,4 @@
-//! Property and adversarial tests for the `droplens-serve/1` wire
+//! Property and adversarial tests for the `droplens-serve/2` wire
 //! protocol.
 //!
 //! Two contracts, straight from the module docs:
@@ -8,13 +8,21 @@
 //! * no byte sequence panics the decoder — malformed input surfaces as
 //!   a located [`FrameError`] naming the frame and the offending
 //!   offset, and torn transport surfaces separately as
-//!   [`WireError::Io`].
+//!   [`WireError::Io`]; a damaged header fails before any payload byte
+//!   is read, so a live server answers it at once.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use droplens_core::Study;
 use droplens_net::{Asn, Date, Ipv4Prefix};
+use droplens_obs::Stopwatch;
+use droplens_serve::net::DeadlineStream;
 use droplens_serve::protocol::{self, read_frame, seal_frame, HEADER_LEN, MAX_PAYLOAD};
-use droplens_serve::{FrameError, Reply, Request, WireError};
+use droplens_serve::{Engine, FrameError, Reply, Request, Server, ServerConfig, WireError};
+use droplens_synth::{World, WorldConfig};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
@@ -166,10 +174,14 @@ proptest! {
     /// Flipping ANY single bit of a sealed frame makes it fail to
     /// decode: the FNV-1a multiplier is odd, so a nonzero digest delta
     /// can never cancel, and the magic check covers the two bytes the
-    /// checksum does not.
+    /// checksums do not. A flip anywhere in the header fails on the
+    /// header alone, before any payload byte is read: the reader below
+    /// yields the header and then fails, so a flip that reached for the
+    /// payload would surface as `Io`, not as a located `Frame` error.
     #[test]
     fn any_single_bit_flip_is_caught(req in arb_request(), at_seed in any::<u64>(), bit in 0u8..8) {
-        let mut frame = req.to_frame();
+        let sealed = req.to_frame();
+        let mut frame = sealed.clone();
         let at = (at_seed as usize) % frame.len();
         frame[at] ^= 1 << bit;
         let mut r = &frame[..];
@@ -177,6 +189,16 @@ proptest! {
             Request::read_from(&mut r).is_err(),
             "flip bit {bit} at byte {at}: decoder accepted a corrupted frame"
         );
+        for at in 0..HEADER_LEN {
+            for bit in 0..8 {
+                let mut header = sealed[..HEADER_LEN].to_vec();
+                header[at] ^= 1 << bit;
+                match read_frame(&mut HeaderThenFail(&header)) {
+                    Err(WireError::Frame(e)) => prop_assert_eq!(e.frame.as_str(), "header"),
+                    other => prop_assert!(false, "flip bit {bit} at header byte {at}: {other:?}"),
+                }
+            }
+        }
     }
 
     /// Arbitrary bytes never panic the frame reader.
@@ -226,6 +248,22 @@ proptest! {
             }
             decode_resealed(kind, &payload);
         }
+    }
+}
+
+/// A reader that yields the given header bytes and then fails, as a
+/// peer does that never sends the payload its header announces.
+struct HeaderThenFail<'a>(&'a [u8]);
+
+impl std::io::Read for HeaderThenFail<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.0.is_empty() {
+            return Err(std::io::Error::other("the payload never arrives"));
+        }
+        let n = buf.len().min(self.0.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
     }
 }
 
@@ -307,4 +345,32 @@ fn future_version_fails_at_offset_two() {
     let e = frame_err(Request::read_from(&mut &frame[..]));
     assert_eq!((e.frame.as_str(), e.offset), ("header", 2));
     assert!(e.to_string().contains("version"), "{e}");
+}
+
+/// A ping whose header announces payload bytes that never come (a
+/// flipped length bit under the cap) is answered by a live server with
+/// a typed `Error` at once, not after the server's 2 s read deadline:
+/// the header digest fails before the payload is read.
+#[test]
+fn inflated_length_is_answered_well_inside_the_deadline() {
+    let world = World::generate(7, &WorldConfig::small());
+    let engine = Arc::new(Engine::new(Arc::new(Study::from_world(&world))));
+    let handle = Server::start(engine, ServerConfig::default()).expect("bind server");
+    let mut frame = Request::Ping.to_frame();
+    frame[4] ^= 0x10; // the length byte: 0 -> 16 payload bytes
+    let mut conn = DeadlineStream::connect(handle.addr(), Duration::from_secs(5)).expect("connect");
+    let stopwatch = Stopwatch::start();
+    std::io::Write::write_all(&mut conn, &frame).expect("write the frame");
+    let reply = Reply::read_from(&mut conn);
+    let elapsed = stopwatch.elapsed();
+    drop(conn);
+    handle.stop();
+    match reply {
+        Ok(Some(Reply::Error { message })) => assert!(message.contains("header"), "{message}"),
+        other => panic!("expected a typed Error, got {other:?} after {elapsed:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "the Error took {elapsed:?}"
+    );
 }
