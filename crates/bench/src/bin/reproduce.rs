@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p droplens-bench --bin reproduce [seed]
 //!     [--scale N] [--format text|binary]
-//!     [--metrics-json PATH] [--trace PATH] [--mem[=PATH]]
+//!     [--metrics-json PATH] [--trace PATH] [--mem]
 //!     [--chaos SEED] [--ingest strict|permissive] [--quarantine PATH]
 //! ```
 //!
@@ -24,7 +24,8 @@
 //! journal entries and ROA events, over the same study window. The
 //! stderr summary and the run report gain total-record and records/sec
 //! ingest-throughput figures. CI's scale-smoke job runs `--scale 4
-//! --mem=PATH` at 1 and 8 workers and compares the span totals.
+//! --metrics-json PATH --mem` at 1 and 8 workers and compares the span
+//! totals.
 //!
 //! `--format binary` round-trips the world through the `droplens-bin/1`
 //! columnar sidecars instead of the text archives. Stdout is
@@ -45,11 +46,11 @@
 //! output stays byte-identical with or without it.
 //!
 //! `--mem` prints the allocation summary (bytes/ops allocated and
-//! freed, peak, peak RSS) to stderr; `--mem=PATH` instead folds the
-//! `mem.*` gauges into the run report and writes it as JSON to PATH.
-//! The binary carries the tracking allocator unconditionally (a few
-//! relaxed atomics per allocation); the flags only control reporting,
-//! and stdout stays byte-identical either way.
+//! freed, peak, peak RSS) to stderr and folds the `mem.*` gauges into
+//! the `--metrics-json` report, if one is asked for. The binary
+//! carries the tracking allocator unconditionally (a few relaxed
+//! atomics per allocation); the flag only controls reporting, and
+//! stdout stays byte-identical either way.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -63,14 +64,6 @@ use droplens_synth::{Archives, World, WorldConfig};
 /// cheap enough to leave compiled in, `--mem` only controls reporting.
 #[global_allocator]
 static ALLOC: droplens_obs::alloc::TrackingAlloc = droplens_obs::alloc::TrackingAlloc::system();
-
-/// Where `--mem` reporting goes.
-enum MemSink {
-    /// One-line summary on stderr.
-    Stderr,
-    /// Full run report (with `mem.*` gauges) as JSON.
-    Json(PathBuf),
-}
 
 /// Which serialization the world round-trips through before ingestion.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -87,7 +80,7 @@ fn main() {
     let mut format = Format::Text;
     let mut metrics_json: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut mem: Option<MemSink> = None;
+    let mut mem = false;
     let mut chaos: Option<u64> = None;
     let mut policy = IngestPolicy::Strict;
     let mut quarantine: Option<PathBuf> = None;
@@ -120,12 +113,7 @@ fn main() {
                 let path = args.next().unwrap_or_else(|| die("--trace wants a path"));
                 trace_out = Some(PathBuf::from(path));
             }
-            // `--mem=PATH` (not a separate value argument) keeps the
-            // positional seed unambiguous.
-            "--mem" => mem = Some(MemSink::Stderr),
-            a if a.starts_with("--mem=") => {
-                mem = Some(MemSink::Json(PathBuf::from(&a["--mem=".len()..])));
-            }
+            "--mem" => mem = true,
             "--chaos" => {
                 let s = args.next().unwrap_or_else(|| die("--chaos wants a seed"));
                 chaos = Some(
@@ -312,13 +300,14 @@ fn main() {
 
     // Fold mem.* gauges in before any report snapshot, so
     // `--metrics-json` + `--mem` produce one consistent document.
-    if mem.is_some() {
+    if mem {
         droplens_obs::alloc::record_gauges(obs);
     }
 
-    // Shared report stamp: workload identity plus the ingest-throughput
-    // figures the scale trajectory tracks.
-    let stamp = |report: &mut droplens_obs::RunReport| {
+    if let Some(path) = metrics_json {
+        // Workload identity plus the ingest-throughput figures the
+        // scale trajectory tracks.
+        let mut report = obs.report();
         report.meta.insert("bin".to_owned(), "reproduce".to_owned());
         report.meta.insert("seed".to_owned(), seed.to_string());
         report.meta.insert("scale".to_owned(), scale.to_string());
@@ -336,11 +325,6 @@ fn main() {
             "records_per_sec".to_owned(),
             format!("{records_per_sec:.0}"),
         );
-    };
-
-    if let Some(path) = metrics_json {
-        let mut report = obs.report();
-        stamp(&mut report);
         match std::fs::write(&path, report.to_json()) {
             Ok(()) => eprintln!("metrics written to {}", path.display()),
             Err(e) => {
@@ -350,21 +334,8 @@ fn main() {
         }
     }
 
-    match mem {
-        Some(MemSink::Stderr) => eprintln!("{}", droplens_obs::alloc::snapshot().summary()),
-        Some(MemSink::Json(path)) => {
-            let mut report = obs.report();
-            stamp(&mut report);
-            report.meta.insert("mem".to_owned(), "on".to_owned());
-            match std::fs::write(&path, report.to_json()) {
-                Ok(()) => eprintln!("mem report written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write mem report to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => {}
+    if mem {
+        eprintln!("{}", droplens_obs::alloc::snapshot().summary());
     }
 }
 

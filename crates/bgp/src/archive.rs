@@ -493,19 +493,6 @@ impl BgpArchive {
         out
     }
 
-    /// Reconstruct one peer's full routing table as of `date` — the
-    /// paper's "RouteViews tables for peers that provided a full routing
-    /// table on March 30, 2022" (§6.2.2).
-    pub fn rib_at(&self, peer: PeerId, date: Date) -> crate::Rib {
-        let mut rib = crate::Rib::new();
-        for prefix in self.prefixes() {
-            if let Some(path) = self.path_at(&prefix, peer, date) {
-                rib.apply(prefix, &BgpEvent::Announce(path.clone()));
-            }
-        }
-        rib
-    }
-
     /// The visibility fraction of `prefix` sampled on each day of
     /// `range` — the per-prefix series behind Figure 2's right panel.
     pub fn visibility_series(
@@ -758,26 +745,6 @@ mod tests {
         let a = BgpArchive::from_updates(two_peers(), &updates);
         assert_eq!(a.prefixes_covered_by(&p("10.0.0.0/8")).len(), 2);
         assert_eq!(a.prefixes().count(), 3);
-    }
-
-    #[test]
-    fn rib_reconstruction() {
-        let updates = vec![
-            BgpUpdate::announce(d("2020-01-01"), PeerId(0), p("10.0.0.0/8"), path("1 2")),
-            BgpUpdate::announce(d("2020-01-01"), PeerId(0), p("11.0.0.0/8"), path("1 3")),
-            BgpUpdate::withdraw(d("2020-06-01"), PeerId(0), p("11.0.0.0/8")),
-            BgpUpdate::announce(d("2020-01-01"), PeerId(1), p("12.0.0.0/8"), path("9 4")),
-        ];
-        let a = BgpArchive::from_updates(two_peers(), &updates);
-        let rib = a.rib_at(PeerId(0), d("2020-03-01"));
-        assert_eq!(rib.len(), 2);
-        assert!(rib.has_route(&p("11.0.0.0/8")));
-        let rib = a.rib_at(PeerId(0), d("2020-07-01"));
-        assert_eq!(rib.len(), 1);
-        assert!(!rib.has_route(&p("11.0.0.0/8")));
-        assert!(!rib.has_route(&p("12.0.0.0/8")), "peer 1's route leaked");
-        let rib = a.rib_at(PeerId(1), d("2020-03-01"));
-        assert_eq!(rib.len(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Textual archive format for BGP updates and table dumps.
+//! Textual archive format for BGP updates.
 //!
 //! Real pipelines consume RouteViews MRT files through `bgpdump -m`, which
 //! emits one pipe-separated line per route. Our synthetic archives use the
@@ -7,18 +7,16 @@
 //! ```text
 //! BGP4MP|2020-12-01|A|peer3|50509|132.255.0.0/22|50509 34665 263692
 //! BGP4MP|2021-01-15|W|peer3|50509|132.255.0.0/22
-//! TABLE_DUMP2|2020-12-01|B|peer3|50509|132.255.0.0/22|50509 34665 263692
 //! ```
 //!
-//! Fields: record type, date, `A`nnounce / `W`ithdraw / `B`est-route, peer
-//! token, peer ASN, prefix, and (for announcements and dump entries) the
-//! AS path.
+//! Fields: record type, date, `A`nnounce / `W`ithdraw, peer token, peer
+//! ASN, prefix, and (for announcements) the AS path.
 
 use std::fmt::Write as _;
 
 use droplens_net::{Asn, BinReader, BinWriter, Date, ParseError, Quarantine};
 
-use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId, RibEntry};
+use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
 
 /// Split a line into up to `N` fields without heap allocation, returning
 /// the filled array and the total field count (which may exceed `N`; the
@@ -69,18 +67,6 @@ pub fn write_update_line(update: &BgpUpdate, peers: &[Peer]) -> String {
     out
 }
 
-/// Serialize a table-dump (RIB snapshot) entry as an archive line.
-pub fn write_table_dump_line(date: Date, peer: &Peer, entry: &RibEntry) -> String {
-    format!(
-        "TABLE_DUMP2|{}|B|{}|{}|{}|{}",
-        date,
-        peer.id,
-        peer.asn.value(),
-        entry.prefix,
-        entry.path
-    )
-}
-
 /// Parse one `BGP4MP` update line.
 pub fn parse_update_line(line: &str) -> Result<BgpUpdate, ParseError> {
     let (fields, n) = split_fields::<8>(line, '|');
@@ -118,92 +104,12 @@ pub fn parse_update_line(line: &str) -> Result<BgpUpdate, ParseError> {
     }
 }
 
-/// Parse one `TABLE_DUMP2` line into `(date, peer, peer_asn, entry)`.
-pub fn parse_table_dump_line(line: &str) -> Result<(Date, PeerId, Asn, RibEntry), ParseError> {
-    let (fields, n) = split_fields::<8>(line, '|');
-    if n < 7 {
-        return Err(ParseError::new("TableDump", line, "too few fields"));
-    }
-    if fields[0] != "TABLE_DUMP2" || fields[2] != "B" {
-        return Err(ParseError::new(
-            "TableDump",
-            line,
-            "not a TABLE_DUMP2/B record",
-        ));
-    }
-    let date: Date = fields[1].parse()?;
-    let peer = parse_peer_token(line, fields[3])?;
-    let peer_asn: Asn = fields[4].parse()?;
-    let prefix = fields[5].parse()?;
-    let path: AsPath = fields[6].parse()?;
-    Ok((date, peer, peer_asn, RibEntry { prefix, path }))
-}
-
 fn parse_peer_token(line: &str, token: &str) -> Result<PeerId, ParseError> {
     let idx = token
         .strip_prefix("peer")
         .and_then(|n| n.parse::<u32>().ok())
         .ok_or_else(|| ParseError::new("BgpUpdate", line, format!("bad peer token {token:?}")))?;
     Ok(PeerId(idx))
-}
-
-/// Serialize a full-table snapshot of every peer as of `date` — the
-/// TABLE_DUMP2 file a collector would have written that day.
-pub fn write_table_dump(archive: &crate::BgpArchive, date: Date) -> String {
-    let mut out = String::new();
-    for peer in archive.peers() {
-        for entry in archive.rib_at(peer.id, date).iter() {
-            out.push_str(&write_table_dump_line(date, peer, &entry));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Parse a whole TABLE_DUMP2 file into per-peer tables. Blank and `#`
-/// lines are skipped.
-pub fn parse_table_dump(text: &str) -> Result<Vec<(PeerId, RibEntry)>, ParseError> {
-    parse_table_dump_with(text, &mut Quarantine::strict("bgp/table-dump.txt"))
-}
-
-/// Parse a TABLE_DUMP2 file under the ingestion policy carried by
-/// `quarantine`: strict rejects abort; permissive rejects are quarantined
-/// and parsing continues on the next line.
-pub fn parse_table_dump_with(
-    text: &str,
-    quarantine: &mut Quarantine,
-) -> Result<Vec<(PeerId, RibEntry)>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.bgp.rib", "parse");
-    tspan.arg_str("file", quarantine.source());
-    let parsed = obs.counter("bgp.rib.parsed");
-    let skipped = obs.counter("bgp.rib.skipped");
-    let malformed = obs.counter("bgp.rib.malformed");
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            skipped.inc();
-            quarantine.record_skip();
-            continue;
-        }
-        let lineno = idx as u32 + 1;
-        let (_, peer, _, entry) = match parse_table_dump_line(line) {
-            Ok(rec) => rec,
-            Err(e) => {
-                malformed.inc();
-                let e = e.with_location(quarantine.source(), lineno);
-                obs.error_sample("bgp.rib", e.to_string());
-                quarantine.reject(lineno, e)?;
-                continue;
-            }
-        };
-        parsed.inc();
-        quarantine.record_ok();
-        out.push((peer, entry));
-    }
-    tspan.arg_u64("records", out.len() as u64);
-    Ok(out)
 }
 
 /// Serialize an entire update stream, one line each, ordered as given.
@@ -458,24 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn table_dump_round_trip() {
-        let entry = RibEntry {
-            prefix: "132.255.0.0/22".parse().unwrap(),
-            path: "3356 263692".parse().unwrap(),
-        };
-        let line = write_table_dump_line(d("2022-03-30"), &peers()[0], &entry);
-        assert_eq!(
-            line,
-            "TABLE_DUMP2|2022-03-30|B|peer0|3356|132.255.0.0/22|3356 263692"
-        );
-        let (date, peer, asn, parsed) = parse_table_dump_line(&line).unwrap();
-        assert_eq!(date, d("2022-03-30"));
-        assert_eq!(peer, PeerId(0));
-        assert_eq!(asn, Asn(3356));
-        assert_eq!(parsed, entry);
-    }
-
-    #[test]
     fn stream_round_trip_with_comments() {
         let updates = vec![
             BgpUpdate::announce(
@@ -499,8 +387,6 @@ mod tests {
         assert!(parse_update_line("BGP4MP|2020-01-01|A|nope|1|10.0.0.0/8|1").is_err());
         assert!(parse_update_line("BGP4MP|2020-99-01|A|peer0|1|10.0.0.0/8|1").is_err());
         assert!(parse_update_line("BGP4MP|2020-01-01").is_err());
-        assert!(parse_table_dump_line("TABLE_DUMP2|2020-01-01|B|peer0|1|10.0.0.0/8").is_err());
-        assert!(parse_table_dump_line("BGP4MP|2020-01-01|A|peer0|1|10.0.0.0/8|1").is_err());
     }
 
     #[test]
@@ -515,45 +401,6 @@ mod tests {
         assert_eq!(updates.len(), 2);
         assert_eq!(q.quarantined, 1);
         assert_eq!(q.samples[0].location(), Some(("bgp/updates.txt", 2)));
-    }
-
-    #[test]
-    fn whole_table_dump_round_trips() {
-        use crate::BgpArchive;
-        let updates = vec![
-            BgpUpdate::announce(
-                d("2020-01-01"),
-                PeerId(0),
-                "10.0.0.0/8".parse().unwrap(),
-                "3356 64500".parse().unwrap(),
-            ),
-            BgpUpdate::announce(
-                d("2020-01-01"),
-                PeerId(1),
-                "10.0.0.0/8".parse().unwrap(),
-                "7018 64500".parse().unwrap(),
-            ),
-            BgpUpdate::announce(
-                d("2020-02-01"),
-                PeerId(0),
-                "11.0.0.0/8".parse().unwrap(),
-                "3356 64501".parse().unwrap(),
-            ),
-            BgpUpdate::withdraw(d("2020-03-01"), PeerId(1), "10.0.0.0/8".parse().unwrap()),
-        ];
-        let archive = BgpArchive::from_updates(peers(), &updates);
-        let dump = write_table_dump(&archive, d("2020-02-15"));
-        let parsed = parse_table_dump(&dump).unwrap();
-        // Peer 0 carries two routes, peer 1 one.
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed.iter().filter(|(p, _)| *p == PeerId(0)).count(), 2);
-        // After peer 1 withdraws, its table shrinks.
-        let dump = write_table_dump(&archive, d("2020-03-15"));
-        let parsed = parse_table_dump(&dump).unwrap();
-        assert_eq!(parsed.iter().filter(|(p, _)| *p == PeerId(1)).count(), 0);
-        // Garbage is rejected.
-        assert!(parse_table_dump("not a table dump\n").is_err());
-        assert!(parse_table_dump("# only comments\n\n").unwrap().is_empty());
     }
 
     #[test]

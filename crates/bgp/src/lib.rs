@@ -9,14 +9,13 @@
 //! * [`Peer`] / [`PeerId`] — identities of the full-table peers whose
 //!   vantage points define prefix visibility.
 //! * [`BgpUpdate`] and [`BgpEvent`] — dated announce/withdraw events.
-//! * [`mod@format`] — a one-line textual table-dump / update format modeled on
+//! * [`mod@format`] — a one-line textual update format modeled on
 //!   `bgpdump -m` output, so synthetic archives round-trip through genuine
-//!   parsing code like the real MRT pipelines do.
-//! * [`Rib`] — a per-peer routing information base with longest-match
-//!   lookup, built by replaying updates.
+//!   parsing code like the real MRT pipelines do, plus its binary sidecar.
 //! * [`BgpArchive`] — the longitudinal index: per-(prefix, peer)
 //!   announcement intervals supporting "who observed this prefix when"
-//!   queries in O(log n).
+//!   and "which path did this peer hold on that day" queries in
+//!   O(log n).
 //! * [`visibility`] — the paper's §4.1 machinery: withdrawal inference
 //!   after DROP listing and detection of peers that filter DROP prefixes
 //!   (Figure 2).
@@ -37,7 +36,6 @@ pub mod format;
 pub mod history;
 mod path;
 mod peer;
-mod rib;
 pub mod topology;
 mod update;
 pub mod visibility;
@@ -46,5 +44,4 @@ pub use archive::{BgpArchive, Interval, PathId};
 pub use collector::{CollectorSim, FilterPolicy, Origination};
 pub use path::AsPath;
 pub use peer::{Peer, PeerId};
-pub use rib::{PeerRibs, Rib, RibEntry};
 pub use update::{BgpEvent, BgpUpdate};

@@ -14,8 +14,8 @@ use droplens_net::{Asn, ParseError};
 /// space-separated list used by `bgpdump -m`, e.g. `"50509 34665 263692"`.
 ///
 /// The hop list is a shared `Arc<[Asn]>`: paths repeat heavily across a
-/// RIB (every route from the same peer shares a handful of transit
-/// chains), so `clone()` is a reference-count bump and the struct itself
+/// peer's routes (every route from the same peer shares a handful of
+/// transit chains), so `clone()` is a reference-count bump and the struct itself
 /// is two words instead of a `Vec`'s three plus an owned block per copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AsPath {

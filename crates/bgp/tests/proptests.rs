@@ -366,6 +366,19 @@ fn assert_matches_replay(archive: &BgpArchive, replay: &Replay) -> Result<(), Te
                 .map(|iv| (iv.start, iv.end, archive.path_of(iv.path).clone()))
                 .collect();
             prop_assert_eq!(&got[..], replay.lane(prefix, peer), "{} {}", prefix, peer);
+            // The path a peer held on a day: gone once it withdrew, and
+            // never another peer's.
+            for day in -1..17 {
+                let date = Date::from_days_since_epoch(EPOCH + day);
+                prop_assert_eq!(
+                    archive.path_at(prefix, peer, date),
+                    replay.path_at(prefix, peer, date),
+                    "{} {} on {}",
+                    prefix,
+                    peer,
+                    date
+                );
+            }
         }
         for day in -1..17 {
             let date = Date::from_days_since_epoch(EPOCH + day);

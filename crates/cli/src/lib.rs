@@ -97,9 +97,9 @@ USAGE:
 GLOBAL FLAGS:
     --metrics           print the instrumentation summary to stderr
     --metrics=PATH      write the run report as JSON to PATH
-    --mem               print the allocation summary to stderr
-    --mem=PATH          fold mem.* gauges into the run report and write
-                        it as JSON to PATH (stdout stays untouched)
+    --mem               print the allocation summary to stderr and fold
+                        mem.* gauges into any --metrics report (stdout
+                        stays untouched)
     --trace=PATH        record a hierarchical trace of the run and write
                         it as Chrome trace-event JSON to PATH (open in
                         Perfetto or chrome://tracing)
@@ -107,11 +107,11 @@ GLOBAL FLAGS:
 LINT (check the workspace's own invariants; DESIGN.md §9):
     PATHS are files or directories to scan (default: the current
     directory; `target/`, `vendor/`, and fixture corpora are skipped,
-    explicitly named files are always linted). Rules: no-wallclock,
-    seeded-rng-only, located-errors, no-unbounded-collect,
-    no-string-keyed-hot-map, no-deadline-free-io, lock-across-io.
-    Panic-freedom and the HashMap/HashSet ban are clippy's (`cargo
-    clippy`; workspace lint table and clippy.toml).
+    explicitly named files are always linted). Rules: located-errors,
+    no-unbounded-collect, no-string-keyed-hot-map, no-deadline-free-io,
+    lock-across-io. Panic-freedom and the bans on HashMap/HashSet, clock
+    reads, entropy-seeded RNGs and TcpStream::connect are clippy's
+    (`cargo clippy`; workspace lint table and clippy.toml).
     Suppress one finding with a trailing `// lint: allow(<rule>)`.
     --format text|json|sarif  diagnostic rendering (default text);
                               exits nonzero when violations survive

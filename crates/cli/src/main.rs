@@ -9,12 +9,11 @@ use droplens_net::{Asn, Date, IngestPolicy, Ipv4Prefix};
 
 /// Allocation tracking is always compiled in (collection is a few
 /// relaxed atomics on the allocating thread's own cache line); the
-/// `--mem` flags only control reporting, never collection.
+/// `--mem` flag only controls reporting, never collection.
 #[global_allocator]
 static ALLOC: droplens_obs::alloc::TrackingAlloc = droplens_obs::alloc::TrackingAlloc::system();
 
-/// The global `--metrics[=PATH]` / `--mem[=PATH]` flags: where the run
-/// report (or memory summary) should go.
+/// The global `--metrics[=PATH]` flag: where the run report should go.
 enum MetricsSink {
     /// Human summary on stderr.
     Stderr,
@@ -24,7 +23,7 @@ enum MetricsSink {
 
 fn main() -> ExitCode {
     let mut metrics: Option<MetricsSink> = None;
-    let mut mem: Option<MetricsSink> = None;
+    let mut mem = false;
     let mut trace_out: Option<PathBuf> = None;
     let args: Vec<String> = std::env::args()
         .skip(1)
@@ -36,10 +35,7 @@ fn main() -> ExitCode {
                 metrics = Some(MetricsSink::Json(PathBuf::from(path)));
                 false
             } else if a == "--mem" {
-                mem = Some(MetricsSink::Stderr);
-                false
-            } else if let Some(path) = a.strip_prefix("--mem=") {
-                mem = Some(MetricsSink::Json(PathBuf::from(path)));
+                mem = true;
                 false
             } else if let Some(path) = a.strip_prefix("--trace=") {
                 trace_out = Some(PathBuf::from(path));
@@ -63,7 +59,7 @@ fn main() -> ExitCode {
     }
     // Fold mem.* gauges into the registry before any report snapshot,
     // so `--metrics --mem` sees one consistent document.
-    if mem.is_some() {
+    if mem {
         droplens_obs::alloc::record_gauges(droplens_obs::global());
     }
     if let Some(sink) = metrics {
@@ -78,21 +74,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(sink) = mem {
-        match sink {
-            MetricsSink::Stderr => eprintln!("{}", droplens_obs::alloc::snapshot().summary()),
-            MetricsSink::Json(path) => {
-                let mut report = droplens_obs::global().report();
-                report.meta.insert("command".to_owned(), args.join(" "));
-                report.meta.insert("mem".to_owned(), "on".to_owned());
-                if let Err(e) = std::fs::write(&path, report.to_json()) {
-                    eprintln!(
-                        "droplens: cannot write mem report to {}: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
+    if mem {
+        eprintln!("{}", droplens_obs::alloc::snapshot().summary());
     }
     match result {
         Ok(output) => {

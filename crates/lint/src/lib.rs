@@ -3,25 +3,25 @@
 //! The pipeline's non-negotiables — byte-identical output at any
 //! `DROPLENS_THREADS`, located error handling in every parser, and
 //! deadline-guarded sockets on the serve path — used to live in
-//! reviewers' heads. This crate makes them machine-enforced: a
-//! zero-dependency, token-level static analysis over the workspace's
-//! own sources, run as `droplens lint` locally and as a CI gate.
-//! Panic-freedom and the ban on hash containers are not here: clippy
-//! enforces them (the workspace lint table, `clippy.toml`'s
-//! `disallowed-types`, and `clippy::indexing_slicing` on
-//! `droplens-serve`; DESIGN.md §9).
+//! reviewers' heads. This crate makes the project-specific ones
+//! machine-enforced: a zero-dependency, token-level static analysis
+//! over the workspace's own sources, run as `droplens lint` locally and
+//! as a CI gate. What clippy configuration can say is not here: the
+//! workspace lint table and `clippy.toml` enforce panic-freedom, the
+//! ban on hash containers (`disallowed-types`), the bans on clock
+//! reads, entropy-seeded RNGs and deadline-free `TcpStream::connect`
+//! (`disallowed-methods`), and `clippy::indexing_slicing` on
+//! `droplens-serve` (DESIGN.md §9).
 //!
-//! Seven token-level rules, each scoped to the modules where its
+//! Five token-level rules, each scoped to the modules where its
 //! invariant bites (see [`rules_for_path`] and DESIGN.md §9):
 //!
 //! | rule | scope | bans |
 //! |------|-------|------|
-//! | `no-wallclock` | everything outside `crates/obs` | `Instant::now`, `SystemTime::now` |
-//! | `seeded-rng-only` | everywhere | `thread_rng`, `from_entropy`, `from_os_rng`, `OsRng`, `rand::random` |
 //! | `located-errors` | parser modules (format/journal/list) | `ParseError::new` with no `.with_location` on any intra-file caller path |
 //! | `no-unbounded-collect` | parser/writer hot paths (format/archive) | `.collect` without an acknowledging escape |
 //! | `no-string-keyed-hot-map` | parser/writer hot paths (format/archive) | `HashMap<String, _>` / `BTreeMap<String, _>` |
-//! | `no-deadline-free-io` | serve-path modules (server/client/loadgen/net) | `TcpStream::connect`, and socket read/write in functions with no configured timeout |
+//! | `no-deadline-free-io` | serve-path modules (server/client/loadgen/net) | socket read/write in functions with no configured timeout |
 //! | `lock-across-io` | serve-path modules (server/client/loadgen/net) | a `let`-bound lock guard still live at a blocking socket read/write |
 //!
 //! Every rule sees one file at a time, so files lint independently and
@@ -45,10 +45,6 @@ use rules::FileView;
 /// The rules droplens-lint knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `Instant::now`/`SystemTime::now` only inside `crates/obs`.
-    NoWallclock,
-    /// No entropy-seeded RNG construction anywhere.
-    SeededRngOnly,
     /// Every `ParseError` construction in a parser module is located.
     LocatedErrors,
     /// No `.collect` on format/archive hot paths without an explicit
@@ -59,10 +55,11 @@ pub enum Rule {
     /// insert/lookup hashes and possibly clones the full string. Intern
     /// to a `u32` id (`StrTable`/`StringInterner`) and key by that.
     NoStringKeyedHotMap,
-    /// No deadline-free socket IO on serve paths: `TcpStream::connect`
-    /// (no timeout) is banned outright, and a function doing socket
-    /// read/write must configure both `set_read_timeout` and
+    /// No deadline-free socket IO on serve paths: a function doing
+    /// socket read/write must configure both `set_read_timeout` and
     /// `set_write_timeout` (or go through `DeadlineStream`, which does).
+    /// The deadline-free `TcpStream::connect` is clippy's
+    /// (`disallowed-methods`).
     NoDeadlineFreeIo,
     /// No `Mutex`/`RwLock` guard held live across a blocking socket
     /// read/write on serve paths — a wedged peer would hold the lock
@@ -75,9 +72,7 @@ pub enum Rule {
 impl Rule {
     /// Every scannable rule (excludes [`Rule::BadEscape`], which is
     /// emitted by the escape parser, not scanned for).
-    pub const ALL: [Rule; 7] = [
-        Rule::NoWallclock,
-        Rule::SeededRngOnly,
+    pub const ALL: [Rule; 5] = [
         Rule::LocatedErrors,
         Rule::NoUnboundedCollect,
         Rule::NoStringKeyedHotMap,
@@ -88,8 +83,6 @@ impl Rule {
     /// The kebab-case name used in diagnostics and escapes.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoWallclock => "no-wallclock",
-            Rule::SeededRngOnly => "seeded-rng-only",
             Rule::LocatedErrors => "located-errors",
             Rule::NoUnboundedCollect => "no-unbounded-collect",
             Rule::NoStringKeyedHotMap => "no-string-keyed-hot-map",
@@ -314,10 +307,9 @@ fn json_escape(s: &str) -> String {
 /// Scoping is by path shape, so the same classification covers real
 /// sources and the fixture corpus:
 ///
-/// * `vendor/`, `target/`, `.git/` — nothing applies;
-/// * test-ish trees (`tests/`, `benches/`, `examples/` outside a
-///   `fixtures/` dir) — only `seeded-rng-only`;
-/// * `crates/obs/` is exempt from `no-wallclock` (it owns the clock);
+/// * `vendor/`, `target/`, `.git/`, and test-ish trees (`tests/`,
+///   `benches/`, `examples/` outside a `fixtures/` dir) — nothing
+///   applies;
 /// * file-stem scopes: `located-errors` on format/journal/list,
 ///   `no-unbounded-collect` and `no-string-keyed-hot-map` on the
 ///   per-record hot paths (format, archive), `no-deadline-free-io` and
@@ -336,17 +328,11 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
         return Vec::new();
     };
     let has = |name: &str| comps.contains(&name);
-    if has("vendor") || has("target") || has(".git") {
+    let test_tree = !has("fixtures") && (has("tests") || has("benches") || has("examples"));
+    if has("vendor") || has("target") || has(".git") || test_tree {
         return Vec::new();
     }
-    let mut rules = vec![Rule::SeededRngOnly];
-    let fixture = has("fixtures");
-    if !fixture && (has("tests") || has("benches") || has("examples")) {
-        return rules;
-    }
-    if !has("obs") {
-        rules.push(Rule::NoWallclock);
-    }
+    let mut rules = Vec::new();
     const DEADLINE_STEMS: [&str; 4] = ["server", "client", "loadgen", "net"];
     const LOCATED_STEMS: [&str; 3] = ["format", "journal", "list"];
     const COLLECT_STEMS: [&str; 2] = ["format", "archive"];
@@ -561,7 +547,6 @@ mod tests {
     fn scope_classification_matches_the_tree() {
         let r = rules_for_path("crates/bgp/src/format.rs");
         assert!(r.contains(&Rule::LocatedErrors));
-        assert!(r.contains(&Rule::NoWallclock));
         assert!(r.contains(&Rule::NoUnboundedCollect));
 
         let r = rules_for_path("crates/bgp/src/archive.rs");
@@ -569,11 +554,15 @@ mod tests {
         let r = rules_for_path("crates/core/src/study.rs");
         assert!(!r.contains(&Rule::NoUnboundedCollect), "cold paths exempt");
 
-        let r = rules_for_path("crates/obs/src/trace.rs");
-        assert_eq!(r, vec![Rule::SeededRngOnly], "obs owns the clock");
-
-        let r = rules_for_path("crates/bgp/tests/proptests.rs");
-        assert_eq!(r, vec![Rule::SeededRngOnly]);
+        // The clock and RNG bans are clippy's: obs, test trees and the
+        // benchmark (its own Cargo workspace, timing the system from
+        // outside) get no rule.
+        assert!(rules_for_path("crates/obs/src/trace.rs").is_empty());
+        assert!(rules_for_path("crates/obs/src/clock.rs").is_empty());
+        assert!(rules_for_path("crates/bgp/tests/proptests.rs").is_empty());
+        assert!(rules_for_path("crates/serve/tests/server.rs").is_empty());
+        assert!(rules_for_path("perfbench/src/serve.rs").is_empty());
+        assert!(rules_for_path("perfbench/src/reproduce.rs").is_empty());
 
         assert!(rules_for_path("vendor/rand/src/lib.rs").is_empty());
         assert!(rules_for_path("crates/core/README.md").is_empty());
@@ -585,11 +574,7 @@ mod tests {
         let r = rules_for_path("crates/faults/src/net.rs");
         assert!(r.contains(&Rule::NoDeadlineFreeIo));
         let r = rules_for_path("crates/serve/src/engine.rs");
-        assert_eq!(
-            r,
-            vec![Rule::NoWallclock, Rule::SeededRngOnly],
-            "engine is socket-free"
-        );
+        assert!(r.is_empty(), "engine is socket-free: {r:?}");
 
         // Fixtures classify like sources, not like tests.
         let r = rules_for_path("crates/lint/tests/fixtures/located_errors/format.rs");
@@ -620,7 +605,7 @@ mod tests {
 
     #[test]
     fn same_line_escape_suppresses() {
-        let src = "fn f() { let t = Instant::now(); } // lint: allow(no-wallclock)\n";
+        let src = "fn f(v: &[u8]) -> Vec<u8> { v.iter().copied().collect() } // lint: allow(no-unbounded-collect)\n";
         let (diags, suppressed) = lint_source("crates/x/src/format.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(suppressed, 1);
@@ -628,7 +613,7 @@ mod tests {
 
     #[test]
     fn standalone_escape_covers_next_line() {
-        let src = "fn f() {\n    // lint: allow(no-wallclock)\n    let t = Instant::now();\n}\n";
+        let src = "fn f(v: &[u8]) -> Vec<u8> {\n    // lint: allow(no-unbounded-collect)\n    v.iter().copied().collect()\n}\n";
         let (diags, suppressed) = lint_source("crates/x/src/format.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(suppressed, 1);
@@ -645,14 +630,16 @@ mod tests {
 
     #[test]
     fn rules_handed_to_clippy_are_unknown() {
-        // Panic-freedom and the hash-container ban are clippy's now: an
-        // escape naming one of these retired rules is a bad escape, not
-        // a silent no-op.
+        // Panic-freedom, the hash-container ban and the clock and RNG
+        // bans are clippy's now: an escape naming one of these retired
+        // rules is a bad escape, not a silent no-op.
         for name in [
             "no-unwrap",
             "no-panic-in-request-path",
             "wallclock-taint",
             "ordered-output",
+            "no-wallclock",
+            "seeded-rng-only",
         ] {
             assert_eq!(Rule::from_name(name), None, "{name}");
         }
@@ -661,7 +648,7 @@ mod tests {
     #[test]
     fn cfg_test_code_is_exempt() {
         let body =
-            "fn t() { let m: HashMap<String, u32> = HashMap::new(); let t = Instant::now(); }";
+            "fn t(v: &[u8]) { let m: HashMap<String, u32> = HashMap::new(); let w: Vec<u8> = v.iter().copied().collect(); }";
         let (diags, _) = lint_source("crates/x/src/format.rs", &format!("{body}\n"));
         assert_eq!(
             diags.len(),
@@ -675,8 +662,7 @@ mod tests {
 
     #[test]
     fn rule_patterns_in_strings_and_comments_are_ignored() {
-        let src =
-            "fn f() -> &'static str { \"HashMap at Instant::now()\" } // Instant::now() here\n";
+        let src = "fn f() -> &'static str { \"HashMap<String, u8> and .collect()\" } // .collect() here\n";
         let (diags, _) = lint_source("crates/x/src/format.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -733,13 +719,13 @@ pub fn parse_all(text: &str) -> Result<Vec<u32>, ParseError> {
             diagnostics: vec![Diagnostic {
                 path: "crates/x/src/format.rs".into(),
                 line: 7,
-                rule: Rule::NoWallclock,
-                message: "`Instant::now()` bad".into(),
+                rule: Rule::NoUnboundedCollect,
+                message: "`.collect` bad".into(),
             }],
         };
         assert_eq!(
             report.to_json(),
-            "{\"schema\":\"droplens-lint/2\",\"files_checked\":2,\"violations\":1,\"suppressed\":1,\"baselined\":0,\"diagnostics\":[{\"path\":\"crates/x/src/format.rs\",\"line\":7,\"rule\":\"no-wallclock\",\"message\":\"`Instant::now()` bad\"}]}\n"
+            "{\"schema\":\"droplens-lint/2\",\"files_checked\":2,\"violations\":1,\"suppressed\":1,\"baselined\":0,\"diagnostics\":[{\"path\":\"crates/x/src/format.rs\",\"line\":7,\"rule\":\"no-unbounded-collect\",\"message\":\"`.collect` bad\"}]}\n"
         );
     }
 
@@ -752,8 +738,8 @@ pub fn parse_all(text: &str) -> Result<Vec<u32>, ParseError> {
             diagnostics: vec![Diagnostic {
                 path: "crates/x/src/format.rs".into(),
                 line: 7,
-                rule: Rule::NoWallclock,
-                message: "`Instant::now()` \"bad\"".into(),
+                rule: Rule::NoUnboundedCollect,
+                message: "`.collect` \"bad\"".into(),
             }],
         };
         let sarif = report.to_sarif();
@@ -761,8 +747,8 @@ pub fn parse_all(text: &str) -> Result<Vec<u32>, ParseError> {
         assert!(sarif.contains("\"version\":\"2.1.0\""));
         assert!(sarif.contains("{\"id\":\"lock-across-io\"},{\"id\":\"bad-escape\"}"));
         assert!(sarif.contains(
-            "{\"ruleId\":\"no-wallclock\",\"level\":\"error\",\
-             \"message\":{\"text\":\"`Instant::now()` \\\"bad\\\"\"},\
+            "{\"ruleId\":\"no-unbounded-collect\",\"level\":\"error\",\
+             \"message\":{\"text\":\"`.collect` \\\"bad\\\"\"},\
              \"locations\":[{\"physicalLocation\":{\"artifactLocation\":\
              {\"uri\":\"crates/x/src/format.rs\"},\"region\":{\"startLine\":7}}}]}"
         ));
@@ -773,7 +759,7 @@ pub fn parse_all(text: &str) -> Result<Vec<u32>, ParseError> {
         let diag = |line: u32, msg: &str| Diagnostic {
             path: "crates/x/src/format.rs".into(),
             line,
-            rule: Rule::NoWallclock,
+            rule: Rule::NoUnboundedCollect,
             message: msg.into(),
         };
         let mut report = LintReport {

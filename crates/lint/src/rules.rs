@@ -214,8 +214,6 @@ impl<'a> FileView<'a> {
 /// Run `rule` over the file, appending hits.
 pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
     match rule {
-        Rule::NoWallclock => no_wallclock(view, hits),
-        Rule::SeededRngOnly => seeded_rng_only(view, hits),
         Rule::LocatedErrors => located_errors(view, hits),
         Rule::NoUnboundedCollect => no_unbounded_collect(view, hits),
         Rule::NoStringKeyedHotMap => no_string_keyed_hot_map(view, hits),
@@ -223,58 +221,6 @@ pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
         Rule::LockAcrossIo => lock_across_io(view, hits),
         // Emitted during escape parsing, never scanned for.
         Rule::BadEscape => {}
-    }
-}
-
-/// `no-wallclock`: `Instant::now`/`SystemTime::now` only inside the
-/// `obs` crate. Everything else must take time through `obs` (spans,
-/// `Stopwatch`) so output-affecting code cannot branch on the clock.
-fn no_wallclock(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    for i in 0..view.len() {
-        if view.is_test_code(i) {
-            continue;
-        }
-        let name = view.text(i);
-        if (name == "Instant" || name == "SystemTime") && view.matches(i + 1, &[":", ":", "now"]) {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::NoWallclock,
-                message: format!(
-                    "`{name}::now()` outside obs — go through droplens_obs (Span/Stopwatch) instead"
-                ),
-            });
-        }
-    }
-}
-
-/// `seeded-rng-only`: entropy-seeded RNG construction is banned
-/// everywhere (the vendored `rand` test shims are outside the lint
-/// walk). Every random stream must derive from an explicit `u64` seed
-/// or the run stops being reproducible.
-fn seeded_rng_only(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    const ENTROPY: [&str; 4] = ["thread_rng", "from_entropy", "from_os_rng", "OsRng"];
-    for i in 0..view.len() {
-        if view.is_test_code(i) || view.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let name = view.text(i);
-        if ENTROPY.contains(&name) {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::SeededRngOnly,
-                message: format!(
-                    "`{name}` constructs an entropy-seeded RNG — derive every RNG from an explicit seed"
-                ),
-            });
-        } else if name == "rand" && view.matches(i + 1, &[":", ":", "random"]) {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::SeededRngOnly,
-                message: "`rand::random` draws from the thread RNG — derive every RNG from an \
-                          explicit seed"
-                    .to_owned(),
-            });
-        }
     }
 }
 
@@ -341,17 +287,14 @@ const IO_CALLS: [&str; 5] = ["read", "read_exact", "read_to_end", "write", "writ
 
 /// `no-deadline-free-io`: serve-path sockets must always carry
 /// deadlines, or a wedged peer holds a worker (or the whole drain)
-/// hostage forever. Two checks:
-///
-/// * `TcpStream::connect(` is banned outright — it has no timeout
-///   variant in that spelling; use `TcpStream::connect_timeout` or
-///   `DeadlineStream::connect`.
-/// * Any function that touches `TcpStream`/`TcpListener` and performs
-///   raw IO (`.read(`, `.read_exact(`, `.read_to_end(`, `.write(`,
-///   `.write_all(`) must configure **both** `set_read_timeout` and
-///   `set_write_timeout` in the same function, or route the socket
-///   through `DeadlineStream` (whose constructor sets both). Each
-///   unguarded IO call is a separate hit.
+/// hostage forever. Any function that touches `TcpStream`/`TcpListener`
+/// and performs raw IO (`.read(`, `.read_exact(`, `.read_to_end(`,
+/// `.write(`, `.write_all(`) must configure **both** `set_read_timeout`
+/// and `set_write_timeout` in the same function, or route the socket
+/// through `DeadlineStream` (whose constructor sets both). Each
+/// unguarded IO call is a separate hit. The deadline-free
+/// `TcpStream::connect` is clippy's to ban (`disallowed-methods` in
+/// `clippy.toml`), in every crate and in tests too.
 ///
 /// Token-level, like every rule here: a function that configures
 /// timeouts on one socket and does raw IO on another will pass, and a
@@ -360,24 +303,7 @@ const IO_CALLS: [&str; 5] = ["read", "read_exact", "read_to_end", "write", "writ
 /// for (or better: pass the `DeadlineStream` wrapper, which documents
 /// the invariant in the type).
 fn no_deadline_free_io(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    // Check A: deadline-free connect.
-    for i in 0..view.len() {
-        if view.is_test_code(i) {
-            continue;
-        }
-        if view.matches(i, &["TcpStream", ":", ":", "connect", "("]) {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::NoDeadlineFreeIo,
-                message: "`TcpStream::connect` has no deadline — use \
-                          `TcpStream::connect_timeout` or `DeadlineStream::connect`"
-                    .to_owned(),
-            });
-        }
-    }
-
-    // Check B: unguarded IO calls in socket-touching functions. A
-    // function spans its `fn` token through the body's closing brace,
+    // Unguarded IO calls in socket-touching functions. A function spans its `fn` token through the body's closing brace,
     // so timeouts configured anywhere in it (and socket types named in
     // the signature) both count; nested fns are judged on their own.
     let innermost = |p: usize| -> Option<(usize, usize)> {

@@ -31,51 +31,6 @@ fn lint_fixture(rel: &str) -> (Vec<(u32, Rule)>, usize) {
 }
 
 #[test]
-fn no_wallclock_goldens() {
-    let (found, _) = lint_fixture("no_wallclock/bad/pipeline.rs");
-    assert_eq!(
-        found,
-        vec![
-            (7, Rule::NoWallclock),  // Instant::now()
-            (13, Rule::NoWallclock), // SystemTime::now()
-        ]
-    );
-    let (found, suppressed) = lint_fixture("no_wallclock/allowed/pipeline.rs");
-    assert!(found.is_empty(), "{found:?}");
-    assert_eq!(suppressed, 2);
-    // The serve twin: stem "server" also activates no-deadline-free-io
-    // and lock-across-io, so the raw clock reads on the metrics path
-    // must be the only findings.
-    let (found, _) = lint_fixture("no_wallclock/bad/server.rs");
-    assert_eq!(
-        found,
-        vec![
-            (9, Rule::NoWallclock),  // Instant::now() around a phase
-            (16, Rule::NoWallclock), // SystemTime::now() slow-query stamp
-        ]
-    );
-    let (found, suppressed) = lint_fixture("no_wallclock/allowed/server.rs");
-    assert!(found.is_empty(), "{found:?}");
-    assert_eq!(suppressed, 0); // fixed via obs::Clock, not escaped
-}
-
-#[test]
-fn seeded_rng_only_goldens() {
-    let (found, _) = lint_fixture("seeded_rng_only/bad/sampler.rs");
-    assert_eq!(
-        found,
-        vec![
-            (8, Rule::SeededRngOnly),  // thread_rng
-            (13, Rule::SeededRngOnly), // from_entropy
-            (18, Rule::SeededRngOnly), // rand::random
-        ]
-    );
-    let (found, suppressed) = lint_fixture("seeded_rng_only/allowed/sampler.rs");
-    assert!(found.is_empty(), "{found:?}");
-    assert_eq!(suppressed, 3);
-}
-
-#[test]
 fn located_errors_goldens() {
     let (found, _) = lint_fixture("located_errors/bad/journal.rs");
     assert_eq!(found, vec![(7, Rule::LocatedErrors)]);
@@ -120,16 +75,15 @@ fn no_deadline_free_io_goldens() {
     assert_eq!(
         found,
         vec![
-            (7, Rule::NoDeadlineFreeIo),  // TcpStream::connect
-            (8, Rule::NoDeadlineFreeIo),  // .write_all, no timeouts at all
-            (10, Rule::NoDeadlineFreeIo), // .read_to_end, no timeouts at all
-            (17, Rule::NoDeadlineFreeIo), // .read, write timeout missing
-            (18, Rule::NoDeadlineFreeIo), // .write_all, write timeout missing
+            (7, Rule::NoDeadlineFreeIo),  // .write_all, no timeouts at all
+            (9, Rule::NoDeadlineFreeIo),  // .read_to_end, no timeouts at all
+            (16, Rule::NoDeadlineFreeIo), // .read, write timeout missing
+            (17, Rule::NoDeadlineFreeIo), // .write_all, write timeout missing
         ]
     );
     let (found, suppressed) = lint_fixture("no_deadline_free_io/allowed/server.rs");
     assert!(found.is_empty(), "{found:?}");
-    assert_eq!(suppressed, 3); // relay is fixed properly, not escaped
+    assert_eq!(suppressed, 2); // relay is fixed properly, not escaped
 }
 
 #[test]
@@ -165,10 +119,10 @@ fn bad_escape_goldens() {
 #[test]
 fn corpus_as_a_whole_fails() {
     let files = collect_rs_files(&[corpus()]).expect("walk fixtures");
-    assert_eq!(files.len(), 17, "{files:?}");
+    assert_eq!(files.len(), 11, "{files:?}");
     let report = lint_files(&files).expect("lint fixtures");
     assert!(!report.is_clean());
-    assert_eq!(report.files_checked, 17);
-    assert_eq!(report.diagnostics.len(), 21);
-    assert_eq!(report.suppressed, 14);
+    assert_eq!(report.files_checked, 11);
+    assert_eq!(report.diagnostics.len(), 13);
+    assert_eq!(report.suppressed, 8);
 }

@@ -4,8 +4,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-pub fn fetch(addr: &str) -> std::io::Result<Vec<u8>> {
-    let mut sock = TcpStream::connect(addr)?; // lint: allow(no-deadline-free-io)
+pub fn fetch(mut sock: TcpStream) -> std::io::Result<Vec<u8>> {
     sock.write_all(b"ping")?; // lint: allow(no-deadline-free-io)
     let mut buf = Vec::new();
     sock.read_to_end(&mut buf)?; // lint: allow(no-deadline-free-io)

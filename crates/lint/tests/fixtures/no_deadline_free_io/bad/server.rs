@@ -3,8 +3,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-pub fn fetch(addr: &str) -> std::io::Result<Vec<u8>> {
-    let mut sock = TcpStream::connect(addr)?;
+pub fn fetch(mut sock: TcpStream) -> std::io::Result<Vec<u8>> {
     sock.write_all(b"ping")?;
     let mut buf = Vec::new();
     sock.read_to_end(&mut buf)?;

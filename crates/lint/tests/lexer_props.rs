@@ -63,7 +63,7 @@ fn rust_fragments() -> Vec<&'static str> {
         "ident",
         "::",
         "#[cfg(test)]",
-        "// lint: allow(no-wallclock)\n",
+        "// lint: allow(lock-across-io)\n",
         "é λ 🦀",
     ]
 }

@@ -1,11 +1,15 @@
 //! The workspace's only sanctioned clock.
 //!
-//! `droplens lint`'s `no-wallclock` rule bans `Instant::now` /
-//! `SystemTime::now` outside this crate, so that output-affecting code
-//! can never branch on the time of day. Code that legitimately needs a
-//! duration — queue-wait measurement in `droplens-par`, experiment
-//! timing in `droplens-core` — takes it through a [`Stopwatch`], which
-//! keeps the clock read here and hands out only elapsed durations.
+//! `clippy.toml` lists `Instant::now` and `SystemTime::now` under
+//! `disallowed-methods`, and every crate denies that lint, so
+//! output-affecting code can never branch on the time of day. The one
+//! read left is this module's crate-private `now`, which carries the
+//! workspace's only `#[allow(clippy::disallowed_methods)]`: span open,
+//! the tracer's epoch, [`Stopwatch::start`] and [`Clock::real`] all go
+//! through it. Code that legitimately needs a duration — queue-wait
+//! measurement in `droplens-par`, experiment timing in `droplens-core`
+//! — takes it through a [`Stopwatch`], which keeps the clock read here
+//! and hands out only elapsed durations.
 //!
 //! Code that needs an *advancing timeline* — the windowed metrics in
 //! [`crate::window`], the serve telemetry plane built on them — takes a
@@ -18,6 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Read the monotonic clock: the crate's one clock read, behind every
+/// other time source here.
+#[inline]
+#[allow(clippy::disallowed_methods)] // the one read the clippy.toml ban leaves
+pub(crate) fn now() -> Instant {
+    Instant::now()
+}
+
 /// A started monotonic stopwatch. `Copy`, so it can be captured by the
 /// many closures of a fork-join fan-out and read on any worker.
 #[derive(Debug, Clone, Copy)]
@@ -28,9 +40,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Start timing now.
     pub fn start() -> Stopwatch {
-        Stopwatch {
-            start: Instant::now(),
-        }
+        Stopwatch { start: now() }
     }
 
     /// Time elapsed since [`Stopwatch::start`].
@@ -70,7 +80,7 @@ impl Default for Clock {
 impl Clock {
     /// A real monotonic clock anchored now.
     pub fn real() -> Clock {
-        Clock(Arc::new(ClockInner::Real(Instant::now())))
+        Clock(Arc::new(ClockInner::Real(now())))
     }
 
     /// A mock clock starting at zero; only [`Clock::advance`] moves it.

@@ -197,7 +197,7 @@ impl Span {
                 depth: push(Frame { path, trace }),
                 mem: crate::alloc::mark(),
                 event,
-                start: Instant::now(),
+                start: crate::clock::now(),
             }),
         }
     }

@@ -140,7 +140,7 @@ impl Default for TracerInner {
     fn default() -> Self {
         TracerInner {
             enabled: AtomicBool::new(false),
-            epoch: Instant::now(),
+            epoch: crate::clock::now(),
             next_id: AtomicU64::new(1),
             next_tid: AtomicU64::new(0),
             shards: Mutex::new(Vec::new()),

@@ -3,9 +3,11 @@
 //! [`DeadlineStream`] is the only way serve-path code touches a
 //! `TcpStream`: the constructor installs both the read and the write
 //! timeout before the socket is ever used, so no IO on these paths can
-//! block forever. The `no-deadline-free-io` lint rule enforces the
-//! discipline structurally — raw `TcpStream::connect` or timeout-less
-//! read/write calls in serve/client/loadgen code are build failures.
+//! block forever. Two checks hold the discipline: clippy's
+//! `disallowed-methods` (`clippy.toml`) rejects a raw
+//! `TcpStream::connect` in every crate, tests included, and the
+//! `no-deadline-free-io` lint rule rejects timeout-less read/write
+//! calls in serve/client/loadgen code.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -432,7 +432,7 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
             *json = shared.telemetry.snapshot_json();
         }
         let engine_done = clock.now_ns();
-        shared.telemetry.answered();
+        shared.telemetry.answered(&req);
         let written = reply.write_to(conn);
         let timing = RequestTiming {
             decode_ns: decode_done.saturating_sub(read_done),

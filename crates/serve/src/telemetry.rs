@@ -24,8 +24,9 @@
 //!
 //! Every time read goes through one [`Clock`], injected at
 //! construction: under [`Clock::mock`] the whole plane — window expiry,
-//! rates, slow-query detection — is deterministic in tests. The
-//! `no-wallclock` lint rule keeps raw `Instant::now` out of this path.
+//! rates, slow-query detection — is deterministic in tests. Clippy's
+//! `disallowed-methods` (`clippy.toml`) keeps raw `Instant::now` out of
+//! this path.
 //!
 //! The snapshot is one stable JSON document (schema
 //! `droplens-metrics/1`, insertion-ordered keys via
@@ -254,17 +255,22 @@ impl Telemetry {
         }
     }
 
-    /// A request was answered and its reply is about to be written.
-    /// Counted before the write, so a client that reads the reply and
-    /// then asks `stats` on another connection sees it counted.
-    pub fn answered(&self) {
+    /// `req` was answered and its reply is about to be written: the
+    /// total and its kind's series each count it once. Counted before
+    /// the write, so a client that reads the reply and then asks
+    /// `stats` or `Metrics` on another connection sees it counted.
+    pub fn answered(&self, req: &Request) {
         self.queries.inc();
+        if let Some(series) = self.kinds.get(req.kind_index()) {
+            series.queries.inc();
+        }
     }
 
     /// One answered request's reply went out (or its write failed —
-    /// pass `ok=false`): the per-kind series, the phases and the
-    /// slow-query ledger. `args` is rendered lazily: only slow requests
-    /// pay for it.
+    /// pass `ok=false`): its kind's latency and errors, the phases and
+    /// the slow-query ledger. [`Telemetry::answered`] counted it
+    /// already. `args` is rendered lazily: only slow requests pay for
+    /// it.
     pub fn request_served(
         &self,
         req: &Request,
@@ -273,7 +279,6 @@ impl Telemetry {
         args: impl FnOnce() -> String,
     ) {
         if let Some(series) = self.kinds.get(req.kind_index()) {
-            series.queries.inc();
             series.latency.record(timing.total_ns());
             if !ok {
                 series.errors.inc();
@@ -495,8 +500,34 @@ mod tests {
     /// One request as the server records it: counted before the reply
     /// write, timed after it.
     fn serve(t: &Telemetry, req: &Request, ok: bool, ns: u64) {
-        t.answered();
+        t.answered(req);
         t.request_served(req, ok, timing(ns), String::new);
+    }
+
+    /// A reply being written is already counted under its kind, so a
+    /// `Metrics` request served by another worker meanwhile sees it.
+    #[test]
+    fn a_request_counts_under_its_kind_before_its_reply_is_written() {
+        let (_clock, t) = plane();
+        t.answered(&Request::Ping);
+        let doc = parse(&t.snapshot_json()).unwrap();
+        let ping = &doc.get("kinds").unwrap().items()[0];
+        assert_eq!(ping.get("kind").unwrap().as_str(), Some("ping"));
+        assert_eq!(ping.get("total").unwrap().as_u64(), Some(1));
+        assert_eq!(ping.get("window_queries").unwrap().as_u64(), Some(1));
+        // Its reply going out adds latency, not a second count.
+        t.request_served(&Request::Ping, true, timing(1_000), String::new);
+        let doc = parse(&t.snapshot_json()).unwrap();
+        let ping = &doc.get("kinds").unwrap().items()[0];
+        assert_eq!(ping.get("total").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            ping.get("latency_ns")
+                .unwrap()
+                .get("count")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn saturated_queue_sheds_with_typed_busy() {
 
     // With the worker pinned, this idle connection fills the depth-1
     // queue and stays there...
-    let filler = TcpStream::connect(addr).expect("connect filler");
+    let filler = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).expect("connect filler");
     std::thread::sleep(Duration::from_millis(100));
 
     // ...so the next connection must be shed at accept.
@@ -586,7 +586,7 @@ fn overload_gauges_match_occupier_ground_truth() {
     ready_rx
         .recv_timeout(Duration::from_secs(5))
         .expect("worker pinned");
-    let filler = TcpStream::connect(addr).expect("connect filler");
+    let filler = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).expect("connect filler");
     std::thread::sleep(Duration::from_millis(100));
 
     // Shed three probes; each must get the typed Busy.

@@ -9,7 +9,7 @@
 
 use std::mem::size_of;
 
-use droplens_bgp::{AsPath, Interval, PathId, PeerId, RibEntry};
+use droplens_bgp::{AsPath, Interval, PathId, PeerId};
 use droplens_drop::{DropEntry, SblId};
 use droplens_net::{Asn, Date, Ipv4Prefix, MaintainerId, OrgId, TRIE_NODE_SIZE};
 
@@ -37,14 +37,12 @@ fn prefix_is_eight_bytes() {
     assert!(size_of::<Option<Ipv4Prefix>>() <= 12);
 }
 
-/// One route in a RIB: prefix + shared path handle. Instantiated once per
-/// (peer, prefix) — the largest in-memory population in the pipeline.
-/// `AsPath` is an `Arc<[Asn]>` (ptr + refcount-shared length): two words,
-/// down from a `Vec`'s three, and clones are refcount bumps.
+/// The shared path handle every update and archive path-arena entry
+/// holds. `AsPath` is an `Arc<[Asn]>` (ptr + refcount-shared length):
+/// two words, down from a `Vec`'s three, and clones are refcount bumps.
 #[test]
 fn rib_entry_stays_compact() {
     assert_eq!(size_of::<AsPath>(), 16);
-    assert_eq!(size_of::<RibEntry>(), 24);
 }
 
 /// A visibility interval: start + optional end + 4-byte arena path id
