@@ -133,7 +133,7 @@ impl PrefixRecord {
             .values()
             .flatten()
             .map(|iv| (iv.start, iv.end))
-            .collect(); // lint: allow(no-unbounded-collect) — one prefix record: bounded by peers × lane intervals
+            .collect(); // one prefix record: bounded by peers × lane intervals
         spans.sort_by_key(|&(s, _)| s);
         let mut merged: Vec<(Date, Option<Date>)> = Vec::with_capacity(spans.len().min(8));
         for (s, e) in spans {
@@ -198,7 +198,7 @@ impl BgpArchive {
             .iter()
             .enumerate()
             .map(|(pos, u)| (u.prefix, u.peer, pos))
-            .collect(); // lint: allow(no-unbounded-collect) — one sort key per update, the index's own input size
+            .collect(); // one sort key per update, the index's own input size
         order.sort_unstable();
         let mut records: PrefixTrie<PrefixRecord> = PrefixTrie::new();
         // At most one path per update.
@@ -212,7 +212,7 @@ impl BgpArchive {
                     let stream = lane.iter().map(|&(_, _, pos)| &updates[pos]);
                     (lane[0].1, replay_lane(stream, &mut paths))
                 })
-                .collect(); // lint: allow(no-unbounded-collect) — one prefix's lanes: bounded by the collector peer count
+                .collect(); // one prefix's lanes: bounded by the collector peer count
             let record = PrefixRecord {
                 by_peer,
                 merged: Vec::new(),
@@ -224,7 +224,7 @@ impl BgpArchive {
         // lane vectors: `routed_at` walks many records' spans per query,
         // and that walk is measurably slower when they are scattered.
         // Records are independent, so the pass fans out across workers.
-        let mut values: Vec<&mut PrefixRecord> = records.values_mut().collect(); // lint: allow(no-unbounded-collect) — one &mut per record, needed to fan out par_for_each_mut
+        let mut values: Vec<&mut PrefixRecord> = records.values_mut().collect(); // one &mut per record, needed to fan out par_for_each_mut
         droplens_par::par_for_each_mut(&mut values, |r| r.build_visibility());
         BgpArchive {
             peers,
@@ -470,7 +470,7 @@ impl BgpArchive {
             .keys()
             .filter_map(|&peer| self.path_at(prefix, peer, date))
             .map(|p| p.origin())
-            .collect() // lint: allow(no-unbounded-collect) — bounded by the collector peer count
+            .collect() // bounded by the collector peer count
     }
 
     /// Every origin ASN ever reported for `prefix` before `date`, with the
@@ -503,7 +503,7 @@ impl BgpArchive {
         range
             .iter()
             .map(|d| (d, self.visibility(prefix, d)))
-            .collect() // lint: allow(no-unbounded-collect) — one point per day of the requested range
+            .collect() // one point per day of the requested range
     }
 
     /// Archived prefixes equal to or more specific than `covering`.
@@ -512,7 +512,7 @@ impl BgpArchive {
             .covered_by(covering)
             .into_iter()
             .map(|(p, _)| p)
-            .collect() // lint: allow(no-unbounded-collect) — the covered set is the return value itself
+            .collect()
     }
 }
 

@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use droplens_net::{Asn, BinReader, BinWriter, Date, ParseError, Quarantine};
+use droplens_net::{Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine};
 
 use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
 
@@ -127,7 +127,7 @@ pub fn write_updates(updates: &[BgpUpdate], peers: &[Peer]) -> String {
 /// Parse an update archive produced by [`write_updates`]. Blank lines and
 /// `#` comment lines are skipped; any malformed line aborts with an error
 /// identifying the file and line.
-pub fn parse_updates(text: &str) -> Result<Vec<BgpUpdate>, ParseError> {
+pub fn parse_updates(text: &str) -> Result<Vec<BgpUpdate>, LocatedError> {
     parse_updates_with(text, &mut Quarantine::strict("bgp/updates.txt"))
 }
 
@@ -137,7 +137,7 @@ pub fn parse_updates(text: &str) -> Result<Vec<BgpUpdate>, ParseError> {
 pub fn parse_updates_with(
     text: &str,
     quarantine: &mut Quarantine,
-) -> Result<Vec<BgpUpdate>, ParseError> {
+) -> Result<Vec<BgpUpdate>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.bgp.updates", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -161,9 +161,7 @@ pub fn parse_updates_with(
             }
             Err(e) => {
                 malformed.inc();
-                let e = e.with_location(quarantine.source(), lineno);
-                obs.error_sample("bgp.updates", e.to_string());
-                quarantine.reject(lineno, e)?;
+                quarantine.reject("bgp.updates", lineno, e)?;
             }
         }
     }
@@ -288,7 +286,7 @@ fn decode_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, ParseError> {
 }
 
 /// Parse a binary update sidecar strictly: any damage aborts.
-pub fn parse_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, ParseError> {
+pub fn parse_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, LocatedError> {
     parse_updates_bin_with(bytes, &mut Quarantine::strict("bgp/updates.bin"))
 }
 
@@ -300,7 +298,7 @@ pub fn parse_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, ParseError> {
 pub fn parse_updates_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<Vec<BgpUpdate>, ParseError> {
+) -> Result<Vec<BgpUpdate>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.bgp.updates", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -315,9 +313,7 @@ pub fn parse_updates_bin_with(
         }
         Err(e) => {
             obs.counter("bgp.updates.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("bgp.updates", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("bgp.updates", 0, e)?;
             Ok(Vec::new())
         }
     }
@@ -394,13 +390,13 @@ mod tests {
         let text = "BGP4MP|2020-01-01|A|peer0|1|10.0.0.0/8|1\nGARBAGE\nBGP4MP|2020-01-02|W|peer0|1|10.0.0.0/8\n";
         // Strict: aborts, reporting the file and line.
         let err = parse_updates(text).unwrap_err();
-        assert_eq!(err.location(), Some(("bgp/updates.txt", 2)));
+        assert_eq!(err.location(), ("bgp/updates.txt", 2));
         // Permissive: the bad line is quarantined, the rest parse.
         let mut q = Quarantine::permissive("bgp/updates.txt");
         let updates = parse_updates_with(text, &mut q).unwrap();
         assert_eq!(updates.len(), 2);
         assert_eq!(q.quarantined, 1);
-        assert_eq!(q.samples[0].location(), Some(("bgp/updates.txt", 2)));
+        assert_eq!(q.samples[0].location(), ("bgp/updates.txt", 2));
     }
 
     #[test]

@@ -204,121 +204,6 @@ pub fn classify_text(text: &str) -> String {
     out
 }
 
-/// How `droplens lint` renders its report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LintFormat {
-    /// `path:line: [rule] message` lines plus a summary (the default).
-    #[default]
-    Text,
-    /// Stable JSON, schema `droplens-lint/2`.
-    Json,
-    /// SARIF 2.1.0, for code-scanning upload.
-    Sarif,
-}
-
-/// Everything `droplens lint` accepts besides positional paths.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Diagnostic rendering.
-    pub format: LintFormat,
-    /// Subtract this known-findings snapshot before judging the run.
-    pub baseline: Option<PathBuf>,
-    /// Snapshot current findings here and exit clean.
-    pub write_baseline: Option<PathBuf>,
-    /// Lint only files changed relative to this git ref.
-    pub changed: Option<String>,
-}
-
-/// Files changed relative to `reff`, per `git diff --name-only`,
-/// resolved against the repo toplevel and filtered to `.rs` files that
-/// still exist (a deleted file shows in the diff but cannot be
-/// linted). `None` when git is unavailable, the cwd is not a repo, or
-/// the ref does not resolve — the caller falls back to a full scan.
-fn git_changed_files(reff: &str) -> Option<Vec<PathBuf>> {
-    use std::process::Command;
-    let top = Command::new("git")
-        .args(["rev-parse", "--show-toplevel"])
-        .output()
-        .ok()?;
-    if !top.status.success() {
-        return None;
-    }
-    let top = PathBuf::from(String::from_utf8_lossy(&top.stdout).trim());
-    let diff = Command::new("git")
-        .args(["diff", "--name-only", reff])
-        .output()
-        .ok()?;
-    if !diff.status.success() {
-        return None;
-    }
-    let cwd = std::env::current_dir().ok()?;
-    let mut files = Vec::new();
-    for line in String::from_utf8_lossy(&diff.stdout).lines() {
-        if !line.ends_with(".rs") {
-            continue;
-        }
-        let abs = top.join(line);
-        if !abs.is_file() {
-            continue;
-        }
-        // Keep labels cwd-relative when possible so diagnostics match
-        // a full-scan run's rendering.
-        files.push(abs.strip_prefix(&cwd).map(Path::to_path_buf).unwrap_or(abs));
-    }
-    files.sort();
-    Some(files)
-}
-
-/// `droplens lint`: run the workspace invariant checker over `paths`
-/// (directories are walked recursively; `target/`, `vendor/`, and
-/// fixture corpora are skipped unless named explicitly). Returns the
-/// rendered report on success; violations surface as
-/// [`CliError::Lint`] carrying the same rendering, so the binary can
-/// print it and exit nonzero without usage noise.
-pub fn lint(paths: &[PathBuf], opts: &LintOptions) -> Result<String, CliError> {
-    let default_paths = [PathBuf::from(".")];
-    let inputs: &[PathBuf] = if paths.is_empty() {
-        &default_paths
-    } else {
-        paths
-    };
-    let files = match &opts.changed {
-        Some(reff) => match git_changed_files(reff) {
-            Some(changed) => changed,
-            None => droplens_lint::collect_rs_files(inputs)
-                .map_err(|e| CliError::Io(inputs[0].display().to_string(), e))?,
-        },
-        None => droplens_lint::collect_rs_files(inputs)
-            .map_err(|e| CliError::Io(inputs[0].display().to_string(), e))?,
-    };
-    let mut report = droplens_lint::lint_files(&files)
-        .map_err(|e| CliError::Io(inputs[0].display().to_string(), e))?;
-    if let Some(out) = &opts.write_baseline {
-        std::fs::write(out, report.to_baseline())
-            .map_err(|e| CliError::Io(out.display().to_string(), e))?;
-        return Ok(format!(
-            "droplens-lint: wrote {} finding(s) to baseline {}\n",
-            report.diagnostics.len(),
-            out.display()
-        ));
-    }
-    if let Some(path) = &opts.baseline {
-        let snapshot = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Io(path.display().to_string(), e))?;
-        report.apply_baseline(&snapshot);
-    }
-    let rendered = match opts.format {
-        LintFormat::Text => report.to_text(),
-        LintFormat::Json => report.to_json(),
-        LintFormat::Sarif => report.to_sarif(),
-    };
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(CliError::Lint(rendered))
-    }
-}
-
 /// `droplens validate`: ROV of one announcement against a ROA journal.
 pub fn validate(
     roas_path: &Path,

@@ -25,10 +25,11 @@ use std::fmt;
 pub enum CliError {
     /// Filesystem failure, with the path involved.
     Io(String, std::io::Error),
-    /// Archive or argument parse failure.
+    /// Argument parse failure.
     Parse(droplens_net::ParseError),
-    /// Ingestion failure: strict parse error, error budget breach, or
-    /// coverage gap beyond the configured budget.
+    /// Ingestion failure: strict parse error (located in its archive),
+    /// error budget breach, or coverage gap beyond the configured
+    /// budget.
     Ingest(droplens_net::IngestError),
     /// Bad usage (unknown flag, missing argument, ...).
     Usage(String),
@@ -37,10 +38,6 @@ pub enum CliError {
     /// exiting nonzero (no usage text — the invocation was fine, the
     /// numbers weren't).
     Gate(String),
-    /// `droplens lint` found violations: the carried string is the full
-    /// report (text or JSON as requested), printed before exiting
-    /// nonzero — again no usage text, the invocation was fine.
-    Lint(String),
     /// A serve/query failure: the carried string is the full report or
     /// error text, printed before exiting nonzero (queries that
     /// exhausted their retry budget, or a load-gen run with failures or
@@ -56,7 +53,6 @@ impl fmt::Display for CliError {
             CliError::Ingest(e) => write!(f, "{e}"),
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Gate(_) => write!(f, "regression gate failed"),
-            CliError::Lint(_) => write!(f, "lint failed"),
             CliError::Serve(_) => write!(f, "serve failed"),
         }
     }
@@ -67,6 +63,12 @@ impl std::error::Error for CliError {}
 impl From<droplens_net::ParseError> for CliError {
     fn from(e: droplens_net::ParseError) -> Self {
         CliError::Parse(e)
+    }
+}
+
+impl From<droplens_net::LocatedError> for CliError {
+    fn from(e: droplens_net::LocatedError) -> Self {
+        CliError::Ingest(e.into())
     }
 }
 
@@ -86,8 +88,6 @@ USAGE:
     droplens scorecard --dir DIR [INGEST FLAGS]
     droplens classify [FILE]            (stdin when no file)
     droplens validate --roas FILE --date YYYY-MM-DD [--all-tals] PREFIX ASN
-    droplens lint [--format text|json|sarif] [--baseline FILE]
-                  [--write-baseline FILE] [--changed [REF]] [PATHS...]
     droplens serve --dir DIR [SERVE FLAGS] [INGEST FLAGS]
     droplens query --addr HOST:PORT [--timeout-ms N] KIND [ARGS...]
     droplens top --addr HOST:PORT [--interval-ms N] [--count N]
@@ -103,25 +103,6 @@ GLOBAL FLAGS:
     --trace=PATH        record a hierarchical trace of the run and write
                         it as Chrome trace-event JSON to PATH (open in
                         Perfetto or chrome://tracing)
-
-LINT (check the workspace's own invariants; DESIGN.md §9):
-    PATHS are files or directories to scan (default: the current
-    directory; `target/`, `vendor/`, and fixture corpora are skipped,
-    explicitly named files are always linted). Rules: located-errors,
-    no-unbounded-collect, no-string-keyed-hot-map, no-deadline-free-io,
-    lock-across-io. Panic-freedom and the bans on HashMap/HashSet, clock
-    reads, entropy-seeded RNGs and TcpStream::connect are clippy's
-    (`cargo clippy`; workspace lint table and clippy.toml).
-    Suppress one finding with a trailing `// lint: allow(<rule>)`.
-    --format text|json|sarif  diagnostic rendering (default text);
-                              exits nonzero when violations survive
-    --baseline FILE         subtract a known-findings snapshot; only
-                            findings not in FILE fail the run
-    --write-baseline FILE   snapshot current findings into FILE and
-                            exit 0 (use to adopt the linter gradually)
-    --changed [REF]         lint only files reported changed by
-                            `git diff --name-only REF` (default HEAD);
-                            falls back to a full scan outside a repo
 
 SERVE (long-lived query service over the indexed study; DESIGN.md §12):
     --addr HOST:PORT    bind address (default 127.0.0.1:0; the bound

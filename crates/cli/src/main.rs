@@ -89,13 +89,6 @@ fn main() -> ExitCode {
             eprintln!("droplens: regression gate failed");
             ExitCode::FAILURE
         }
-        // Same shape for lint: the report is the payload, the failure
-        // is in the findings, not the invocation.
-        Err(CliError::Lint(output)) => {
-            print!("{output}");
-            eprintln!("droplens: lint failed");
-            ExitCode::FAILURE
-        }
         // Serve/query failures carry their report the same way.
         Err(CliError::Serve(output)) => {
             print!("{output}");
@@ -211,50 +204,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let prefix: Ipv4Prefix = prefix.parse()?;
             let asn: Asn = asn.parse()?;
             commands::validate(&roas, date, prefix, asn, all_tals)
-        }
-        Some("lint") => {
-            let mut opts = commands::LintOptions::default();
-            let mut paths: Vec<PathBuf> = Vec::new();
-            let rest: Vec<&str> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--format" => {
-                        opts.format = match value(&rest, &mut i)? {
-                            "text" => commands::LintFormat::Text,
-                            "json" => commands::LintFormat::Json,
-                            "sarif" => commands::LintFormat::Sarif,
-                            other => {
-                                return Err(CliError::Usage(format!(
-                                    "--format wants text|json|sarif, got {other:?}"
-                                )))
-                            }
-                        };
-                    }
-                    "--baseline" => opts.baseline = Some(PathBuf::from(value(&rest, &mut i)?)),
-                    "--write-baseline" => {
-                        opts.write_baseline = Some(PathBuf::from(value(&rest, &mut i)?));
-                    }
-                    "--changed" => {
-                        // An optional REF rides along when the next token
-                        // is not a flag: `--changed origin/main`.
-                        let reff = match rest.get(i + 1) {
-                            Some(next) if !next.starts_with("--") => {
-                                i += 1;
-                                (*next).to_owned()
-                            }
-                            _ => "HEAD".to_owned(),
-                        };
-                        opts.changed = Some(reff);
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag {flag:?}")))
-                    }
-                    path => paths.push(PathBuf::from(path)),
-                }
-                i += 1;
-            }
-            commands::lint(&paths, &opts)
         }
         Some("serve") => {
             let mut dir: Option<PathBuf> = None;

@@ -205,65 +205,3 @@ fn validate_command_on_written_archive() {
     assert!(out.contains("Invalid"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn lint_command_reports_and_gates() {
-    use droplens_cli::commands::{LintFormat, LintOptions};
-    use droplens_cli::CliError;
-
-    let text = LintOptions::default();
-    let json = LintOptions {
-        format: LintFormat::Json,
-        ..LintOptions::default()
-    };
-
-    let dir = temp_dir("lint");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-
-    // A clean file under the strictest scope (format stem) passes.
-    std::fs::write(
-        dir.join("format.rs"),
-        "pub fn parse(s: &str) -> Option<u32> { s.parse().ok() }\n",
-    )
-    .expect("write clean");
-    let out = commands::lint(std::slice::from_ref(&dir), &text).expect("clean lint");
-    assert!(out.contains("0 violations"), "{out}");
-
-    // Add a violating file: the command must fail, carrying the report.
-    std::fs::write(
-        dir.join("archive.rs"),
-        "pub fn load(s: &str) -> Vec<u32> { s.split(',').flat_map(str::parse).collect() }\n",
-    )
-    .expect("write bad");
-    match commands::lint(std::slice::from_ref(&dir), &text) {
-        Err(CliError::Lint(report)) => {
-            assert!(report.contains("[no-unbounded-collect]"), "{report}");
-            assert!(report.contains("archive.rs:1:"), "{report}");
-        }
-        other => panic!("expected lint failure, got {other:?}"),
-    }
-
-    // JSON rendering carries the same findings machine-readably.
-    match commands::lint(std::slice::from_ref(&dir), &json) {
-        Err(CliError::Lint(json)) => {
-            assert!(
-                json.starts_with("{\"schema\":\"droplens-lint/2\""),
-                "{json}"
-            );
-            assert!(json.contains("\"rule\":\"no-unbounded-collect\""), "{json}");
-            assert!(json.contains("\"violations\":1"), "{json}");
-        }
-        other => panic!("expected lint failure, got {other:?}"),
-    }
-
-    // An escape suppresses the finding and the command passes again.
-    std::fs::write(
-        dir.join("archive.rs"),
-        "pub fn load(s: &str) -> Vec<u32> { s.split(',').flat_map(str::parse).collect() } // lint: allow(no-unbounded-collect)\n",
-    )
-    .expect("write escaped");
-    let out = commands::lint(std::slice::from_ref(&dir), &text).expect("escaped lint");
-    assert!(out.contains("0 violations (1 suppressed)"), "{out}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -9,7 +9,7 @@ use droplens_drop::{
 use droplens_irr::{IrrRegistry, JournalEntry};
 use droplens_net::{
     AddressSpace, Asn, Date, DateRange, IngestError, IngestPolicy, IngestReport, Ipv4Prefix,
-    ParseError, Quarantine, SourceCoverage, SourceIngest,
+    LocatedError, ParseError, Quarantine, SourceCoverage, SourceIngest,
 };
 use droplens_rir::format::{SharedStatsFile, StatsRows, StatsSeries};
 use droplens_rir::{Rir, RirStatsArchive};
@@ -244,17 +244,17 @@ impl Study {
             || {
                 let mut q = ledger(ArchiveFile::BgpUpdates);
                 let updates = (codec.parse_updates)(&archives.bgp_updates, &mut q)?;
-                Ok::<_, ParseError>((updates, q))
+                Ok::<_, LocatedError>((updates, q))
             },
             || {
                 let mut q = ledger(ArchiveFile::IrrJournal);
                 let entries = (codec.parse_journal)(&archives.irr_journal, &mut q)?;
-                Ok::<_, ParseError>((entries, q))
+                Ok::<_, LocatedError>((entries, q))
             },
             || {
                 let mut q = ledger(ArchiveFile::Roas);
                 let events = (codec.parse_events)(&archives.roa_events, &mut q)?;
-                Ok::<_, ParseError>((events, q))
+                Ok::<_, LocatedError>((events, q))
             },
             || load_rir_stats(codec, &archives.rir_snapshots, &policy),
             || {
@@ -262,7 +262,7 @@ impl Study {
                     droplens_par::par_map(&archives.drop_snapshots, |(date, body)| {
                         let mut q = ledger(ArchiveFile::DropSnapshot(*date));
                         let snap = (codec.parse_snapshot)(*date, body, &mut q)?;
-                        Ok::<_, ParseError>((snap, q))
+                        Ok::<_, LocatedError>((snap, q))
                     });
                 let repair_span = droplens_obs::global().span("drop_repair");
                 let mut snapshots = Vec::with_capacity(per_snapshot.len());
@@ -280,7 +280,7 @@ impl Study {
                 repair_span.finish();
                 let mut sbl_q = ledger(ArchiveFile::SblRecords);
                 let sbl = (codec.parse_sbl)(&archives.sbl_records, &mut sbl_q)?;
-                Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
+                Ok::<_, LocatedError>((snapshots, q, sbl, sbl_q))
             },
         );
         let (updates, bgp_q) = bgp_res?;
@@ -452,7 +452,10 @@ impl Study {
             },
             || DropTimeline::try_from_snapshots(&snapshots),
         );
-        let (rir, drop) = (rir?, drop?);
+        let (rir, drop) = (
+            rir.map_err(IngestError::Order)?,
+            drop.map_err(IngestError::Order)?,
+        );
         index_span.finish();
         // Everything parsed is indexed now: free it here, under a span
         // of its own, rather than at the end of the build.
@@ -563,7 +566,7 @@ pub fn load_rir_stats<B: Sync>(
     codec: &Codec<B>,
     snapshots: &[(Date, Vec<B>)],
     policy: &IngestPolicy,
-) -> Result<LoadedStats, ParseError> {
+) -> Result<LoadedStats, LocatedError> {
     let per_rir = droplens_par::par_map(&Rir::ALL, |&rir| {
         let slot = rir as usize;
         let mut series = StatsSeries::new();
@@ -581,12 +584,12 @@ pub fn load_rir_stats<B: Sync>(
             let file = (codec.parse_stats_file)(body, &mut series, &mut q).map_err(|e| (at, e))?;
             files.push(Some((file, q)));
         }
-        Ok::<_, (usize, ParseError)>((series.into_rows(), files))
+        Ok::<_, (usize, LocatedError)>((series.into_rows(), files))
     });
     let repair_span = droplens_obs::global().span("rir_repair");
     // A strict failure is the earliest date's, and of that date's, the
     // first registry's.
-    let mut failed: Option<(usize, ParseError)> = None;
+    let mut failed: Option<(usize, LocatedError)> = None;
     let mut rows = StatsRows::default();
     let mut by_rir = Vec::with_capacity(per_rir.len());
     for r in per_rir {
@@ -920,7 +923,7 @@ mod tests {
         assert_eq!(s.ingest.sources["drop"].quarantine.quarantined, 1);
         assert_eq!(s.ingest.total_quarantined(), 3);
         let sample = &s.ingest.sources["bgp"].quarantine.samples[0];
-        assert!(sample.location().is_some());
+        assert_eq!(sample.location().0, "bgp/updates.txt");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! scanning; `droplens-core`'s round-trip equivalence test proves both
 //! paths build byte-identical studies.
 
-use droplens_net::{BinReader, BinWriter, Date, Ipv4Prefix, ParseError, Quarantine, NO_ID};
+use droplens_net::{
+    BinReader, BinWriter, Date, Ipv4Prefix, LocatedError, ParseError, Quarantine, NO_ID,
+};
 
 use crate::{DropSnapshot, SblDatabase, SblId, SblRecord};
 
@@ -79,7 +81,7 @@ fn decode_snapshot_bin(date: Date, bytes: &[u8]) -> Result<DropSnapshot, ParseEr
 }
 
 /// Parse a binary snapshot sidecar strictly: any damage aborts.
-pub fn parse_snapshot_bin(date: Date, bytes: &[u8]) -> Result<DropSnapshot, ParseError> {
+pub fn parse_snapshot_bin(date: Date, bytes: &[u8]) -> Result<DropSnapshot, LocatedError> {
     parse_snapshot_bin_with(
         date,
         bytes,
@@ -96,7 +98,7 @@ pub fn parse_snapshot_bin_with(
     date: Date,
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<DropSnapshot, ParseError> {
+) -> Result<DropSnapshot, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.drop.list", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -112,9 +114,7 @@ pub fn parse_snapshot_bin_with(
         }
         Err(e) => {
             obs.counter("drop.list.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("drop.list", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("drop.list", 0, e)?;
             Ok(DropSnapshot::new(date))
         }
     }
@@ -148,7 +148,7 @@ fn decode_sbl_bin(bytes: &[u8]) -> Result<SblDatabase, ParseError> {
 }
 
 /// Parse a binary SBL sidecar strictly: any damage aborts.
-pub fn parse_sbl_bin(bytes: &[u8]) -> Result<SblDatabase, ParseError> {
+pub fn parse_sbl_bin(bytes: &[u8]) -> Result<SblDatabase, LocatedError> {
     parse_sbl_bin_with(bytes, &mut Quarantine::strict("sbl/records.bin"))
 }
 
@@ -158,7 +158,7 @@ pub fn parse_sbl_bin(bytes: &[u8]) -> Result<SblDatabase, ParseError> {
 pub fn parse_sbl_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<SblDatabase, ParseError> {
+) -> Result<SblDatabase, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.drop.sbl", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -173,9 +173,7 @@ pub fn parse_sbl_bin_with(
         }
         Err(e) => {
             obs.counter("drop.sbl.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("drop.sbl", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("drop.sbl", 0, e)?;
             Ok(SblDatabase::new())
         }
     }

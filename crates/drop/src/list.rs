@@ -16,7 +16,9 @@
 
 use std::collections::BTreeMap;
 
-use droplens_net::{find_gaps, Date, DateRange, GapSpan, Ipv4Prefix, ParseError, Quarantine};
+use droplens_net::{
+    find_gaps, Date, DateRange, GapSpan, Ipv4Prefix, LocatedError, ParseError, Quarantine,
+};
 
 use crate::SblId;
 
@@ -70,7 +72,7 @@ impl DropSnapshot {
 
     /// Parse a snapshot file; the date is supplied by the archive layout
     /// (FireHOL names files by date), not the header comment.
-    pub fn parse(date: Date, text: &str) -> Result<DropSnapshot, ParseError> {
+    pub fn parse(date: Date, text: &str) -> Result<DropSnapshot, LocatedError> {
         Self::parse_with(
             date,
             text,
@@ -85,7 +87,7 @@ impl DropSnapshot {
         date: Date,
         text: &str,
         quarantine: &mut Quarantine,
-    ) -> Result<DropSnapshot, ParseError> {
+    ) -> Result<DropSnapshot, LocatedError> {
         let obs = droplens_obs::global();
         let mut tspan = droplens_obs::trace::global().span("parse.drop.list", "parse");
         tspan.arg_str("file", quarantine.source());
@@ -120,9 +122,7 @@ impl DropSnapshot {
                 }
                 Err(e) => {
                     malformed.inc();
-                    let e = e.with_location(quarantine.source(), lineno);
-                    obs.error_sample("drop.list", e.to_string());
-                    quarantine.reject(lineno, e)?;
+                    quarantine.reject("drop.list", lineno, e)?;
                 }
             }
         }
@@ -265,7 +265,6 @@ impl DropTimeline {
                     // Chronology check over already-parsed snapshots:
                     // there is no file/line here, and the error names
                     // the offending snapshot date instead.
-                    // lint: allow(located-errors)
                     return Err(ParseError::new(
                         "DropTimeline",
                         &snap.date.to_string(),
@@ -519,7 +518,7 @@ mod tests {
         let text = "10.0.0.0/8 ; SBL7\nnot-a-prefix ; SBL1\n11.0.0.0/8 ; SBL8\n";
         // Strict: aborts with per-file location.
         let err = DropSnapshot::parse(d("2020-01-01"), text).unwrap_err();
-        assert_eq!(err.location(), Some(("drop/2020-01-01.txt", 2)));
+        assert_eq!(err.location(), ("drop/2020-01-01.txt", 2));
         // Permissive: the bad line is quarantined.
         let mut q = Quarantine::permissive("drop/2020-01-01.txt");
         let s = DropSnapshot::parse_with(d("2020-01-01"), text, &mut q).unwrap();

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 
-use droplens_net::{Asn, ParseError, Quarantine};
+use droplens_net::{Asn, LocatedError, ParseError, Quarantine};
 
 use crate::Category;
 
@@ -201,7 +201,7 @@ impl SblDatabase {
     }
 
     /// Parse the block format written by [`SblDatabase::to_text`].
-    pub fn parse(text: &str) -> Result<SblDatabase, ParseError> {
+    pub fn parse(text: &str) -> Result<SblDatabase, LocatedError> {
         Self::parse_with(text, &mut Quarantine::strict("sbl/records.txt"))
     }
 
@@ -210,7 +210,10 @@ impl SblDatabase {
     /// line quarantines the block (its body lines are swallowed until the
     /// next blank separator) and, in permissive mode, parsing resumes at
     /// the next block.
-    pub fn parse_with(text: &str, quarantine: &mut Quarantine) -> Result<SblDatabase, ParseError> {
+    pub fn parse_with(
+        text: &str,
+        quarantine: &mut Quarantine,
+    ) -> Result<SblDatabase, LocatedError> {
         let obs = droplens_obs::global();
         let mut tspan = droplens_obs::trace::global().span("parse.drop.sbl", "parse");
         tspan.arg_str("file", quarantine.source());
@@ -242,9 +245,7 @@ impl SblDatabase {
                         Ok(id) => id,
                         Err(e) => {
                             obs.counter("drop.sbl.malformed").inc();
-                            let e = e.with_location(quarantine.source(), lineno);
-                            obs.error_sample("drop.sbl", e.to_string());
-                            quarantine.reject(lineno, e)?;
+                            quarantine.reject("drop.sbl", lineno, e)?;
                             swallowing = true;
                             continue;
                         }
@@ -403,7 +404,7 @@ mod tests {
     #[test]
     fn database_parse_rejects_garbage_header() {
         let err = SblDatabase::parse("NOTANID\nbody\n").unwrap_err();
-        assert_eq!(err.location(), Some(("sbl/records.txt", 1)));
+        assert_eq!(err.location(), ("sbl/records.txt", 1));
     }
 
     #[test]
@@ -414,7 +415,7 @@ mod tests {
         assert_eq!(db.len(), 1);
         assert_eq!(db.get(SblId(7)).unwrap().text, "good body");
         assert_eq!(q.quarantined, 1);
-        assert_eq!(q.samples[0].location(), Some(("sbl/records.txt", 1)));
+        assert_eq!(q.samples[0].location(), ("sbl/records.txt", 1));
     }
 
     #[test]

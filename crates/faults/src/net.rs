@@ -15,8 +15,11 @@
 //!
 //! Every socket the proxy touches carries read and write timeouts (the
 //! pump polls its shutdown flag on each timeout), so a wedged peer can
-//! never wedge the proxy — the same `no-deadline-free-io` rule the
-//! serve paths live under.
+//! never wedge the proxy — the same rule the serve paths live under.
+//! This crate does not depend on droplens-serve, so it cannot use
+//! `DeadlineStream`: the two functions that make raw sockets,
+//! `accept_loop` and [`ChaosProxy::stop`], allow clippy's socket bans
+//! and say why.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -163,6 +166,7 @@ impl ChaosProxy {
 
     /// Stop relaying and wait for every pump to exit; returns the final
     /// tallies.
+    #[allow(clippy::disallowed_methods)] // the wake is dropped unread and unwritten
     pub fn stop(mut self) -> ChaosLog {
         self.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in `accept`: wake it with a connection it
@@ -180,6 +184,7 @@ impl ChaosProxy {
     }
 }
 
+#[allow(clippy::disallowed_methods)] // `spawn_pump` sets the 50 ms tick on both legs before any IO
 fn accept_loop(
     listener: TcpListener,
     upstream: SocketAddr,

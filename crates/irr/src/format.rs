@@ -8,8 +8,8 @@
 //! so the journal loads without per-line RPSL parsing.
 
 use droplens_net::{
-    read_str_table, Asn, BinReader, BinWriter, Date, Ipv4Prefix, ParseError, Quarantine, StrTable,
-    NO_ID,
+    read_str_table, Asn, BinReader, BinWriter, Date, Ipv4Prefix, LocatedError, ParseError,
+    Quarantine, StrTable, NO_ID,
 };
 
 use crate::{JournalEntry, JournalOp, RouteObject};
@@ -38,7 +38,7 @@ pub fn write_journal_bin(entries: &[JournalEntry]) -> Vec<u8> {
             .extra
             .iter()
             .map(|(k, v)| (strs.add(k), strs.add(v)))
-            .collect(); // lint: allow(no-unbounded-collect) — a handful of extra attributes per object
+            .collect(); // a handful of extra attributes per object
         ids.push((descr, maintainer, org, source, extra));
     }
     strs.write(&mut w);
@@ -181,7 +181,7 @@ fn decode_journal_bin(bytes: &[u8]) -> Result<Vec<JournalEntry>, ParseError> {
 }
 
 /// Parse a binary journal sidecar strictly: any damage aborts.
-pub fn parse_journal_bin(bytes: &[u8]) -> Result<Vec<JournalEntry>, ParseError> {
+pub fn parse_journal_bin(bytes: &[u8]) -> Result<Vec<JournalEntry>, LocatedError> {
     parse_journal_bin_with(bytes, &mut Quarantine::strict("irr/journal.bin"))
 }
 
@@ -193,7 +193,7 @@ pub fn parse_journal_bin(bytes: &[u8]) -> Result<Vec<JournalEntry>, ParseError> 
 pub fn parse_journal_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<Vec<JournalEntry>, ParseError> {
+) -> Result<Vec<JournalEntry>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.irr.journal", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -208,9 +208,7 @@ pub fn parse_journal_bin_with(
         }
         Err(e) => {
             obs.counter("irr.journal.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("irr.journal", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("irr.journal", 0, e)?;
             Ok(Vec::new())
         }
     }

@@ -19,7 +19,7 @@
 //! source:         RADB
 //! ```
 
-use droplens_net::{Date, ParseError, Quarantine};
+use droplens_net::{Date, LocatedError, ParseError, Quarantine};
 
 use crate::RouteObject;
 
@@ -61,7 +61,7 @@ pub fn write_journal(entries: &[JournalEntry]) -> String {
 /// Parse a journal produced by [`write_journal`]. `%`-comment lines are
 /// skipped. Entries must be chronologically ordered (the registry replay
 /// relies on it); out-of-order entries are an error.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, ParseError> {
+pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, LocatedError> {
     parse_journal_with(text, &mut Quarantine::strict("irr/journal.txt"))
 }
 
@@ -73,7 +73,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, ParseError> {
 pub fn parse_journal_with(
     text: &str,
     quarantine: &mut Quarantine,
-) -> Result<Vec<JournalEntry>, ParseError> {
+) -> Result<Vec<JournalEntry>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.irr.journal", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -92,9 +92,7 @@ pub fn parse_journal_with(
     macro_rules! reject {
         ($lineno:expr, $err:expr) => {{
             malformed.inc();
-            let e = $err.with_location(quarantine.source(), $lineno);
-            obs.error_sample("irr.journal", e.to_string());
-            quarantine.reject($lineno, e)?;
+            quarantine.reject("irr.journal", $lineno, $err)?;
         }};
     }
 
@@ -257,7 +255,7 @@ mod tests {
     fn strict_errors_carry_header_location() {
         let text = "ADD 2020-01-01\n\nroute: 10.0.0.0/8\norigin: AS1\n\nADD 2020-02-01\n\nroute: junk\norigin: AS2\n";
         let err = parse_journal(text).unwrap_err();
-        assert_eq!(err.location(), Some(("irr/journal.txt", 6)));
+        assert_eq!(err.location(), ("irr/journal.txt", 6));
     }
 
     #[test]
@@ -291,7 +289,7 @@ origin: AS4
         assert_eq!(entries[0].object.origin, Asn(1));
         assert_eq!(entries[1].object.origin, Asn(4));
         assert_eq!(q.quarantined, 2);
-        assert_eq!(q.samples[0].location(), Some(("irr/journal.txt", 6)));
-        assert_eq!(q.samples[1].location(), Some(("irr/journal.txt", 11)));
+        assert_eq!(q.samples[0].location(), ("irr/journal.txt", 6));
+        assert_eq!(q.samples[1].location(), ("irr/journal.txt", 11));
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! This module provides the container plus bounds-checked primitive
 //! reads; the per-archive column codecs live next to their text
-//! counterparts in each crate's `format` module, where the same lint
-//! scoping (located-errors, no-unbounded-collect,
-//! no-string-keyed-hot-map) applies.
+//! counterparts in each crate's `format` module, and their parsers
+//! report damage as a [`LocatedError`](crate::LocatedError) naming the
+//! sidecar, as the text parsers do.
 
 use crate::error::ParseError;
 use crate::intern::{InternId, StrId, StringInterner};

@@ -1,4 +1,5 @@
-//! Parse-error type shared by the textual representations in this crate.
+//! Parse-error types shared by the textual representations in this crate
+//! and by every archive parser above it.
 
 use std::fmt;
 
@@ -7,17 +8,16 @@ use std::fmt;
 /// The error records what was being parsed and the offending input, so that
 /// callers higher up the stack (archive parsers chewing through millions of
 /// lines) can produce actionable diagnostics without re-deriving context.
-/// Archive parsers additionally attach *where* the input came from — a
-/// source-file label and 1-based line number — via
-/// [`ParseError::with_location`], so a bad byte in a multi-GB feed is
-/// reported as `bgp/updates.txt:10482`, not just as the offending token.
+/// It carries no location: a line helper does not know where its input
+/// came from. Archive parsers hand it to [`Quarantine::reject`], which
+/// returns it as a [`LocatedError`].
+///
+/// [`Quarantine::reject`]: crate::Quarantine::reject
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     kind: &'static str,
     input: String,
     detail: String,
-    file: Option<String>,
-    line: Option<u32>,
 }
 
 impl ParseError {
@@ -28,22 +28,7 @@ impl ParseError {
             kind,
             input: input.to_owned(),
             detail: detail.into(),
-            file: None,
-            line: None,
         }
-    }
-
-    /// Attach the source-file label and 1-based line number where the bad
-    /// input was found. Existing location context is kept (the innermost
-    /// parser knows the position best), so archive loaders can apply it
-    /// unconditionally on the way out.
-    #[must_use]
-    pub fn with_location(mut self, file: &str, line: u32) -> Self {
-        if self.file.is_none() {
-            self.file = Some(file.to_owned());
-            self.line = Some(line);
-        }
-        self
     }
 
     /// The type that failed to parse (e.g. `"Asn"`).
@@ -60,34 +45,63 @@ impl ParseError {
     pub fn detail(&self) -> &str {
         &self.detail
     }
-
-    /// The source-file label and 1-based line number, when attached.
-    pub fn location(&self) -> Option<(&str, u32)> {
-        match (&self.file, self.line) {
-            (Some(f), Some(l)) => Some((f.as_str(), l)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.location() {
-            Some((file, line)) => write!(
-                f,
-                "{file}:{line}: invalid {}: {:?} ({})",
-                self.kind, self.input, self.detail
-            ),
-            None => write!(
-                f,
-                "invalid {}: {:?} ({})",
-                self.kind, self.input, self.detail
-            ),
-        }
+        write!(
+            f,
+            "invalid {}: {:?} ({})",
+            self.kind, self.input, self.detail
+        )
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// A [`ParseError`] with the place its input came from: a source-file
+/// label and a 1-based line number (0 for a binary sidecar, which is
+/// rejected whole). A bad byte in a multi-GB feed is reported as
+/// `bgp/updates.txt:10482`, not just as the offending token.
+///
+/// Every archive parser returns this type, and only the ledger it
+/// threads builds one ([`Quarantine::reject`], and
+/// [`Quarantine::require`] for a strict wrapper). There is no
+/// `From<ParseError>`, so a `?` that would pass a line helper's error
+/// through without its location does not compile.
+///
+/// [`Quarantine::reject`]: crate::Quarantine::reject
+/// [`Quarantine::require`]: crate::Quarantine::require
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocatedError {
+    error: ParseError,
+    file: String,
+    line: u32,
+}
+
+impl LocatedError {
+    pub(crate) fn new(error: ParseError, file: &str, line: u32) -> Self {
+        LocatedError {
+            error,
+            file: file.to_owned(),
+            line,
+        }
+    }
+
+    /// The source-file label and the 1-based line number (0 for a
+    /// whole binary sidecar).
+    pub fn location(&self) -> (&str, u32) {
+        (&self.file, self.line)
+    }
+}
+
+impl fmt::Display for LocatedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: {}", self.file, self.line, self.error)
+    }
+}
+
+impl std::error::Error for LocatedError {}
 
 #[cfg(test)]
 mod tests {
@@ -108,17 +122,19 @@ mod tests {
         assert_eq!(e.kind(), "Ipv4Prefix");
         assert_eq!(e.input(), "1.2.3.4/33");
         assert_eq!(e.detail(), "prefix length > 32");
-        assert_eq!(e.location(), None);
     }
 
     #[test]
     fn location_is_attached_once_and_displayed() {
-        let e = ParseError::new("Asn", "ASX", "not a number").with_location("bgp/updates.txt", 42);
-        assert_eq!(e.location(), Some(("bgp/updates.txt", 42)));
-        let s = e.to_string();
-        assert!(s.starts_with("bgp/updates.txt:42: "), "{s}");
-        // The innermost location wins; later attachments are no-ops.
-        let e = e.with_location("outer.txt", 1);
-        assert_eq!(e.location(), Some(("bgp/updates.txt", 42)));
+        let e = LocatedError::new(
+            ParseError::new("Asn", "ASX", "not a number"),
+            "bgp/updates.txt",
+            42,
+        );
+        assert_eq!(e.location(), ("bgp/updates.txt", 42));
+        assert_eq!(
+            e.to_string(),
+            "bgp/updates.txt:42: invalid Asn: \"ASX\" (not a number)"
+        );
     }
 }

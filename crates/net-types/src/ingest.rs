@@ -12,7 +12,8 @@
 //!   or gap budget is blown);
 //! * [`Quarantine`] — the per-source ledger a parser threads through one
 //!   invocation: parsed/skipped/quarantined counts plus bounded samples
-//!   of the rejected lines, each carrying file label and line number;
+//!   of the rejected lines, each a [`LocatedError`] carrying file label
+//!   and line number;
 //! * [`GapSpan`] / [`SourceCoverage`] — explicit records of missing
 //!   daily snapshots, so every number the pipeline emits can carry a
 //!   data-completeness caveat;
@@ -28,7 +29,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-use crate::{Date, DateRange, ParseError};
+use crate::{Date, DateRange, LocatedError, ParseError};
 
 /// How archive loaders react to malformed input.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,10 +109,11 @@ pub const QUARANTINE_SAMPLES_KEPT: usize = 8;
 ///
 /// Parsers call [`Quarantine::record_ok`] for every accepted record,
 /// [`Quarantine::record_skip`] for benign noise (blank and comment
-/// lines), and [`Quarantine::reject`] for malformed input. In strict mode
-/// `reject` returns the error so the parser aborts with `?`; in
-/// permissive mode it counts the line, keeps the first
-/// [`QUARANTINE_SAMPLES_KEPT`] errors, and lets the parser continue.
+/// lines), and [`Quarantine::reject`] for malformed input. `reject`
+/// locates the error: in strict mode it returns it as a [`LocatedError`]
+/// so the parser aborts with `?`; in permissive mode it counts the line,
+/// keeps the first [`QUARANTINE_SAMPLES_KEPT`] errors, and lets the
+/// parser continue.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Quarantine {
     source: String,
@@ -124,7 +126,7 @@ pub struct Quarantine {
     /// this past one).
     pub quarantined: u64,
     /// First [`QUARANTINE_SAMPLES_KEPT`] rejected lines, with location.
-    pub samples: Vec<ParseError>,
+    pub samples: Vec<LocatedError>,
 }
 
 impl Quarantine {
@@ -175,11 +177,19 @@ impl Quarantine {
         self.skipped += 1;
     }
 
-    /// Account one malformed record at 1-based `line`. Strict: the error
-    /// (with location attached) is returned for the parser to propagate.
+    /// Account one malformed record at 1-based `line` of this ledger's
+    /// source (0 for a binary sidecar rejected whole), and sample it
+    /// under `metric` in the process registry's error log. Strict: the
+    /// located error is returned for the parser to propagate.
     /// Permissive: the line is quarantined and parsing continues.
-    pub fn reject(&mut self, line: u32, error: ParseError) -> Result<(), ParseError> {
-        let located = error.with_location(&self.source, line);
+    pub fn reject(
+        &mut self,
+        metric: &str,
+        line: u32,
+        error: ParseError,
+    ) -> Result<(), LocatedError> {
+        let located = LocatedError::new(error, &self.source, line);
+        droplens_obs::global().error_sample(metric, located.to_string());
         if self.strict {
             return Err(located);
         }
@@ -201,6 +211,20 @@ impl Quarantine {
             self.samples.push(located);
         }
         Ok(())
+    }
+
+    /// Unwrap the `Ok(None)` of a parser that drops an unusable input
+    /// whole, for that parser's strict wrapper. A strict ledger turns
+    /// that reject into an error first, so `None` cannot come from one;
+    /// should it, it is reported as `error` at `line`, located like any
+    /// reject.
+    pub fn require<T>(
+        &self,
+        parsed: Option<T>,
+        line: u32,
+        error: ParseError,
+    ) -> Result<T, LocatedError> {
+        parsed.ok_or_else(|| LocatedError::new(error, &self.source, line))
     }
 
     /// Candidate records seen: accepted plus quarantined.
@@ -565,7 +589,10 @@ fn json_escape(s: &str) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub enum IngestError {
     /// A malformed record aborted a strict run.
-    Parse(ParseError),
+    Parse(LocatedError),
+    /// Indexing found parsed snapshots out of date order. No file or
+    /// line is at fault; the error names the offending snapshot date.
+    Order(ParseError),
     /// A source's quarantine rate blew its permissive error budget.
     BudgetExceeded {
         /// The offending source.
@@ -579,7 +606,7 @@ pub enum IngestError {
         /// Candidate records seen.
         seen: u64,
         /// Sampled rejected lines (with file/line context).
-        samples: Vec<ParseError>,
+        samples: Vec<LocatedError>,
     },
     /// A source's snapshot gap blew its permissive gap budget.
     GapExceeded {
@@ -598,6 +625,7 @@ impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IngestError::Parse(e) => write!(f, "{e}"),
+            IngestError::Order(e) => write!(f, "{e}"),
             IngestError::BudgetExceeded {
                 source,
                 rate,
@@ -636,13 +664,14 @@ impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IngestError::Parse(e) => Some(e),
+            IngestError::Order(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<ParseError> for IngestError {
-    fn from(e: ParseError) -> Self {
+impl From<LocatedError> for IngestError {
+    fn from(e: LocatedError) -> Self {
         IngestError::Parse(e)
     }
 }
@@ -675,9 +704,13 @@ mod tests {
         let mut q = Quarantine::strict("bgp/updates.txt");
         q.record_ok();
         let err = q
-            .reject(7, ParseError::new("BgpUpdate", "junk", "too few fields"))
+            .reject(
+                "bgp.updates",
+                7,
+                ParseError::new("BgpUpdate", "junk", "too few fields"),
+            )
             .unwrap_err();
-        assert_eq!(err.location(), Some(("bgp/updates.txt", 7)));
+        assert_eq!(err.location(), ("bgp/updates.txt", 7));
         assert_eq!(q.quarantined, 0);
     }
 
@@ -685,31 +718,35 @@ mod tests {
     fn permissive_quarantine_counts_and_samples() {
         let mut q = Quarantine::permissive("drop/x.txt");
         for i in 0..20 {
-            q.reject(i + 1, ParseError::new("Ipv4Prefix", "999.9", "bad octet"))
-                .expect("permissive never errors");
+            q.reject(
+                "drop.list",
+                i + 1,
+                ParseError::new("Ipv4Prefix", "999.9", "bad octet"),
+            )
+            .expect("permissive never errors");
         }
         for _ in 0..80 {
             q.record_ok();
         }
         assert_eq!(q.quarantined, 20);
         assert_eq!(q.samples.len(), QUARANTINE_SAMPLES_KEPT);
-        assert_eq!(q.samples[0].location(), Some(("drop/x.txt", 1)));
+        assert_eq!(q.samples[0].location(), ("drop/x.txt", 1));
         assert!((q.error_rate() - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn absorb_merges_in_order() {
         let mut a = Quarantine::permissive("rir");
-        a.reject(1, ParseError::new("StatsFile", "x", "bad"))
+        a.reject("rir.stats", 1, ParseError::new("StatsFile", "x", "bad"))
             .unwrap();
         a.record_ok();
         let mut b = Quarantine::permissive("rir/f2");
-        b.reject(9, ParseError::new("StatsFile", "y", "bad"))
+        b.reject("rir.stats", 9, ParseError::new("StatsFile", "y", "bad"))
             .unwrap();
         a.absorb(b);
         assert_eq!(a.quarantined, 2);
         assert_eq!(a.parsed, 1);
-        assert_eq!(a.samples[1].location(), Some(("rir/f2", 9)));
+        assert_eq!(a.samples[1].location(), ("rir/f2", 9));
     }
 
     #[test]
@@ -764,7 +801,7 @@ mod tests {
             q.record_ok();
         }
         for i in 0..3 {
-            q.reject(i, ParseError::new("Ipv4Prefix", "x", "bad"))
+            q.reject("drop.list", i, ParseError::new("Ipv4Prefix", "x", "bad"))
                 .unwrap();
         }
         report.sources.insert(
@@ -831,8 +868,12 @@ mod tests {
         };
         let mut q = Quarantine::permissive("drop");
         q.record_ok();
-        q.reject(3, ParseError::new("Ipv4Prefix", "999.1", "bad octet"))
-            .unwrap();
+        q.reject(
+            "drop.list",
+            3,
+            ParseError::new("Ipv4Prefix", "999.1", "bad octet"),
+        )
+        .unwrap();
         report.sources.insert(
             "drop".into(),
             SourceIngest {

@@ -40,7 +40,7 @@ mod trie;
 pub use asn::Asn;
 pub use binfmt::{read_str_table, BinReader, BinWriter, StrTable, NO_ID};
 pub use date::{CompactDate, Date, DateRange, Month};
-pub use error::ParseError;
+pub use error::{LocatedError, ParseError};
 pub use ingest::{
     find_gaps, GapSpan, IngestError, IngestPolicy, IngestReport, Quarantine, SourceCoverage,
     SourceIngest, QUARANTINE_SAMPLES_KEPT,

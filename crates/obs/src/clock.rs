@@ -3,8 +3,8 @@
 //! `clippy.toml` lists `Instant::now` and `SystemTime::now` under
 //! `disallowed-methods`, and every crate denies that lint, so
 //! output-affecting code can never branch on the time of day. The one
-//! read left is this module's crate-private `now`, which carries the
-//! workspace's only `#[allow(clippy::disallowed_methods)]`: span open,
+//! read left is this module's crate-private `now`, the one function
+//! whose `#[allow(clippy::disallowed_methods)]` covers a clock: span open,
 //! the tracer's epoch, [`Stopwatch::start`] and [`Clock::real`] all go
 //! through it. Code that legitimately needs a duration — queue-wait
 //! measurement in `droplens-par`, experiment timing in `droplens-core`

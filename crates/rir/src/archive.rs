@@ -228,7 +228,7 @@ impl RirStatsArchive {
 
     /// Dates of all snapshots, ascending.
     pub fn snapshot_dates(&self) -> Vec<Date> {
-        self.snapshots.iter().map(|s| s.date).collect() // lint: allow(no-unbounded-collect) — one Date per snapshot (a few hundred)
+        self.snapshots.iter().map(|s| s.date).collect() // one Date per snapshot (a few hundred)
     }
 
     /// Index of the snapshot in force on `date` (the latest snapshot at
@@ -341,7 +341,7 @@ impl RirStatsArchive {
     pub fn delegated_prefixes_at(&self, date: Date) -> Vec<(Ipv4Prefix, Rir, String)> {
         self.delegated_prefixes(date)
             .map(|(p, r, o)| (p, r, o.to_owned()))
-            .collect() // lint: allow(no-unbounded-collect) — the materialized view is the return value itself
+            .collect()
     }
 }
 

@@ -15,7 +15,9 @@
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
-use droplens_net::{read_str_table, BinReader, BinWriter, Date, ParseError, Quarantine, StrTable};
+use droplens_net::{
+    read_str_table, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine, StrTable,
+};
 
 use crate::{AllocationStatus, DelegationRecord, Rir};
 
@@ -146,14 +148,15 @@ fn parse_stats_row(line: &str, saw_version: bool) -> Result<Row<DelegationRecord
 }
 
 /// Parse a delegated(-extended) stats file.
-pub fn parse_stats_file(text: &str) -> Result<StatsFile, ParseError> {
+pub fn parse_stats_file(text: &str) -> Result<StatsFile, LocatedError> {
     let mut quarantine = Quarantine::strict("rir/delegated-extended.txt");
-    match parse_stats_file_with(text, &mut quarantine)? {
-        Some(file) => Ok(file),
-        // Unreachable in strict mode — the structural error propagates.
-        None => Err(ParseError::new("StatsFile", "", "missing version line")
-            .with_location(quarantine.source(), 1)),
-    }
+    let file = parse_stats_file_with(text, &mut quarantine)?;
+    quarantine.require(file, 1, missing_version())
+}
+
+/// The error of a stats file with no version line, reported at line 1.
+fn missing_version() -> ParseError {
+    ParseError::new("StatsFile", "", "missing version line")
 }
 
 /// Where the line loop puts what each line parsed to.
@@ -187,7 +190,7 @@ fn scan_stats_file<'a>(
     text: &'a str,
     quarantine: &mut Quarantine,
     rows: &mut impl RowSink<'a>,
-) -> Result<Option<(Rir, Date)>, ParseError> {
+) -> Result<Option<(Rir, Date)>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -213,9 +216,7 @@ fn scan_stats_file<'a>(
                 Ok(row) => rows.keep(line, after_version, row),
                 Err(e) => {
                     malformed.inc();
-                    let e = e.with_location(quarantine.source(), lineno);
-                    obs.error_sample("rir.stats", e.to_string());
-                    quarantine.reject(lineno, e)?;
+                    quarantine.reject("rir.stats", lineno, e)?;
                     continue;
                 }
             },
@@ -238,11 +239,8 @@ fn scan_stats_file<'a>(
     }
     tspan.arg_u64("records", records);
     if version.is_none() {
-        let e = ParseError::new("StatsFile", "", "missing version line");
         malformed.inc();
-        let e = e.with_location(quarantine.source(), 1);
-        obs.error_sample("rir.stats", e.to_string());
-        quarantine.reject(1, e)?;
+        quarantine.reject("rir.stats", 1, missing_version())?;
     }
     Ok(version)
 }
@@ -255,7 +253,7 @@ fn scan_stats_file<'a>(
 pub fn parse_stats_file_with(
     text: &str,
     quarantine: &mut Quarantine,
-) -> Result<Option<StatsFile>, ParseError> {
+) -> Result<Option<StatsFile>, LocatedError> {
     let mut records = Vec::new();
     let version = scan_stats_file(text, quarantine, &mut records)?;
     Ok(version.map(|(rir, date)| StatsFile { rir, date, records }))
@@ -397,7 +395,7 @@ impl<'a> StatsSeries<'a> {
         &mut self,
         text: &'a str,
         quarantine: &mut Quarantine,
-    ) -> Result<Option<SharedStatsFile>, ParseError> {
+    ) -> Result<Option<SharedStatsFile>, LocatedError> {
         let version = scan_stats_file(text, quarantine, self);
         let rows = self.end_file();
         Ok(version?.map(|(rir, date)| SharedStatsFile { rir, date, rows }))
@@ -602,14 +600,14 @@ fn decode_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, ParseError> {
 }
 
 /// Parse a binary stats sidecar strictly: any damage aborts.
-pub fn parse_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, ParseError> {
-    match parse_stats_file_bin_with(bytes, &mut Quarantine::strict("rir/delegated-extended.bin"))? {
-        Some(file) => Ok(file),
-        // Unreachable in strict mode — the decode error propagates
-        // (already located by the quarantine).
-        // lint: allow(located-errors)
-        None => Err(ParseError::new("BinArchive", BIN_KIND, "empty sidecar")),
-    }
+pub fn parse_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, LocatedError> {
+    let mut quarantine = Quarantine::strict("rir/delegated-extended.bin");
+    let file = parse_stats_file_bin_with(bytes, &mut quarantine)?;
+    quarantine.require(
+        file,
+        0,
+        ParseError::new("BinArchive", BIN_KIND, "empty sidecar"),
+    )
 }
 
 /// Parse a binary stats sidecar under the ingestion policy carried by
@@ -620,7 +618,7 @@ pub fn parse_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, ParseError> {
 pub fn parse_stats_file_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<Option<StatsFile>, ParseError> {
+) -> Result<Option<StatsFile>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -636,9 +634,7 @@ pub fn parse_stats_file_bin_with(
         }
         Err(e) => {
             obs.counter("rir.stats.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("rir.stats", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("rir.stats", 0, e)?;
             Ok(None)
         }
     }
@@ -687,9 +683,9 @@ pub fn repair_flickers(
             files
                 .iter()
                 .flat_map(|f| f.rows.iter().map(|&id| key(id)))
-                .collect() // lint: allow(no-unbounded-collect) — backfill needs each snapshot's full key set
+                .collect() // backfill needs each snapshot's full key set
         })
-        .collect(); // lint: allow(no-unbounded-collect) — one key set per snapshot, dropped after the pass
+        .collect(); // one key set per snapshot, dropped after the pass
     for i in 1..snapshots.len() {
         if !partial[i] {
             continue;
@@ -698,7 +694,7 @@ pub fn repair_flickers(
             .1
             .iter()
             .flat_map(|f| f.rows.iter().copied())
-            .collect(); // lint: allow(no-unbounded-collect) — one predecessor snapshot, only for flagged-partial gaps
+            .collect(); // one predecessor snapshot, only for flagged-partial gaps
         for id in prev {
             let k = key(id);
             if keys[i].contains(&k) {
@@ -836,7 +832,7 @@ apnic|AU|ipv4|nonsense|256|20110811|allocated|x
 ";
         // Strict: the bad row aborts with location context.
         let err = parse_stats_file(text).unwrap_err();
-        assert_eq!(err.location(), Some(("rir/delegated-extended.txt", 3)));
+        assert_eq!(err.location(), ("rir/delegated-extended.txt", 3));
         // Permissive: the bad row is quarantined, the good one survives.
         let mut q = Quarantine::permissive("rir/f1");
         let f = parse_stats_file_with(text, &mut q).unwrap().unwrap();
@@ -910,7 +906,7 @@ apnic|AU|ipv4|1.0.0.0|256|20110811|allocated|x
             let mut q = Quarantine::permissive(name);
             let file = series.parse_text(text, &mut q).unwrap().unwrap();
             assert_eq!((q.parsed, q.quarantined), (1, 1));
-            assert_eq!(q.samples[0].location(), Some((name, 2)));
+            assert_eq!(q.samples[0].location(), (name, 2));
             assert_eq!(file.rows, [0]);
         }
     }

@@ -72,7 +72,7 @@ impl DelegationRecord {
     /// Decompose the `(start, count)` span into the minimal list of CIDR
     /// prefixes, in address order.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.blocks().collect() // lint: allow(no-unbounded-collect) — at most 64 blocks per span
+        self.blocks().collect() // at most 64 blocks per span
     }
 
     /// [`Self::prefixes`] as an iterator, without the `Vec`: the greedy

@@ -80,7 +80,7 @@ impl RoaArchive {
     pub fn records_for_exact(&self, prefix: &Ipv4Prefix) -> Vec<&RoaRecord> {
         self.by_prefix
             .get(prefix)
-            .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect()) // lint: allow(no-unbounded-collect) — bounded by ROA generations for one prefix
+            .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect()) // bounded by ROA generations for one prefix
             .unwrap_or_default()
     }
 
@@ -93,7 +93,7 @@ impl RoaArchive {
             // idxs are positions recorded at insert time
             .flat_map(|(_, idxs)| idxs.iter().map(|&i| &self.records[i]))
             .filter(|r| tals.contains(&r.roa.tal))
-            .collect() // lint: allow(no-unbounded-collect) — bounded by covering ROAs (prefix tree fan-in)
+            .collect() // bounded by covering ROAs (prefix tree fan-in)
     }
 
     /// ROAs from `tals` covering `prefix` and active on `date`.
@@ -102,7 +102,7 @@ impl RoaArchive {
             .into_iter()
             .filter(|r| r.active_on(date))
             .map(|r| &r.roa)
-            .collect() // lint: allow(no-unbounded-collect) — subset of records_covering, already bounded
+            .collect() // subset of records_covering, already bounded
     }
 
     /// True if any ROA from `tals` covers `prefix` on `date` — the
@@ -141,7 +141,7 @@ impl RoaArchive {
         self.records_covering(prefix, tals)
             .into_iter()
             .filter(|r| r.created >= from && r.created <= to)
-            .collect() // lint: allow(no-unbounded-collect) — creation-window subset of one prefix's coverage
+            .collect() // creation-window subset of one prefix's coverage
     }
 
     /// ROA generations exactly for `prefix`, ordered by creation date —
@@ -149,7 +149,7 @@ impl RoaArchive {
     pub fn asn_history(&self, prefix: &Ipv4Prefix) -> Vec<(&RoaRecord, Asn)> {
         let mut records = self.records_for_exact(prefix);
         records.sort_by_key(|r| r.created);
-        records.into_iter().map(|r| (r, r.roa.asn)).collect() // lint: allow(no-unbounded-collect) — one prefix's generation history
+        records.into_iter().map(|r| (r, r.roa.asn)).collect() // one prefix's generation history
     }
 
     /// Iterate ROAs from `tals` active on `date` — the Figure 5 daily

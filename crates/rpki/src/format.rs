@@ -12,7 +12,7 @@
 //! 2021-06-16,DEL,lacnic,AS263692,132.255.0.0/22,
 //! ```
 
-use droplens_net::{Asn, BinReader, BinWriter, Date, ParseError, Quarantine};
+use droplens_net::{Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine};
 
 use crate::{Roa, Tal};
 
@@ -112,7 +112,7 @@ fn parse_event_line(line: &str) -> Result<RoaEvent, ParseError> {
 
 /// Parse a CSV journal. The header is optional; blank and `#` lines are
 /// skipped; events must be chronological.
-pub fn parse_events(text: &str) -> Result<Vec<RoaEvent>, ParseError> {
+pub fn parse_events(text: &str) -> Result<Vec<RoaEvent>, LocatedError> {
     parse_events_with(text, &mut Quarantine::strict("rpki/roas.csv"))
 }
 
@@ -122,7 +122,7 @@ pub fn parse_events(text: &str) -> Result<Vec<RoaEvent>, ParseError> {
 pub fn parse_events_with(
     text: &str,
     quarantine: &mut Quarantine,
-) -> Result<Vec<RoaEvent>, ParseError> {
+) -> Result<Vec<RoaEvent>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rpki.events", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -154,9 +154,7 @@ pub fn parse_events_with(
             }
             Err(e) => {
                 malformed.inc();
-                let e = e.with_location(quarantine.source(), lineno);
-                obs.error_sample("rpki.events", e.to_string());
-                quarantine.reject(lineno, e)?;
+                quarantine.reject("rpki.events", lineno, e)?;
             }
         }
     }
@@ -279,7 +277,7 @@ fn decode_events_bin(bytes: &[u8]) -> Result<Vec<RoaEvent>, ParseError> {
 }
 
 /// Parse a binary ROA sidecar strictly: any damage aborts.
-pub fn parse_events_bin(bytes: &[u8]) -> Result<Vec<RoaEvent>, ParseError> {
+pub fn parse_events_bin(bytes: &[u8]) -> Result<Vec<RoaEvent>, LocatedError> {
     parse_events_bin_with(bytes, &mut Quarantine::strict("rpki/roas.bin"))
 }
 
@@ -290,7 +288,7 @@ pub fn parse_events_bin(bytes: &[u8]) -> Result<Vec<RoaEvent>, ParseError> {
 pub fn parse_events_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
-) -> Result<Vec<RoaEvent>, ParseError> {
+) -> Result<Vec<RoaEvent>, LocatedError> {
     let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rpki.events", "parse");
     tspan.arg_str("file", quarantine.source());
@@ -305,9 +303,7 @@ pub fn parse_events_bin_with(
         }
         Err(e) => {
             obs.counter("rpki.events.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("rpki.events", e.to_string());
-            quarantine.reject(0, e)?;
+            quarantine.reject("rpki.events", 0, e)?;
             Ok(Vec::new())
         }
     }
@@ -383,7 +379,7 @@ mod tests {
     fn out_of_order_rejected() {
         let text = "2021-01-01,ADD,arin,AS1,10.0.0.0/8,\n2020-01-01,ADD,arin,AS2,11.0.0.0/8,\n";
         let err = parse_events(text).unwrap_err();
-        assert_eq!(err.location(), Some(("rpki/roas.csv", 2)));
+        assert_eq!(err.location(), ("rpki/roas.csv", 2));
         // Permissive: the out-of-order line is quarantined, order preserved.
         let mut q = Quarantine::permissive("rpki/roas.csv");
         let events = parse_events_with(text, &mut q).unwrap();
@@ -398,7 +394,7 @@ mod tests {
         let events = parse_events_with(text, &mut q).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(q.quarantined, 1);
-        assert_eq!(q.samples[0].location(), Some(("rpki/roas.csv", 2)));
+        assert_eq!(q.samples[0].location(), ("rpki/roas.csv", 2));
     }
 
     fn sample_events() -> Vec<RoaEvent> {

@@ -77,7 +77,7 @@ impl Engine {
                     .roas_covering_at(prefix, *date, tals)
                     .iter()
                     .map(|roa| roa.to_string())
-                    .collect(); // lint: allow(no-unbounded-collect) — bounded by covering ROAs
+                    .collect(); // bounded by covering ROAs
                 Reply::Rov { outcome, covering }
             }
             Request::DropListed { prefix, date } => Reply::DropListed {
@@ -94,7 +94,7 @@ impl Engine {
                         removed: entry.removed,
                         sbl: entry.sbl.map(|s| s.to_string()),
                     })
-                    .collect(); // lint: allow(no-unbounded-collect) — bounded by the prefix's episodes
+                    .collect(); // bounded by the prefix's episodes
                 Reply::DropHistory { episodes }
             }
             Request::Scorecard { source } => {
@@ -106,7 +106,7 @@ impl Engine {
                             .iter()
                             .filter(|t| t.source.contains(needle.as_str()))
                             .cloned()
-                            .collect(); // lint: allow(no-unbounded-collect) — bounded by scorecard size
+                            .collect(); // bounded by scorecard size
                         paper::render(&slice)
                     }
                 };

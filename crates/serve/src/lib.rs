@@ -15,10 +15,12 @@
 //!   `expect`, `panic!`, `todo!`, `unimplemented!` and, in this crate,
 //!   indexing and slicing: every byte a client sends is read through
 //!   checked access, and a bad frame becomes a located error;
-//! * **deadlines everywhere** — every socket is wrapped in a
-//!   [`DeadlineStream`](net::DeadlineStream) that configures read and
-//!   write timeouts at construction; `droplens lint`'s
-//!   `no-deadline-free-io` rule bans raw socket IO on these paths;
+//! * **deadlines everywhere** — every socket is a
+//!   [`DeadlineStream`](net::DeadlineStream), whose two constructors
+//!   (`connect` and `accept`) configure read and write timeouts before
+//!   returning it; `clippy.toml` bans the raw `TcpStream::connect`,
+//!   `TcpStream::connect_timeout`, `TcpListener::accept` and
+//!   `TcpListener::incoming` everywhere else;
 //! * **bounded work, explicit shedding** — accepted connections enter a
 //!   bounded queue; when it is full the acceptor answers with a typed
 //!   [`Reply::Busy`](protocol::Reply::Busy) within the write deadline

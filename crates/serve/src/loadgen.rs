@@ -224,7 +224,7 @@ pub fn run(addr: SocketAddr, oracle: &Arc<Engine>, config: &LoadConfig) -> LoadR
             failed,
             latency: hist.summary(),
         })
-        .collect(); // lint: allow(no-unbounded-collect) — one entry per kind
+        .collect(); // one entry per kind
     report
 }
 

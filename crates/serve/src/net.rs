@@ -1,16 +1,17 @@
 //! Deadline-guarded sockets.
 //!
 //! [`DeadlineStream`] is the only way serve-path code touches a
-//! `TcpStream`: the constructor installs both the read and the write
+//! `TcpStream`: its two constructors, [`DeadlineStream::connect`] and
+//! [`DeadlineStream::accept`], install both the read and the write
 //! timeout before the socket is ever used, so no IO on these paths can
-//! block forever. Two checks hold the discipline: clippy's
-//! `disallowed-methods` (`clippy.toml`) rejects a raw
-//! `TcpStream::connect` in every crate, tests included, and the
-//! `no-deadline-free-io` lint rule rejects timeout-less read/write
-//! calls in serve/client/loadgen code.
+//! block forever. Clippy holds the discipline: `clippy.toml`'s
+//! `disallowed-methods` rejects `TcpStream::connect`,
+//! `TcpStream::connect_timeout`, `TcpListener::accept` and
+//! `TcpListener::incoming` in every crate, tests included, and these
+//! two constructors carry the crate's only allows.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// A `TcpStream` whose read and write deadlines were configured at
@@ -22,10 +23,9 @@ pub struct DeadlineStream {
 }
 
 impl DeadlineStream {
-    /// Wrap an accepted stream, installing `deadline` for both reads
-    /// and writes. `deadline` must be nonzero (`set_read_timeout`
-    /// rejects zero by contract).
-    pub fn new(stream: TcpStream, deadline: Duration) -> std::io::Result<DeadlineStream> {
+    /// Install `deadline` for both reads and writes. `deadline` must be
+    /// nonzero (`set_read_timeout` rejects zero by contract).
+    fn new(stream: TcpStream, deadline: Duration) -> std::io::Result<DeadlineStream> {
         stream.set_read_timeout(Some(deadline))?;
         stream.set_write_timeout(Some(deadline))?;
         Ok(DeadlineStream { inner: stream })
@@ -33,9 +33,24 @@ impl DeadlineStream {
 
     /// Connect with `deadline` as the connect timeout, then install it
     /// as the read/write deadline too.
+    #[allow(clippy::disallowed_methods)] // sets both deadlines before the stream is returned
     pub fn connect(addr: SocketAddr, deadline: Duration) -> std::io::Result<DeadlineStream> {
         let stream = TcpStream::connect_timeout(&addr, deadline)?;
         DeadlineStream::new(stream, deadline)
+    }
+
+    /// Block until `listener` accepts a connection, then install
+    /// `deadline` as its read/write deadline. `Ok(None)` when the
+    /// deadlines could not be set (the peer vanished between accept and
+    /// setsockopt): the stream is dropped, and the listener is fine.
+    /// `Err` is the accept's own error.
+    #[allow(clippy::disallowed_methods)] // sets both deadlines before the stream is returned
+    pub fn accept(
+        listener: &TcpListener,
+        deadline: Duration,
+    ) -> std::io::Result<Option<DeadlineStream>> {
+        let (stream, _) = listener.accept()?;
+        Ok(DeadlineStream::new(stream, deadline).ok())
     }
 
     /// The peer's address.

@@ -293,18 +293,16 @@ fn accept_loop(
     shared: &Shared,
 ) {
     loop {
-        let accepted = listener.accept();
+        let accepted = DeadlineStream::accept(&listener, deadline);
         // A drain wakes this blocking accept with its own connection.
         // Whatever arrives once the flag is set is dropped uncounted.
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         match accepted {
-            Ok((stream, _)) => {
-                let Ok(conn) = DeadlineStream::new(stream, deadline) else {
-                    // Peer vanished between accept and setsockopt.
-                    continue;
-                };
+            // Peer vanished between accept and setsockopt.
+            Ok(None) => continue,
+            Ok(Some(conn)) => {
                 let _ = conn.set_nodelay(true);
                 let queued = Queued {
                     conn,

@@ -19,7 +19,7 @@ use std::path::Path;
 use droplens_bgp::{format as bgpfmt, BgpUpdate, Peer};
 use droplens_drop::{format as dropfmt, DropSnapshot, SblDatabase};
 use droplens_irr::{format as irrbin, journal as irrfmt, JournalEntry};
-use droplens_net::{Date, ParseError, Quarantine};
+use droplens_net::{Date, LocatedError, Quarantine};
 use droplens_rir::format::{self as rirfmt, SharedStatsFile, StatsFile, StatsSeries};
 use droplens_rir::Rir;
 use droplens_rpki::format::{self as rpkifmt, RoaEvent};
@@ -70,11 +70,11 @@ pub struct Codec<B> {
     /// Serialize the SBL database.
     pub write_sbl: fn(&SblDatabase) -> B,
     /// Parse the update stream.
-    pub parse_updates: fn(&B, &mut Quarantine) -> Result<Vec<BgpUpdate>, ParseError>,
+    pub parse_updates: fn(&B, &mut Quarantine) -> Result<Vec<BgpUpdate>, LocatedError>,
     /// Parse the IRR journal.
-    pub parse_journal: fn(&B, &mut Quarantine) -> Result<Vec<JournalEntry>, ParseError>,
+    pub parse_journal: fn(&B, &mut Quarantine) -> Result<Vec<JournalEntry>, LocatedError>,
     /// Parse the ROA journal.
-    pub parse_events: fn(&B, &mut Quarantine) -> Result<Vec<RoaEvent>, ParseError>,
+    pub parse_events: fn(&B, &mut Quarantine) -> Result<Vec<RoaEvent>, LocatedError>,
     /// Parse one delegated-stats file as the next file of its
     /// registry's series, which stores each distinct row once; `None`
     /// when the file was quarantined whole.
@@ -82,11 +82,11 @@ pub struct Codec<B> {
         &'a B,
         &mut StatsSeries<'a>,
         &mut Quarantine,
-    ) -> Result<Option<SharedStatsFile>, ParseError>,
+    ) -> Result<Option<SharedStatsFile>, LocatedError>,
     /// Parse the DROP snapshot published on the given date.
-    pub parse_snapshot: fn(Date, &B, &mut Quarantine) -> Result<DropSnapshot, ParseError>,
+    pub parse_snapshot: fn(Date, &B, &mut Quarantine) -> Result<DropSnapshot, LocatedError>,
     /// Parse the SBL database.
-    pub parse_sbl: fn(&B, &mut Quarantine) -> Result<SblDatabase, ParseError>,
+    pub parse_sbl: fn(&B, &mut Quarantine) -> Result<SblDatabase, LocatedError>,
 }
 
 impl<B> Codec<B> {

@@ -210,9 +210,7 @@ fn permissive_quarantine_samples_carry_locations() {
     let mut sampled = 0;
     for source in report.sources.values() {
         for sample in &source.quarantine.samples {
-            let (file, line) = sample
-                .location()
-                .expect("every quarantined sample is located");
+            let (file, line) = sample.location();
             assert!(!file.is_empty() && line >= 1);
             sampled += 1;
         }
@@ -295,7 +293,7 @@ fn corruption_log_names_rir_files_as_the_ledger_does() {
     let samples = &study.ingest.sources["rir"].quarantine.samples;
     assert!(!samples.is_empty(), "no RIR line was truncated");
     for sample in samples {
-        let (file, line) = sample.location().expect("every sample is located");
+        let (file, line) = sample.location();
         let at = format!("{file}:{line}");
         assert!(injected.contains(&at), "{at} is not in the corruption log");
     }

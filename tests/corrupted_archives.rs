@@ -229,11 +229,7 @@ fn strict_errors_name_the_on_disk_path_in_both_forms() {
     ];
 
     let located = |path: &str, loaded: Result<Study, IngestError>| match loaded {
-        Err(IngestError::Parse(e)) => assert_eq!(
-            e.location().map(|(file, _)| file),
-            Some(path),
-            "wrong label: {e}"
-        ),
+        Err(IngestError::Parse(e)) => assert_eq!(e.location().0, path, "wrong label: {e}"),
         Err(e) => panic!("{path}: expected a located parse error, got {e}"),
         Ok(_) => panic!("{path}: damaged payload accepted"),
     };

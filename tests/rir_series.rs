@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use droplens_core::{load_rir_stats, LoadedStats};
-use droplens_net::{Date, IngestPolicy, Ipv4Prefix, ParseError, Quarantine};
+use droplens_net::{Date, IngestPolicy, Ipv4Prefix, LocatedError, Quarantine};
 use droplens_rir::format::{
     parse_stats_file_bin_with, parse_stats_file_with, write_stats_file_bin, SharedStatsFile,
     StatsFile, StatsRows, StatsSeries,
@@ -301,7 +301,7 @@ fn reference_repair(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool]) 
     }
 }
 
-type FullParse<B> = fn(&B, &mut Quarantine) -> Result<Option<StatsFile>, ParseError>;
+type FullParse<B> = fn(&B, &mut Quarantine) -> Result<Option<StatsFile>, LocatedError>;
 
 /// Per date, its files with their rows owned.
 type Snapshots = Vec<(Date, Vec<StatsFile>)>;
@@ -313,7 +313,7 @@ fn reference_load<B>(
     parse: FullParse<B>,
     snapshots: &[(Date, Vec<B>)],
     policy: &IngestPolicy,
-) -> Result<(Snapshots, Quarantine), ParseError> {
+) -> Result<(Snapshots, Quarantine), LocatedError> {
     let mut out = Vec::new();
     let mut partial = Vec::new();
     let mut ledger = Quarantine::for_policy("rir", policy);

@@ -11,6 +11,8 @@
 //!   truncation, delays, resets) every well-formed query still
 //!   succeeds within its retry budget, with answers unchanged, and the
 //!   server neither crashes nor deadlocks;
+//! * **pool** — one busy worker never holds up the others: a client
+//!   that pins a worker cannot delay another client's answer;
 //! * **accept** — a connection is taken as soon as it arrives, so
 //!   sequential connect-per-query traffic is paced by the transport,
 //!   not by the acceptor;
@@ -22,9 +24,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use droplens_core::{paper, Study};
@@ -271,6 +274,89 @@ fn zero_deadline_is_refused_before_binding() {
     }
 }
 
+/// A connection that pins one worker: it never stops asking, and every
+/// answered request renews the read deadline, so the worker stays
+/// inside it until [`Occupier::release`].
+struct Occupier {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Occupier {
+    /// Connect and start asking; returns once the first Pong proves a
+    /// worker has taken the connection out of the queue.
+    #[allow(clippy::panic)] // test helper: a reply other than Pong fails the test
+    fn pin(addr: SocketAddr) -> Occupier {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut conn = DeadlineStream::connect(addr, Duration::from_secs(2))
+                    .expect("occupier connect");
+                let mut first = true;
+                while !stop.load(Ordering::Relaxed) {
+                    Request::Ping.write_to(&mut conn).expect("occupier write");
+                    match Reply::read_from(&mut conn) {
+                        Ok(Some(Reply::Pong)) => {}
+                        other => panic!("occupier expected Pong, got {other:?}"),
+                    }
+                    if first {
+                        first = false;
+                        ready_tx.send(()).expect("signal readiness");
+                    }
+                }
+            })
+        };
+        ready_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker pinned");
+        Occupier { stop, thread }
+    }
+
+    /// Stop asking and wait for the connection to close.
+    fn release(self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.thread.join().expect("occupier thread");
+    }
+}
+
+/// With one of two workers pinned, another client's `Ping` is answered
+/// at once, well inside the 2 s deadline. A worker that kept the queue
+/// lock while it served its connection would leave the other unable to
+/// take the `Ping` until the occupier let go.
+#[test]
+fn one_busy_worker_never_holds_up_the_pool() {
+    let engine = engine();
+    let handle = start(
+        &engine,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let occupier = Occupier::pin(addr);
+
+    let stopwatch = Stopwatch::start();
+    let mut conn = DeadlineStream::connect(addr, Duration::from_secs(2)).expect("connect");
+    Request::Ping.write_to(&mut conn).expect("ping write");
+    let reply = Reply::read_from(&mut conn);
+    let waited = stopwatch.elapsed();
+
+    occupier.release();
+    drop(conn);
+    handle.stop();
+    assert!(
+        matches!(reply, Ok(Some(Reply::Pong))),
+        "expected Pong, got {reply:?}"
+    );
+    assert!(
+        waited < Duration::from_millis(500),
+        "the free worker took {waited:?} to answer"
+    );
+}
+
 /// Saturate a 1-worker, depth-1 queue, then connect once more: the
 /// extra connection must receive a typed `Busy` within the deadline
 /// (the probe read would give up after 1 s otherwise).
@@ -287,38 +373,11 @@ fn saturated_queue_sheds_with_typed_busy() {
     );
     let addr = handle.addr();
 
-    // Pin the lone worker with a connection that never stops asking —
-    // every answered request renews the read deadline, so the worker
-    // stays inside this connection for the whole test. The first Pong
-    // proves the worker has taken it out of the queue.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let occupier = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut conn =
-                DeadlineStream::connect(addr, Duration::from_secs(2)).expect("occupier connect");
-            let mut first = true;
-            while !stop.load(Ordering::Relaxed) {
-                Request::Ping.write_to(&mut conn).expect("occupier write");
-                match Reply::read_from(&mut conn) {
-                    Ok(Some(Reply::Pong)) => {}
-                    other => panic!("occupier expected Pong, got {other:?}"),
-                }
-                if first {
-                    first = false;
-                    ready_tx.send(()).expect("signal readiness");
-                }
-            }
-        })
-    };
-    ready_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("worker pinned");
+    let occupier = Occupier::pin(addr);
 
     // With the worker pinned, this idle connection fills the depth-1
     // queue and stays there...
-    let filler = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).expect("connect filler");
+    let filler = DeadlineStream::connect(addr, Duration::from_secs(1)).expect("connect filler");
     std::thread::sleep(Duration::from_millis(100));
 
     // ...so the next connection must be shed at accept.
@@ -328,8 +387,7 @@ fn saturated_queue_sheds_with_typed_busy() {
         other => panic!("expected a typed Busy within the deadline, got {other:?}"),
     }
 
-    stop.store(true, Ordering::Relaxed);
-    occupier.join().expect("occupier thread");
+    occupier.release();
     drop(filler);
     drop(probe);
     let report = handle.stop();
@@ -560,33 +618,10 @@ fn overload_gauges_match_occupier_ground_truth() {
     );
     let addr = handle.addr();
 
-    // Same pinning pattern as the typed-Busy test: the occupier holds
-    // the worker, the filler holds the queue slot.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let occupier = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut conn =
-                DeadlineStream::connect(addr, Duration::from_secs(2)).expect("occupier connect");
-            let mut first = true;
-            while !stop.load(Ordering::Relaxed) {
-                Request::Ping.write_to(&mut conn).expect("occupier write");
-                match Reply::read_from(&mut conn) {
-                    Ok(Some(Reply::Pong)) => {}
-                    other => panic!("occupier expected Pong, got {other:?}"),
-                }
-                if first {
-                    first = false;
-                    ready_tx.send(()).expect("signal readiness");
-                }
-            }
-        })
-    };
-    ready_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("worker pinned");
-    let filler = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).expect("connect filler");
+    // As in the typed-Busy test: the occupier holds the worker, the
+    // filler holds the queue slot.
+    let occupier = Occupier::pin(addr);
+    let filler = DeadlineStream::connect(addr, Duration::from_secs(1)).expect("connect filler");
     std::thread::sleep(Duration::from_millis(100));
 
     // Shed three probes; each must get the typed Busy.
@@ -626,8 +661,7 @@ fn overload_gauges_match_occupier_ground_truth() {
         .expect("totals.busy");
     assert!(busy >= PROBES, "lifetime busy covers the probes: {busy}");
 
-    stop.store(true, Ordering::Relaxed);
-    occupier.join().expect("occupier thread");
+    occupier.release();
     drop(filler);
     let report = handle.stop();
     assert!(report.busy >= PROBES, "{}", report.summary());
