@@ -73,6 +73,76 @@ fn interval_at(lane: &[Interval], date: Date) -> Option<&Interval> {
     lane[..idx].last().filter(|iv| iv.contains(date))
 }
 
+/// A `[start, end)` span of days; `end == None` runs through the end of
+/// the archive.
+type Span = (Date, Option<Date>);
+
+/// The union of `spans` as disjoint spans sorted by start. Touching
+/// spans merge: `[a, e) ∪ [e, b)` is contiguous.
+fn union_of_spans(mut spans: Vec<Span>) -> Vec<Span> {
+    spans.sort_by_key(|&(s, _)| s);
+    let mut merged: Vec<Span> = Vec::with_capacity(spans.len().min(8));
+    for (s, e) in spans {
+        if let Some(last) = merged.last_mut() {
+            if last.1.is_none_or(|end| s <= end) {
+                last.1 = match (last.1, e) {
+                    (None, _) | (_, None) => None,
+                    (Some(a), Some(b)) => Some(a.max(b)),
+                };
+                continue;
+            }
+        }
+        merged.push((s, e));
+    }
+    merged
+}
+
+/// True if one of the disjoint, sorted `spans` contains `date` (one
+/// binary search).
+fn spans_contain(spans: &[Span], date: Date) -> bool {
+    let idx = spans.partition_point(|&(s, _)| s <= date);
+    spans[..idx]
+        .last()
+        .is_some_and(|&(_, e)| e.is_none_or(|end| date < end))
+}
+
+/// The days on which an address block was routed, as
+/// [`BgpArchive::routed_spans`] finds them once for many dates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoutedSpans(Vec<Span>);
+
+impl RoutedSpans {
+    /// True if the block was routed on `date`: [`BgpArchive::routed_at`]'s
+    /// answer, by one binary search.
+    pub fn contains(&self, date: Date) -> bool {
+        spans_contain(&self.0, date)
+    }
+}
+
+/// One archived prefix's peer lanes, by peer id, as [`BgpArchive::lanes`]
+/// yields them. Lanes are kept for every peer id the update stream
+/// named, including ids outside [`BgpArchive::peers`].
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes<'a> {
+    by_peer: &'a BTreeMap<PeerId, Vec<Interval>>,
+}
+
+impl<'a> Lanes<'a> {
+    /// Each peer that ever had an update for the prefix, with its
+    /// intervals in date order (empty after withdrawals alone).
+    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &'a [Interval])> + 'a {
+        self.by_peer
+            .iter()
+            .map(|(&peer, lane)| (peer, lane.as_slice()))
+    }
+
+    /// The interval in force on `date`, for each lane that has one.
+    pub fn at(&self, date: Date) -> impl Iterator<Item = (PeerId, &'a Interval)> + 'a {
+        self.iter()
+            .filter_map(move |(peer, lane)| interval_at(lane, date).map(|iv| (peer, iv)))
+    }
+}
+
 /// Replay one (prefix, peer) lane's updates, given in stream order.
 ///
 /// An announcement with an unchanged path extends the open interval; a
@@ -122,43 +192,25 @@ struct PrefixRecord {
     /// carried the prefix (`end == None` = through end of archive).
     /// "Was this prefix visible on day X" becomes one binary search
     /// instead of a scan over every peer lane.
-    merged: Vec<(Date, Option<Date>)>,
+    merged: Vec<Span>,
 }
 
 impl PrefixRecord {
     /// Rebuild [`Self::merged`] from the peer lanes.
     fn build_visibility(&mut self) {
-        let mut spans: Vec<(Date, Option<Date>)> = self
-            .by_peer
-            .values()
-            .flatten()
-            .map(|iv| (iv.start, iv.end))
-            .collect(); // one prefix record: bounded by peers × lane intervals
-        spans.sort_by_key(|&(s, _)| s);
-        let mut merged: Vec<(Date, Option<Date>)> = Vec::with_capacity(spans.len().min(8));
-        for (s, e) in spans {
-            if let Some(last) = merged.last_mut() {
-                // `s == end` merges too: [a, e) ∪ [e, b) is contiguous.
-                if last.1.is_none_or(|end| s <= end) {
-                    last.1 = match (last.1, e) {
-                        (None, _) | (_, None) => None,
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                    };
-                    continue;
-                }
-            }
-            merged.push((s, e));
-        }
-        self.merged = merged;
+        self.merged = union_of_spans(
+            self.by_peer
+                .values()
+                .flatten()
+                .map(|iv| (iv.start, iv.end))
+                .collect(), // one prefix record: bounded by peers × lane intervals
+        );
     }
 
     /// True if any peer carried the prefix on `date` (visibility-index
     /// lookup; requires [`Self::build_visibility`] to have run).
     fn observed_on(&self, date: Date) -> bool {
-        let idx = self.merged.partition_point(|&(s, _)| s <= date);
-        self.merged[..idx]
-            .last()
-            .is_some_and(|&(_, e)| e.is_none_or(|end| date < end))
+        spans_contain(&self.merged, date)
     }
 
     /// Number of peer lanes with an interval in force on `date`.
@@ -370,9 +422,10 @@ impl BgpArchive {
     }
 
     /// True if `prefix` or any more-specific archived prefix was observed
-    /// on `date` — "was this address space routed". Walks the covering
-    /// subtree lazily (no intermediate `Vec`), short-circuiting on the
-    /// first visible span.
+    /// on `date` — "was this address space routed". Walks the covered
+    /// subtree lazily, short-circuiting on the first visible span. The
+    /// walk keeps its stack in a `Vec`, so it allocates when `prefix` is
+    /// not visible itself but it or a more-specific is archived.
     pub fn routed_at(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
         if self.observed_any(prefix, date) {
             return true;
@@ -380,6 +433,19 @@ impl BgpArchive {
         self.records
             .covered_by_iter(prefix)
             .any(|(_, record)| record.observed_on(date))
+    }
+
+    /// Every day on which `prefix` is routed, as [`Self::routed_at`]
+    /// decides it: the union of the visibility spans of `prefix` and of
+    /// every archived more-specific. One walk of the covered subtree then
+    /// answers any number of dates by binary search.
+    pub fn routed_spans(&self, prefix: &Ipv4Prefix) -> RoutedSpans {
+        RoutedSpans(union_of_spans(
+            self.records
+                .covered_by_iter(prefix)
+                .flat_map(|(_, record)| record.merged.iter().copied())
+                .collect(), // the covered records' spans, merged once per prefix
+        ))
     }
 
     /// True if the prefix appears anywhere in the archive.
@@ -460,17 +526,31 @@ impl BgpArchive {
             .find(|&d| record.peers_observing(d) < threshold)
     }
 
+    /// Every archived prefix with its peer lanes, in address order: one
+    /// walk of the trie for whole-table sweeps, which would otherwise look
+    /// up each (prefix, peer) pair on its own.
+    pub fn lanes(&self) -> impl Iterator<Item = (Ipv4Prefix, Lanes<'_>)> {
+        self.records.iter().map(|(prefix, record)| {
+            (
+                prefix,
+                Lanes {
+                    by_peer: &record.by_peer,
+                },
+            )
+        })
+    }
+
     /// The set of origin ASNs peers reported for `prefix` on `date`.
     pub fn origins_at(&self, prefix: &Ipv4Prefix, date: Date) -> BTreeSet<Asn> {
         let Some(record) = self.records.get(prefix) else {
             return BTreeSet::new();
         };
-        record
-            .by_peer
-            .keys()
-            .filter_map(|&peer| self.path_at(prefix, peer, date))
-            .map(|p| p.origin())
-            .collect() // bounded by the collector peer count
+        Lanes {
+            by_peer: &record.by_peer,
+        }
+        .at(date)
+        .map(|(_, iv)| self.paths.get(iv.path).origin())
+        .collect() // bounded by the collector peer count
     }
 
     /// Every origin ASN ever reported for `prefix` before `date`, with the

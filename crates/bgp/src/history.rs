@@ -126,20 +126,22 @@ pub struct PatternMatch {
 
 /// Search the archive for prefixes originated by `origin` while routed
 /// through `transit` at any point in `window` — the "originated by
-/// AS263692 and routed via AS50509" sweep of §6.1.
+/// AS263692 and routed via AS50509" sweep of §6.1. One walk over every
+/// prefix's lanes; only the lanes of the archive's own peers count.
 pub fn find_origin_via_transit(
     archive: &BgpArchive,
     origin: Asn,
     transit: Asn,
     window: DateRange,
 ) -> Vec<PatternMatch> {
+    let peers: BTreeSet<PeerId> = archive.peers().iter().map(|p| p.id).collect();
     let mut out = Vec::new();
-    for prefix in archive.prefixes() {
+    for (prefix, lanes) in archive.lanes() {
         let mut first_seen: Option<Date> = None;
-        for peer in archive.peers() {
-            for iv in archive.intervals(&prefix, peer.id) {
+        for (peer, lane) in lanes.iter() {
+            for iv in lane {
                 let path = archive.path_of(iv.path);
-                if path.origin() != origin || !path.contains(transit) {
+                if path.origin() != origin || !path.contains(transit) || !peers.contains(&peer) {
                     continue;
                 }
                 // Clamp the interval into the window.
@@ -306,6 +308,34 @@ mod tests {
         let m2 = by_prefix[&p("187.19.64.0/20")];
         assert_eq!(m2.first_seen, d("2021-06-01"));
         assert!(!m2.origin_is_historic);
+    }
+
+    #[test]
+    fn pattern_search_ignores_lanes_of_unknown_peers() {
+        let pfx = p("10.0.0.0/24");
+        let known = [Peer::new(PeerId(0), Asn(3356), "p0")];
+        // Only a peer the collector does not list carries the pattern.
+        let updates = vec![
+            BgpUpdate::announce(
+                d("2021-01-01"),
+                PeerId(0),
+                pfx,
+                "3356 64500".parse().unwrap(),
+            ),
+            BgpUpdate::announce(
+                d("2021-01-01"),
+                PeerId(9),
+                pfx,
+                "50509 263692".parse().unwrap(),
+            ),
+        ];
+        let a = BgpArchive::from_updates(known.to_vec(), &updates);
+        let window = DateRange::new(d("2020-01-01"), d("2022-01-01"));
+        assert!(find_origin_via_transit(&a, Asn(263692), Asn(50509), window).is_empty());
+        assert_eq!(
+            find_origin_via_transit(&a, Asn(64500), Asn(3356), window).len(),
+            1
+        );
     }
 
     #[test]

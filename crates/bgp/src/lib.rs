@@ -40,7 +40,7 @@ pub mod topology;
 mod update;
 pub mod visibility;
 
-pub use archive::{BgpArchive, Interval, PathId};
+pub use archive::{BgpArchive, Interval, Lanes, PathId, RoutedSpans};
 pub use collector::{CollectorSim, FilterPolicy, Origination};
 pub use path::AsPath;
 pub use peer::{Peer, PeerId};

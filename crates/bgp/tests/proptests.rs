@@ -5,10 +5,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_bgp::{
-    format as bgpfmt, AsPath, BgpArchive, BgpEvent, BgpUpdate, CollectorSim, Origination, Peer,
-    PeerId,
+    format as bgpfmt, AsPath, BgpArchive, BgpEvent, BgpUpdate, CollectorSim, Interval, Origination,
+    Peer, PeerId,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use droplens_net::{Asn, Date, DateRange, Ipv4Prefix};
 use proptest::prelude::*;
@@ -358,7 +358,42 @@ fn assert_matches_replay(archive: &BgpArchive, replay: &Replay) -> Result<(), Te
     for extra in ["10.0.0.0/8", "10.0.0.0/23", "10.0.0.128/25", "11.0.0.0/8"] {
         queries.push(extra.parse().expect("prefix"));
     }
+    // The lane walk yields every archived prefix once, in address order,
+    // and each peer's lane exactly as `intervals` answers it.
+    let walked: Vec<Ipv4Prefix> = archive.lanes().map(|(prefix, _)| prefix).collect();
+    prop_assert_eq!(&walked, &prefixes);
+    for (prefix, lanes) in archive.lanes() {
+        let by_peer: BTreeMap<PeerId, &[Interval]> = lanes.iter().collect();
+        prop_assert_eq!(
+            by_peer.keys().copied().collect::<Vec<_>>(),
+            replay.lanes[&prefix].keys().copied().collect::<Vec<_>>()
+        );
+        for peer in (0..4).chain([7]).map(PeerId) {
+            let lane = by_peer.get(&peer).copied().unwrap_or(&[]);
+            prop_assert_eq!(
+                lane,
+                archive.intervals(&prefix, peer),
+                "{} {}",
+                prefix,
+                peer
+            );
+        }
+        for day in -1..17 {
+            let date = Date::from_days_since_epoch(EPOCH + day);
+            for (peer, iv) in lanes.at(date) {
+                prop_assert_eq!(
+                    Some(archive.path_of(iv.path)),
+                    replay.path_at(&prefix, peer, date)
+                );
+            }
+            prop_assert_eq!(
+                lanes.at(date).count(),
+                replay.peers_observing(&prefix, date)
+            );
+        }
+    }
     for prefix in &queries {
+        let routed = archive.routed_spans(prefix);
         for peer in (0..4).chain([7]).map(PeerId) {
             let got: Vec<RefInterval> = archive
                 .intervals(prefix, peer)
@@ -396,6 +431,26 @@ fn assert_matches_replay(archive: &BgpArchive, replay: &Replay) -> Result<(), Te
             prop_assert_eq!(
                 archive.routed_at(prefix, date),
                 replay.routed_at(prefix, date)
+            );
+            // One walk of the covered subtree answers every date the same.
+            prop_assert_eq!(
+                routed.contains(date),
+                replay.routed_at(prefix, date),
+                "{} routed on {}",
+                prefix,
+                date
+            );
+            let origins: BTreeSet<Asn> = (0..4)
+                .chain([7])
+                .filter_map(|peer| replay.path_at(prefix, PeerId(peer), date))
+                .map(AsPath::origin)
+                .collect();
+            prop_assert_eq!(
+                archive.origins_at(prefix, date),
+                origins,
+                "{} on {}",
+                prefix,
+                date
             );
         }
     }

@@ -129,7 +129,7 @@ fn roa_tracked_origin(study: &Study, prefix: &Ipv4Prefix, listed: Date) -> bool 
     }
     let mut changes = 0;
     for window in history.windows(2) {
-        let (prev, prev_asn) = (&window[0].0, window[0].1);
+        let prev_asn = window[0].1;
         let (next, next_asn) = (&window[1].0, window[1].1);
         if prev_asn == next_asn {
             continue;
@@ -141,7 +141,6 @@ fn roa_tracked_origin(study: &Study, prefix: &Ipv4Prefix, listed: Date) -> bool 
         // Origin before the change matched the old ROA; after, the new.
         let before = study.bgp.origins_at(prefix, change_day.pred());
         let after = study.bgp.origins_at(prefix, change_day + 1);
-        let _ = prev; // lifetime clarity
         if before.contains(&prev_asn) && after.contains(&next_asn) {
             changes += 1;
         }
@@ -279,6 +278,80 @@ impl fmt::Display for Fig4 {
 mod tests {
     use super::*;
     use crate::experiments::testutil;
+    use droplens_bgp::history::PatternMatch;
+    use droplens_bgp::BgpArchive;
+
+    /// `find_origin_via_transit` as a lookup per (prefix, peer): the sweep
+    /// the lane walk replaced.
+    fn reference_sweep(
+        archive: &BgpArchive,
+        origin: Asn,
+        transit: Asn,
+        window: DateRange,
+    ) -> Vec<PatternMatch> {
+        let mut out = Vec::new();
+        for prefix in archive.prefixes() {
+            let mut first_seen: Option<Date> = None;
+            for peer in archive.peers() {
+                for iv in archive.intervals(&prefix, peer.id) {
+                    let path = archive.path_of(iv.path);
+                    if path.origin() != origin || !path.contains(transit) {
+                        continue;
+                    }
+                    let seg_start = iv.start.max(window.start());
+                    let seg_end = iv.end.unwrap_or(window.end()).min(window.end());
+                    if seg_start < seg_end {
+                        first_seen = Some(first_seen.map_or(seg_start, |d| d.min(seg_start)));
+                    }
+                }
+            }
+            if let Some(first_seen) = first_seen {
+                let historic = archive
+                    .historic_origins_before(&prefix, first_seen)
+                    .get(&origin)
+                    .is_some_and(|&d| d < first_seen);
+                out.push(PatternMatch {
+                    prefix,
+                    first_seen,
+                    origin_is_historic: historic,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pattern_sweep_equals_the_per_pair_reference() {
+        for (world, study) in testutil::studies() {
+            // The case study's pattern, and the (origin, upstream hop)
+            // pattern of one route in every 500 prefixes.
+            let mut patterns: Vec<(Asn, Asn)> = compute(study)
+                .case
+                .map(|c| (c.origin, c.transit))
+                .into_iter()
+                .collect();
+            for (_, lanes) in study.bgp.lanes().step_by(500) {
+                let Some(iv) = lanes.iter().find_map(|(_, lane)| lane.first()) else {
+                    continue;
+                };
+                let hops = study.bgp.path_of(iv.path).hops();
+                if let [.., upstream, origin] = hops {
+                    patterns.push((*origin, *upstream));
+                }
+            }
+            assert!(patterns.len() > 3, "{world}: {patterns:?}");
+            let archive_era = DateRange::new(study.bgp.first_date().unwrap(), study.horizon());
+            for window in [archive_era, study.config.window] {
+                for &(origin, transit) in &patterns {
+                    assert_eq!(
+                        find_origin_via_transit(&study.bgp, origin, transit, window),
+                        reference_sweep(&study.bgp, origin, transit, window),
+                        "{world}: {origin} via {transit} in {window:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn three_signed_two_attacker_one_valid() {

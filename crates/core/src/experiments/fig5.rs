@@ -17,15 +17,16 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use droplens_bgp::RoutedSpans;
 use droplens_net::{AddressSpace, Date, Ipv4Prefix};
-use droplens_rir::Rir;
+use droplens_rir::{Delegation, Rir};
 use droplens_rpki::Tal;
 
 use crate::report::{pct, render_series_csv, Series};
 use crate::Study;
 
 /// One sample date's accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Point {
     /// Sample day.
     pub date: Date,
@@ -47,7 +48,7 @@ impl Fig5Point {
 }
 
 /// The computed figure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5 {
     /// Monthly samples.
     pub points: Vec<Fig5Point>,
@@ -65,8 +66,9 @@ pub struct Fig5 {
     pub biggest_jump: Option<(Date, AddressSpace)>,
 }
 
-/// Compute Figure 5 with monthly sampling.
-pub fn compute(study: &Study) -> Fig5 {
+/// The sample days: the first of each month in the study window, then
+/// its last day. Ascending.
+fn sample_dates(study: &Study) -> Vec<Date> {
     let mut dates = Vec::new();
     let mut d = study.config.window.start().first_of_month();
     while d < study.config.window.end() {
@@ -83,18 +85,86 @@ pub fn compute(study: &Study) -> Fig5 {
             dates.push(last);
         }
     }
+    dates
+}
 
-    let points: Vec<Fig5Point> = dates.iter().map(|&d| sample(study, d)).collect();
+/// Compute Figure 5 with monthly sampling.
+///
+/// Every sample is answered in one pass over the signed prefixes and one
+/// walk of the delegated blocks: each prefix is found in the BGP trie
+/// once, and its routed days ([`droplens_bgp::RoutedSpans`]) then answer
+/// each sample by binary search. The sums are integer address counts, so
+/// the order in which they accumulate cannot change a result.
+pub fn compute(study: &Study) -> Fig5 {
+    let dates = sample_dates(study);
+    let last = dates.len().checked_sub(1);
+    let mut points: Vec<Fig5Point> = dates
+        .iter()
+        .map(|&date| Fig5Point {
+            date,
+            signed: AddressSpace::ZERO,
+            signed_routed: AddressSpace::ZERO,
+            signed_unrouted: AddressSpace::ZERO,
+            allocated_unrouted_unsigned: AddressSpace::ZERO,
+        })
+        .collect();
 
-    // Holder concentration at the final sample.
-    let mut top_holders: Vec<(String, AddressSpace)> = Vec::new();
-    let mut unsigned_by_rir: Vec<(Rir, AddressSpace)> = Vec::new();
-    if let Some(&end) = dates.last() {
-        let mut by_org: BTreeMap<String, AddressSpace> = BTreeMap::new();
-        for prefix in signed_prefixes(study, end) {
-            if study.routed_at(&prefix, end) {
+    // Signed space, counted over each sample's uncovered roots, as
+    // exact prefixes: space sums count each address once, while holder
+    // attribution still resolves against exact allocation records
+    // (canonical aggregation would merge neighboring holders' blocks).
+    // In address order a covering prefix precedes what it covers, so a
+    // prefix is a root unless the last root kept covers it.
+    let signed = signed_prefixes(study, &dates);
+    let routed: Vec<RoutedSpans> = signed
+        .iter()
+        .map(|(prefix, _)| study.bgp.routed_spans(prefix))
+        .collect();
+    let mut unrouted_at_end: Vec<Ipv4Prefix> = Vec::new();
+    for (sample, point) in points.iter_mut().enumerate() {
+        let mut root: Option<Ipv4Prefix> = None;
+        for ((prefix, active), routed) in signed.iter().zip(&routed) {
+            if !active[sample] || root.is_some_and(|r| r.covers(prefix)) {
                 continue;
             }
+            root = Some(*prefix);
+            let space = AddressSpace::of_prefix(prefix);
+            point.signed += space;
+            if routed.contains(point.date) {
+                point.signed_routed += space;
+            } else if Some(sample) == last {
+                unrouted_at_end.push(*prefix);
+            }
+        }
+        point.signed_unrouted = point.signed.saturating_sub(point.signed_routed);
+    }
+
+    // Allocated + unrouted + unsigned, and its by-RIR split at the final
+    // sample. Delegated blocks are disjoint on any one date by
+    // construction of the stats files.
+    let mut by_rir: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
+    let mut delegations = study.rir.delegated_on(&dates).peekable();
+    while let Some(&Delegation { prefix, .. }) = delegations.peek() {
+        let routed = study.bgp.routed_spans(&prefix);
+        let space = AddressSpace::of_prefix(&prefix);
+        while let Some(d) = delegations.next_if(|d| d.prefix == prefix) {
+            let date = dates[d.sample];
+            if routed.contains(date) || study.roa.is_signed_at(&prefix, date, &Tal::PRODUCTION) {
+                continue;
+            }
+            points[d.sample].allocated_unrouted_unsigned += space;
+            if Some(d.sample) == last {
+                *by_rir.entry(d.rir).or_default() += space;
+            }
+        }
+    }
+    let mut unsigned_by_rir: Vec<(Rir, AddressSpace)> = by_rir.into_iter().collect();
+    unsigned_by_rir.sort_by_key(|&(_, s)| std::cmp::Reverse(s));
+
+    // Holder concentration at the final sample.
+    let mut by_org: BTreeMap<String, AddressSpace> = BTreeMap::new();
+    if let Some(&end) = dates.last() {
+        for prefix in unrouted_at_end {
             let org = study
                 .rir
                 .status_of(&prefix, end)
@@ -102,21 +172,47 @@ pub fn compute(study: &Study) -> Fig5 {
                 .unwrap_or_else(|| "(unknown)".to_owned());
             *by_org.entry(org).or_default() += AddressSpace::of_prefix(&prefix);
         }
-        top_holders = by_org.into_iter().collect();
-        top_holders.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-        let mut by_rir: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
-        for (prefix, rir, _) in study.rir.delegated_prefixes(end) {
-            if study.routed_at(&prefix, end)
-                || study.roa.is_signed_at(&prefix, end, &Tal::PRODUCTION)
-            {
-                continue;
-            }
-            *by_rir.entry(rir).or_default() += AddressSpace::of_prefix(&prefix);
-        }
-        unsigned_by_rir = by_rir.into_iter().collect();
-        unsigned_by_rir.sort_by_key(|&(_, s)| std::cmp::Reverse(s));
     }
+    let mut top_holders: Vec<(String, AddressSpace)> = by_org.into_iter().collect();
+    top_holders.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+
+    finish(points, top_holders, unsigned_by_rir)
+}
+
+/// The distinct prefixes of non-AS0 production-TAL ROAs, in address
+/// order, each with a flag per sample: does one of its ROAs hold on that
+/// sample's day. `dates` is ascending.
+fn signed_prefixes(study: &Study, dates: &[Date]) -> Vec<(Ipv4Prefix, Vec<bool>)> {
+    let mut by_prefix: BTreeMap<Ipv4Prefix, Vec<bool>> = BTreeMap::new();
+    for rec in study.roa.all() {
+        if rec.roa.is_as0() || !Tal::PRODUCTION.contains(&rec.roa.tal) {
+            continue;
+        }
+        // The samples in [created, removed).
+        let from = dates.partition_point(|&d| d < rec.created);
+        let to = rec
+            .removed
+            .map_or(dates.len(), |r| dates.partition_point(|&d| d < r));
+        if from >= to {
+            continue;
+        }
+        let active = by_prefix
+            .entry(rec.roa.prefix)
+            .or_insert_with(|| vec![false; dates.len()]);
+        for flag in active.iter_mut().take(to).skip(from) {
+            *flag = true;
+        }
+    }
+    by_prefix.into_iter().collect()
+}
+
+/// Assemble the figure from its points and final-sample splits: the
+/// top-three share and the largest month-over-month jump.
+fn finish(
+    points: Vec<Fig5Point>,
+    top_holders: Vec<(String, AddressSpace)>,
+    unsigned_by_rir: Vec<(Rir, AddressSpace)>,
+) -> Fig5 {
     let total_unrouted: AddressSpace = top_holders.iter().map(|(_, s)| *s).sum();
     let top3: AddressSpace = top_holders.iter().take(3).map(|(_, s)| *s).sum();
 
@@ -139,56 +235,6 @@ pub fn compute(study: &Study) -> Fig5 {
         top3_share: top3.fraction_of(total_unrouted),
         unsigned_by_rir,
         biggest_jump,
-    }
-}
-
-/// The non-AS0 production-TAL ROA prefixes active on `date`, as *exact*
-/// prefixes with more-specifics of another signed prefix removed (so
-/// that space sums count each address once, while holder attribution
-/// still resolves against exact allocation records — canonical
-/// aggregation would merge neighboring holders' blocks).
-fn signed_prefixes(study: &Study, date: Date) -> Vec<Ipv4Prefix> {
-    let mut trie: droplens_net::PrefixTrie<()> = droplens_net::PrefixTrie::new();
-    for rec in study.roa.active_on(date, &Tal::PRODUCTION) {
-        if !rec.roa.is_as0() {
-            trie.insert(rec.roa.prefix, ());
-        }
-    }
-    trie.keys()
-        .filter(|p| trie.matches(p).len() == 1) // keep only uncovered roots
-        .collect()
-}
-
-fn sample(study: &Study, date: Date) -> Fig5Point {
-    let mut signed = AddressSpace::ZERO;
-    let mut signed_routed = AddressSpace::ZERO;
-    for prefix in signed_prefixes(study, date) {
-        let space = AddressSpace::of_prefix(&prefix);
-        signed += space;
-        if study.routed_at(&prefix, date) {
-            signed_routed += space;
-        }
-    }
-
-    // Allocated + unrouted + unsigned. Delegated prefixes are disjoint by
-    // construction of the stats files.
-    let mut allocated_unrouted_unsigned = AddressSpace::ZERO;
-    for (prefix, _, _) in study.rir.delegated_prefixes(date) {
-        if study.routed_at(&prefix, date) {
-            continue;
-        }
-        if study.roa.is_signed_at(&prefix, date, &Tal::PRODUCTION) {
-            continue;
-        }
-        allocated_unrouted_unsigned += AddressSpace::of_prefix(&prefix);
-    }
-
-    Fig5Point {
-        date,
-        signed,
-        signed_routed,
-        signed_unrouted: signed.saturating_sub(signed_routed),
-        allocated_unrouted_unsigned,
     }
 }
 
@@ -242,11 +288,106 @@ impl fmt::Display for Fig5 {
     }
 }
 
+/// The per-sample computation that [`compute`] replaced, kept as the
+/// reference it must agree with: for each sample, a trie of that day's
+/// signed prefixes, and a `routed_at` / `is_signed_at` query per
+/// (prefix, sample).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn compute(study: &Study) -> Fig5 {
+        let dates = sample_dates(study);
+        let points: Vec<Fig5Point> = dates.iter().map(|&d| sample(study, d)).collect();
+        let mut top_holders: Vec<(String, AddressSpace)> = Vec::new();
+        let mut unsigned_by_rir: Vec<(Rir, AddressSpace)> = Vec::new();
+        if let Some(&end) = dates.last() {
+            let mut by_org: BTreeMap<String, AddressSpace> = BTreeMap::new();
+            for prefix in signed_prefixes(study, end) {
+                if study.routed_at(&prefix, end) {
+                    continue;
+                }
+                let org = study
+                    .rir
+                    .status_of(&prefix, end)
+                    .map(|s| s.opaque_id)
+                    .unwrap_or_else(|| "(unknown)".to_owned());
+                *by_org.entry(org).or_default() += AddressSpace::of_prefix(&prefix);
+            }
+            top_holders = by_org.into_iter().collect();
+            top_holders.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+
+            let mut by_rir: BTreeMap<Rir, AddressSpace> = BTreeMap::new();
+            for (prefix, rir, _) in study.rir.delegated_prefixes_at(end) {
+                if study.routed_at(&prefix, end)
+                    || study.roa.is_signed_at(&prefix, end, &Tal::PRODUCTION)
+                {
+                    continue;
+                }
+                *by_rir.entry(rir).or_default() += AddressSpace::of_prefix(&prefix);
+            }
+            unsigned_by_rir = by_rir.into_iter().collect();
+            unsigned_by_rir.sort_by_key(|&(_, s)| std::cmp::Reverse(s));
+        }
+        finish(points, top_holders, unsigned_by_rir)
+    }
+
+    /// The uncovered roots among the non-AS0 production-TAL ROA prefixes
+    /// active on `date`.
+    fn signed_prefixes(study: &Study, date: Date) -> Vec<Ipv4Prefix> {
+        let mut trie: droplens_net::PrefixTrie<()> = droplens_net::PrefixTrie::new();
+        for rec in study.roa.active_on(date, &Tal::PRODUCTION) {
+            if !rec.roa.is_as0() {
+                trie.insert(rec.roa.prefix, ());
+            }
+        }
+        trie.keys()
+            .filter(|p| trie.matches(p).len() == 1) // keep only uncovered roots
+            .collect()
+    }
+
+    fn sample(study: &Study, date: Date) -> Fig5Point {
+        let mut signed = AddressSpace::ZERO;
+        let mut signed_routed = AddressSpace::ZERO;
+        for prefix in signed_prefixes(study, date) {
+            let space = AddressSpace::of_prefix(&prefix);
+            signed += space;
+            if study.routed_at(&prefix, date) {
+                signed_routed += space;
+            }
+        }
+        let mut allocated_unrouted_unsigned = AddressSpace::ZERO;
+        for (prefix, _, _) in study.rir.delegated_prefixes_at(date) {
+            if study.routed_at(&prefix, date) {
+                continue;
+            }
+            if study.roa.is_signed_at(&prefix, date, &Tal::PRODUCTION) {
+                continue;
+            }
+            allocated_unrouted_unsigned += AddressSpace::of_prefix(&prefix);
+        }
+        Fig5Point {
+            date,
+            signed,
+            signed_routed,
+            signed_unrouted: signed.saturating_sub(signed_routed),
+            allocated_unrouted_unsigned,
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::experiments::testutil;
+
+    #[test]
+    fn equals_the_per_sample_reference() {
+        for (world, study) in testutil::studies() {
+            assert_eq!(compute(study), reference::compute(study), "{world}");
+        }
+    }
 
     #[test]
     fn signed_space_grows_and_routed_pct_declines() {

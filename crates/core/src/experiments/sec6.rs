@@ -8,10 +8,11 @@
 //!   validated against the APNIC/LACNIC AS0 TALs. The paper found ≈30 per
 //!   peer — i.e. **no** peer actually filters on those TALs.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use droplens_bgp::PeerId;
-use droplens_net::{Date, Ipv4Prefix};
+use droplens_net::{Asn, Date, Ipv4Prefix};
 use droplens_rpki::{RovOutcome, Tal};
 
 use crate::Study;
@@ -103,33 +104,29 @@ pub fn compute(study: &Study) -> Sec6 {
     // route is rejected when the AS0 TAL set alone covers it (any AS0 ROA
     // makes it Invalid) — the production TALs never rescue squatted pool
     // space.
-    // Whether a prefix is rejected is peer-independent (origins and ROV
-    // validation aggregate over all peers), so decide it once per prefix
-    // and only then ask which peers carry the route — instead of redoing
-    // the validation inside the peer loop.
-    let as0_tals = [Tal::ApnicAs0, Tal::LacnicAs0];
-    let mut filterable: std::collections::BTreeMap<PeerId, usize> =
-        study.peers.iter().map(|p| (p.id, 0)).collect();
-    for prefix in study.bgp.prefixes() {
-        if !study.bgp.observed_any(&prefix, end) {
-            continue;
-        }
-        let origins = study.bgp.origins_at(&prefix, end);
-        let rejected = origins.iter().any(|&origin| {
-            study.roa.validate_at(&prefix, origin, end, &as0_tals) == RovOutcome::Invalid
-                && study
-                    .roa
-                    .validate_at(&prefix, origin, end, &Tal::PRODUCTION)
-                    != RovOutcome::Valid
+    // Whether a prefix is rejected is peer-independent (ROV validation
+    // aggregates over the origins all peers report), so one walk of the
+    // prefixes' lanes decides it once per prefix, from the routes held
+    // at study end, and then counts the peers holding one.
+    let mut filterable: BTreeMap<PeerId, usize> = study.peers.iter().map(|p| (p.id, 0)).collect();
+    // The origins of one prefix validated so far: most lanes repeat one.
+    let mut validated: Vec<Asn> = Vec::new();
+    for (prefix, lanes) in study.bgp.lanes() {
+        validated.clear();
+        let rejected = lanes.at(end).any(|(_, route)| {
+            let origin = study.bgp.path_of(route.path).origin();
+            if validated.contains(&origin) {
+                return false;
+            }
+            validated.push(origin);
+            rejected_by_as0_tals(study, &prefix, origin, end)
         });
         if !rejected {
             continue;
         }
-        for peer in study.peers.iter() {
-            if study.bgp.observed_by(&prefix, peer.id, end) {
-                if let Some(n) = filterable.get_mut(&peer.id) {
-                    *n += 1;
-                }
+        for (peer, _) in lanes.at(end) {
+            if let Some(n) = filterable.get_mut(&peer) {
+                *n += 1;
             }
         }
     }
@@ -146,6 +143,19 @@ pub fn compute(study: &Study) -> Sec6 {
         operator_as0,
         per_peer,
     }
+}
+
+/// True when the AS0 TALs invalidate the route `(prefix, origin)` on
+/// `date` and the production TALs do not make it valid.
+fn rejected_by_as0_tals(study: &Study, prefix: &Ipv4Prefix, origin: Asn, date: Date) -> bool {
+    study
+        .roa
+        .validate_at(prefix, origin, date, &[Tal::ApnicAs0, Tal::LacnicAs0])
+        == RovOutcome::Invalid
+        && study
+            .roa
+            .validate_at(prefix, origin, date, &Tal::PRODUCTION)
+            != RovOutcome::Valid
 }
 
 impl fmt::Display for Sec6 {
@@ -189,6 +199,48 @@ impl fmt::Display for Sec6 {
 mod tests {
     use super::*;
     use crate::experiments::testutil;
+
+    /// §6.2.2's per-peer counts as a query per (prefix, peer): the
+    /// computation the lane walk replaced.
+    fn reference_per_peer(study: &Study) -> Vec<(PeerId, usize)> {
+        let end = study.config.window.last_or_start();
+        let mut filterable: BTreeMap<PeerId, usize> =
+            study.peers.iter().map(|p| (p.id, 0)).collect();
+        for prefix in study.bgp.prefixes() {
+            if !study.bgp.observed_any(&prefix, end) {
+                continue;
+            }
+            let origins = study.bgp.origins_at(&prefix, end);
+            if !origins
+                .iter()
+                .any(|&origin| rejected_by_as0_tals(study, &prefix, origin, end))
+            {
+                continue;
+            }
+            for peer in study.peers.iter() {
+                if study.bgp.observed_by(&prefix, peer.id, end) {
+                    *filterable.get_mut(&peer.id).unwrap() += 1;
+                }
+            }
+        }
+        study
+            .peers
+            .iter()
+            .map(|p| (p.id, filterable[&p.id]))
+            .collect()
+    }
+
+    #[test]
+    fn per_peer_counts_equal_the_per_pair_reference() {
+        for (world, study) in testutil::studies() {
+            let got: Vec<(PeerId, usize)> = compute(study)
+                .per_peer
+                .iter()
+                .map(|p| (p.peer, p.filterable))
+                .collect();
+            assert_eq!(got, reference_per_peer(study), "{world}");
+        }
+    }
 
     #[test]
     fn finds_the_operator_as0_story() {

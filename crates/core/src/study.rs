@@ -534,10 +534,12 @@ impl Study {
         self.config.window.end()
     }
 
-    /// True when `prefix` (or anything it covers / is covered by) was
-    /// announced on `date` — the "routed" predicate used by the Figure 5
-    /// accounting. Delegates to the archive's precomputed visibility
-    /// index (one binary search per covering-subtree node, no allocation).
+    /// True when `prefix` or one of its more-specifics was announced on
+    /// `date` — "routed" as Figure 5 defines it; a covering announcement
+    /// does not count. Delegates to the archive's precomputed visibility
+    /// index: one binary search per record of the covered subtree. When
+    /// the prefix itself is not visible that day but it or a
+    /// more-specific is archived, the subtree walk allocates its stack.
     pub fn routed_at(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
         self.bgp.routed_at(prefix, date)
     }

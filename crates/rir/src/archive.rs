@@ -1,6 +1,7 @@
 //! Temporal allocation database over stats-file snapshots.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use droplens_net::{AddressSpace, Date, Ipv4Prefix, OrgId, ParseError, PrefixTrie, StringInterner};
 
@@ -252,11 +253,16 @@ impl RirStatsArchive {
             .last()
     }
 
+    /// [`Self::entry_matching`] at the snapshot in force on `date`.
+    fn entry_on(&self, prefix: &Ipv4Prefix, date: Date) -> Option<(Ipv4Prefix, IndexEntry)> {
+        self.entry_matching(prefix, self.snapshot_at(date)?)
+    }
+
     /// Longest-match status of `prefix` on `date`. `None` when no
     /// snapshot is in force or no record covers the prefix (legacy space
     /// outside the modeled world, or pre-archive dates).
     pub fn status_of(&self, prefix: &Ipv4Prefix, date: Date) -> Option<StatusAt> {
-        let (matched, entry) = self.entry_matching(prefix, self.snapshot_at(date)?)?;
+        let (matched, entry) = self.entry_on(prefix, date)?;
         Some(StatusAt {
             rir: entry.rir,
             status: entry.status,
@@ -268,8 +274,8 @@ impl RirStatsArchive {
 
     /// True when the stats in force on `date` show `prefix` as delegated.
     pub fn is_allocated(&self, prefix: &Ipv4Prefix, date: Date) -> bool {
-        self.status_of(prefix, date)
-            .is_some_and(|s| s.status.is_delegated())
+        self.entry_on(prefix, date)
+            .is_some_and(|(_, e)| e.status.is_delegated())
     }
 
     /// The paper's "unallocated": not delegated (free pool, reserved, or
@@ -280,7 +286,7 @@ impl RirStatsArchive {
 
     /// The registry managing `prefix` on `date` (whatever the status).
     pub fn rir_managing(&self, prefix: &Ipv4Prefix, date: Date) -> Option<Rir> {
-        self.status_of(prefix, date).map(|s| s.rir)
+        self.entry_on(prefix, date).map(|(_, e)| e.rir)
     }
 
     /// The first snapshot date in `(after, until]` on which `prefix` is
@@ -317,32 +323,57 @@ impl RirStatsArchive {
             .unwrap_or(AddressSpace::ZERO)
     }
 
-    /// Every delegated CIDR prefix in force on `date`, with its registry
-    /// and org handle, in address order, lazily — the Figure 5 "allocated
-    /// but unrouted" accounting walk, without a `Vec` of cloned `String`s
-    /// per sample.
-    pub fn delegated_prefixes(
-        &self,
-        date: Date,
-    ) -> impl Iterator<Item = (Ipv4Prefix, Rir, &str)> + '_ {
-        self.snapshot_at(date)
-            .into_iter()
-            .flat_map(move |snapshot| {
-                self.changes.iter().filter_map(move |(p, points)| {
-                    let e = entry_at(points, snapshot)?;
-                    e.status
-                        .is_delegated()
-                        .then(|| (p, e.rir, self.orgs.get(e.org)))
+    /// Every CIDR block delegated on any of `dates`, once for each such
+    /// date, in address order and then in the order of `dates`: one walk
+    /// of the change points answers every date, where a walk per date
+    /// would visit each block once per date. A [`Delegation`] names its
+    /// date by its position in `dates`.
+    pub fn delegated_on<'a>(&'a self, dates: &[Date]) -> impl Iterator<Item = Delegation<'a>> + 'a {
+        // Each date's snapshot, found once and shared by every block's
+        // walk without a copy.
+        let snapshots: Rc<[(usize, usize)]> = dates
+            .iter()
+            .enumerate()
+            .filter_map(|(sample, &date)| Some((sample, self.snapshot_at(date)?)))
+            .collect();
+        self.changes.iter().flat_map(move |(prefix, points)| {
+            let snapshots = Rc::clone(&snapshots);
+            (0..snapshots.len()).filter_map(move |k| {
+                // k < snapshots.len()
+                let (sample, snapshot) = snapshots[k];
+                let e = entry_at(points, snapshot)?;
+                e.status.is_delegated().then(|| Delegation {
+                    prefix,
+                    sample,
+                    rir: e.rir,
+                    org: self.orgs.get(e.org),
                 })
             })
+        })
     }
 
-    /// [`Self::delegated_prefixes`], materialized with owned org handles.
+    /// Every delegated CIDR prefix in force on `date`, with its registry
+    /// and org handle, in address order: [`Self::delegated_on`] for one
+    /// date.
     pub fn delegated_prefixes_at(&self, date: Date) -> Vec<(Ipv4Prefix, Rir, String)> {
-        self.delegated_prefixes(date)
-            .map(|(p, r, o)| (p, r, o.to_owned()))
+        self.delegated_on(&[date])
+            .map(|d| (d.prefix, d.rir, d.org.to_owned()))
             .collect()
     }
+}
+
+/// One CIDR block delegated on one date of a
+/// [`RirStatsArchive::delegated_on`] walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delegation<'a> {
+    /// The block.
+    pub prefix: Ipv4Prefix,
+    /// Position of the date in the walk's `dates`.
+    pub sample: usize,
+    /// Delegating registry.
+    pub rir: Rir,
+    /// Registry-internal organization handle.
+    pub org: &'a str,
 }
 
 #[cfg(test)]

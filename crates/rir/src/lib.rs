@@ -22,6 +22,6 @@ pub mod format;
 mod record;
 mod types;
 
-pub use archive::{RirStatsArchive, StatusAt};
+pub use archive::{Delegation, RirStatsArchive, StatusAt};
 pub use record::DelegationRecord;
 pub use types::{AllocationStatus, Rir};

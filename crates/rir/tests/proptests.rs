@@ -7,7 +7,9 @@ use std::net::Ipv4Addr;
 
 use droplens_net::{Date, Ipv4Prefix, PrefixTrie};
 use droplens_rir::format::{parse_stats_file, write_stats_file, StatsFile};
-use droplens_rir::{AllocationStatus, DelegationRecord, Rir, RirStatsArchive, StatusAt};
+use droplens_rir::{
+    AllocationStatus, Delegation, DelegationRecord, Rir, RirStatsArchive, StatusAt,
+};
 use proptest::prelude::*;
 
 fn rir() -> impl Strategy<Value = Rir> {
@@ -366,6 +368,25 @@ proptest! {
                     archive.delegated_space(rir, day).addresses(),
                     reference.total(rir, day, AllocationStatus::is_delegated)
                 );
+            }
+        }
+
+        // One walk over every probe day at once, in date order and
+        // reversed, gives each day's delegated blocks.
+        for days in [probes.clone(), probes.iter().rev().copied().collect()] {
+            let walk: Vec<Delegation> = archive.delegated_on(&days).collect();
+            prop_assert!(
+                walk.windows(2).all(|w| w[0].prefix < w[1].prefix
+                    || (w[0].prefix == w[1].prefix && w[0].sample < w[1].sample)),
+                "walk out of (block, date) order"
+            );
+            for (sample, &day) in days.iter().enumerate() {
+                let on_day: Vec<(Ipv4Prefix, Rir, String)> = walk
+                    .iter()
+                    .filter(|d| d.sample == sample)
+                    .map(|d| (d.prefix, d.rir, d.org.to_owned()))
+                    .collect();
+                prop_assert_eq!(on_day, reference.delegated_prefixes_at(day), "on {} of a multi-date walk", day);
             }
         }
     }

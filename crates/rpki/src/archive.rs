@@ -84,31 +84,39 @@ impl RoaArchive {
             .unwrap_or_default()
     }
 
+    /// ROA generations from `tals` covering `prefix` (equal or less
+    /// specific), lazily: the covering chain least specific first, each
+    /// prefix's generations in insertion order.
+    fn covering<'a: 't, 't>(
+        &'a self,
+        prefix: &Ipv4Prefix,
+        tals: &'t [Tal],
+    ) -> impl Iterator<Item = &'a RoaRecord> + 't {
+        self.by_prefix
+            .matches_iter(prefix)
+            // idxs are positions recorded at insert time
+            .flat_map(move |(_, idxs)| idxs.iter().map(move |&i| &self.records[i]))
+            .filter(move |r| tals.contains(&r.roa.tal))
+    }
+
     /// ROA generations covering `prefix` (equal or less specific),
     /// restricted to `tals`.
     pub fn records_covering(&self, prefix: &Ipv4Prefix, tals: &[Tal]) -> Vec<&RoaRecord> {
-        self.by_prefix
-            .matches(prefix)
-            .into_iter()
-            // idxs are positions recorded at insert time
-            .flat_map(|(_, idxs)| idxs.iter().map(|&i| &self.records[i]))
-            .filter(|r| tals.contains(&r.roa.tal))
-            .collect() // bounded by covering ROAs (prefix tree fan-in)
+        self.covering(prefix, tals).collect() // bounded by covering ROAs (prefix tree fan-in)
     }
 
     /// ROAs from `tals` covering `prefix` and active on `date`.
     pub fn roas_covering_at(&self, prefix: &Ipv4Prefix, date: Date, tals: &[Tal]) -> Vec<&Roa> {
-        self.records_covering(prefix, tals)
-            .into_iter()
+        self.covering(prefix, tals)
             .filter(|r| r.active_on(date))
             .map(|r| &r.roa)
-            .collect() // subset of records_covering, already bounded
+            .collect() // bounded by covering ROAs (prefix tree fan-in)
     }
 
     /// True if any ROA from `tals` covers `prefix` on `date` — the
     /// "prefix is RPKI-signed" predicate of Table 1 and §6.
     pub fn is_signed_at(&self, prefix: &Ipv4Prefix, date: Date, tals: &[Tal]) -> bool {
-        !self.roas_covering_at(prefix, date, tals).is_empty()
+        self.covering(prefix, tals).any(|r| r.active_on(date))
     }
 
     /// RFC 6811 validation of `(prefix, origin)` on `date` against `tals`.
@@ -119,15 +127,19 @@ impl RoaArchive {
         date: Date,
         tals: &[Tal],
     ) -> RovOutcome {
-        validate(self.roas_covering_at(prefix, date, tals), prefix, origin)
+        validate(
+            self.covering(prefix, tals)
+                .filter(|r| r.active_on(date))
+                .map(|r| &r.roa),
+            prefix,
+            origin,
+        )
     }
 
     /// The first ROA (from `tals`) ever covering `prefix`, with its
     /// creation date — "when was this prefix first signed".
     pub fn first_signing(&self, prefix: &Ipv4Prefix, tals: &[Tal]) -> Option<&RoaRecord> {
-        self.records_covering(prefix, tals)
-            .into_iter()
-            .min_by_key(|r| r.created)
+        self.covering(prefix, tals).min_by_key(|r| r.created)
     }
 
     /// Signings of `prefix` with creation dates in `[from, to]`.
@@ -138,8 +150,7 @@ impl RoaArchive {
         to: Date,
         tals: &[Tal],
     ) -> Vec<&RoaRecord> {
-        self.records_covering(prefix, tals)
-            .into_iter()
+        self.covering(prefix, tals)
             .filter(|r| r.created >= from && r.created <= to)
             .collect() // creation-window subset of one prefix's coverage
     }

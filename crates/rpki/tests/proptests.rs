@@ -160,4 +160,47 @@ proptest! {
             .any(|e| e.date <= probe && e.roa.prefix.covers(&query));
         prop_assert_eq!(archive.is_signed_at(&query, probe, &Tal::ALL), expected);
     }
+
+    #[test]
+    fn coverage_queries_equal_a_filter_over_all(
+        events in prop::collection::vec((0i32..300, prop::bool::ANY, roa()), 0..30),
+        query in prefix(),
+        origin in 0u32..6,
+        probe_off in 0i32..300,
+        tals in prop::collection::vec(tal(), 0..4),
+    ) {
+        let mut events: Vec<RoaEvent> = events
+            .into_iter()
+            .map(|(off, add, roa)| RoaEvent {
+                date: Date::from_days_since_epoch(18_000 + off),
+                op: if add { RoaOp::Add } else { RoaOp::Del },
+                roa,
+            })
+            .collect();
+        events.sort_by_key(|e| e.date);
+        let probe = Date::from_days_since_epoch(18_000 + probe_off);
+        let archive = RoaArchive::from_events(&events);
+        // The reference: every generation that covers the query, is from
+        // one of the TALs and is active on the probe day.
+        let mut expected: Vec<Roa> = archive
+            .all()
+            .iter()
+            .filter(|r| r.roa.prefix.covers(&query) && tals.contains(&r.roa.tal) && r.active_on(probe))
+            .map(|r| r.roa.clone())
+            .collect();
+        let mut got: Vec<Roa> = archive
+            .roas_covering_at(&query, probe, &tals)
+            .into_iter()
+            .cloned()
+            .collect();
+        let sort = |v: &mut Vec<Roa>| v.sort_by_key(|r| (r.prefix, r.asn, r.max_length, r.tal));
+        sort(&mut got);
+        sort(&mut expected);
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(archive.is_signed_at(&query, probe, &tals), !expected.is_empty());
+        prop_assert_eq!(
+            archive.validate_at(&query, Asn(origin), probe, &tals),
+            model_validate(&expected, &query, Asn(origin))
+        );
+    }
 }
