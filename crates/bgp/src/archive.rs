@@ -124,16 +124,22 @@ impl RoutedSpans {
 /// named, including ids outside [`BgpArchive::peers`].
 #[derive(Debug, Clone, Copy)]
 pub struct Lanes<'a> {
-    by_peer: &'a BTreeMap<PeerId, Vec<Interval>>,
+    /// `(peer, end)` in peer order: the lane of `table[i]` is
+    /// `intervals[table[i - 1].1..table[i].1]`.
+    table: &'a [(PeerId, u32)],
+    intervals: &'a [Interval],
 }
 
 impl<'a> Lanes<'a> {
     /// Each peer that ever had an update for the prefix, with its
     /// intervals in date order (empty after withdrawals alone).
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, &'a [Interval])> + 'a {
-        self.by_peer
-            .iter()
-            .map(|(&peer, lane)| (peer, lane.as_slice()))
+        let Lanes { table, intervals } = *self;
+        table.iter().scan(0, move |start, &(peer, end)| {
+            let lane = &intervals[*start..end as usize];
+            *start = end as usize;
+            Some((peer, lane))
+        })
     }
 
     /// The interval in force on `date`, for each lane that has one.
@@ -141,9 +147,22 @@ impl<'a> Lanes<'a> {
         self.iter()
             .filter_map(move |(peer, lane)| interval_at(lane, date).map(|iv| (peer, iv)))
     }
+
+    /// `peer`'s lane (one binary search), empty if the stream never
+    /// named the peer for this prefix.
+    fn of(&self, peer: PeerId) -> &'a [Interval] {
+        match self.table.binary_search_by_key(&peer, |&(p, _)| p) {
+            Ok(i) => {
+                let start = i.checked_sub(1).map_or(0, |prev| self.table[prev].1);
+                &self.intervals[start as usize..self.table[i].1 as usize]
+            }
+            Err(_) => &[],
+        }
+    }
 }
 
-/// Replay one (prefix, peer) lane's updates, given in stream order.
+/// Replay one (prefix, peer) lane's updates, given in stream order, onto
+/// the end of `intervals`, the prefix's interval vector.
 ///
 /// An announcement with an unchanged path extends the open interval; a
 /// path change closes it and opens a new one on the same day; a
@@ -151,13 +170,15 @@ impl<'a> Lanes<'a> {
 /// ignored (idle withdraws are legal BGP chatter), so a lane can end up
 /// empty.
 fn replay_lane<'a>(
-    updates: impl ExactSizeIterator<Item = &'a BgpUpdate>,
+    updates: impl Iterator<Item = &'a BgpUpdate>,
     paths: &mut PathArena,
-) -> Vec<Interval> {
-    // At most one interval per update; most lanes hold one update.
-    let mut lane: Vec<Interval> = Vec::with_capacity(updates.len());
+    intervals: &mut Vec<Interval>,
+) {
+    let start = intervals.len();
     for u in updates {
-        let open = lane.last_mut().filter(|iv| iv.end.is_none());
+        // Only this lane's intervals: the ones before `start` are the
+        // lanes of lower peers.
+        let open = intervals[start..].last_mut().filter(|iv| iv.end.is_none());
         match &u.event {
             BgpEvent::Announce(path) => {
                 if let Some(open) = open {
@@ -166,7 +187,7 @@ fn replay_lane<'a>(
                     }
                     open.end = Some(u.date);
                 }
-                lane.push(Interval {
+                intervals.push(Interval {
                     start: u.date,
                     end: None,
                     path: paths.push(path),
@@ -179,15 +200,18 @@ fn replay_lane<'a>(
             }
         }
     }
-    lane
 }
 
-/// Per-prefix observation record: intervals for every peer that ever
-/// carried the prefix, plus the cross-peer union of those intervals
-/// (the daily-visibility index), precomputed once at index time.
+/// Per-prefix observation record: the intervals of every peer that ever
+/// had an update for the prefix, lane after lane in peer order in one
+/// vector, plus the cross-peer union of those intervals (the
+/// daily-visibility index), precomputed once at index time.
 #[derive(Debug)]
 struct PrefixRecord {
-    by_peer: BTreeMap<PeerId, Vec<Interval>>,
+    /// `(peer, end offset into intervals)`, one per lane, in peer order;
+    /// see [`Lanes`].
+    table: Vec<(PeerId, u32)>,
+    intervals: Vec<Interval>,
     /// Disjoint, sorted `[start, end)` spans during which *any* peer
     /// carried the prefix (`end == None` = through end of archive).
     /// "Was this prefix visible on day X" becomes one binary search
@@ -196,15 +220,17 @@ struct PrefixRecord {
 }
 
 impl PrefixRecord {
+    fn lanes(&self) -> Lanes<'_> {
+        Lanes {
+            table: &self.table,
+            intervals: &self.intervals,
+        }
+    }
+
     /// Rebuild [`Self::merged`] from the peer lanes.
     fn build_visibility(&mut self) {
-        self.merged = union_of_spans(
-            self.by_peer
-                .values()
-                .flatten()
-                .map(|iv| (iv.start, iv.end))
-                .collect(), // one prefix record: bounded by peers × lane intervals
-        );
+        // One prefix record: bounded by peers × lane intervals.
+        self.merged = union_of_spans(self.intervals.iter().map(|iv| (iv.start, iv.end)).collect());
     }
 
     /// True if any peer carried the prefix on `date` (visibility-index
@@ -215,11 +241,44 @@ impl PrefixRecord {
 
     /// Number of peer lanes with an interval in force on `date`.
     fn peers_observing(&self, date: Date) -> usize {
-        self.by_peer
-            .values()
-            .filter(|lane| interval_at(lane, date).is_some())
-            .count()
+        self.lanes().at(date).count()
     }
+}
+
+/// Sort key of the update at stream position `pos`: prefix address,
+/// prefix length, peer and position, packed most significant first, so
+/// that integer order is `(Ipv4Prefix, PeerId, usize)` order. Positions
+/// take the low [`POS_BITS`] bits; no slice of updates comes near
+/// 2^56 elements.
+fn lane_key(u: &BgpUpdate, pos: usize) -> u128 {
+    (u128::from(u.prefix.network_u32()) << (PREFIX_SHIFT + 8))
+        | (u128::from(u.prefix.len()) << PREFIX_SHIFT)
+        | (u128::from(u.peer.0) << POS_BITS)
+        | pos as u128
+}
+
+/// Bits of a [`lane_key`] below its prefix: the peer and the position.
+const PREFIX_SHIFT: u32 = 32 + POS_BITS;
+
+/// Bits of a [`lane_key`] that hold the stream position.
+const POS_BITS: u32 = 56;
+
+/// The prefix of a [`lane_key`].
+fn key_prefix(key: u128) -> Ipv4Prefix {
+    Ipv4Prefix::from_u32(
+        (key >> (PREFIX_SHIFT + 8)) as u32,
+        (key >> PREFIX_SHIFT) as u8,
+    )
+}
+
+/// The peer of a [`lane_key`].
+fn key_peer(key: u128) -> PeerId {
+    PeerId((key >> POS_BITS) as u32)
+}
+
+/// The stream position of a [`lane_key`].
+fn key_pos(key: u128) -> usize {
+    (key & ((1 << POS_BITS) - 1)) as usize
 }
 
 /// An index over a complete collector update stream.
@@ -237,19 +296,20 @@ impl BgpArchive {
     /// Build the index, lane by lane, from `updates` in stream order.
     ///
     /// Every update touches only its own (prefix, peer) lane, so one
-    /// sort of the stream positions by (prefix, peer, position) groups
-    /// each lane's updates together in stream order. Each lane is then
-    /// replayed once (see `replay_lane`), each prefix's record is built
-    /// once, and each prefix enters the trie once, in address order. The
-    /// result equals a replay of the whole stream in order, update by
-    /// update; only the [`PathId`]s differ, as they are not deduplicated.
+    /// sort of packed (prefix, peer, position) keys groups each lane's
+    /// updates together in stream order. Each lane is then replayed once
+    /// (see `replay_lane`) onto its prefix's one interval vector, each
+    /// prefix's record is built once, and each prefix enters the trie
+    /// once, in address order. The result equals a replay of the whole
+    /// stream in order, update by update; only the [`PathId`]s differ, as
+    /// they are not deduplicated.
     pub fn from_updates(peers: Vec<Peer>, updates: &[BgpUpdate]) -> BgpArchive {
         let first_date = updates.iter().map(|u| u.date).min();
         let last_date = updates.iter().map(|u| u.date).max();
-        let mut order: Vec<(Ipv4Prefix, PeerId, usize)> = updates
+        let mut order: Vec<u128> = updates
             .iter()
             .enumerate()
-            .map(|(pos, u)| (u.prefix, u.peer, pos))
+            .map(|(pos, u)| lane_key(u, pos))
             .collect(); // one sort key per update, the index's own input size
         order.sort_unstable();
         let mut records: PrefixTrie<PrefixRecord> = PrefixTrie::new();
@@ -257,19 +317,22 @@ impl BgpArchive {
         let mut paths = PathArena {
             paths: Vec::with_capacity(updates.len()),
         };
-        for group in order.chunk_by(|a, b| a.0 == b.0) {
-            let by_peer = group
-                .chunk_by(|a, b| a.1 == b.1)
-                .map(|lane| {
-                    let stream = lane.iter().map(|&(_, _, pos)| &updates[pos]);
-                    (lane[0].1, replay_lane(stream, &mut paths))
-                })
-                .collect(); // one prefix's lanes: bounded by the collector peer count
-            let record = PrefixRecord {
-                by_peer,
+        let same_lane = |a: &u128, b: &u128| a >> POS_BITS == b >> POS_BITS;
+        for group in order.chunk_by(|a, b| a >> PREFIX_SHIFT == b >> PREFIX_SHIFT) {
+            let mut record = PrefixRecord {
+                table: Vec::with_capacity(group.chunk_by(same_lane).count()),
+                // At most one interval per update.
+                intervals: Vec::with_capacity(group.len()),
                 merged: Vec::new(),
             };
-            records.insert(group[0].0, record);
+            for lane in group.chunk_by(same_lane) {
+                let stream = lane.iter().map(|&key| &updates[key_pos(key)]);
+                replay_lane(stream, &mut paths, &mut record.intervals);
+                record
+                    .table
+                    .push((key_peer(lane[0]), record.intervals.len() as u32));
+            }
+            records.insert(key_prefix(group[0]), record);
         }
         // Finalize the daily-visibility index in a pass of its own, so the
         // merged spans are allocated together rather than between the
@@ -311,12 +374,15 @@ impl BgpArchive {
     pub fn repair_zombie_routes(&mut self) -> usize {
         let mut repaired = 0;
         for record in self.records.values_mut() {
-            let mut open_peers: Vec<PeerId> = Vec::new();
+            // Each open lane's peer and the index of its last interval.
+            let mut open_lanes: Vec<(PeerId, usize)> = Vec::new();
             let mut latest_close: Option<Date> = None;
             let mut closed_lanes = 0usize;
-            for (&peer, lane) in &record.by_peer {
+            let mut lane_end = 0;
+            for (peer, lane) in record.lanes().iter() {
+                lane_end += lane.len();
                 match lane.last().and_then(|iv| iv.end) {
-                    None if lane.last().is_some() => open_peers.push(peer),
+                    None if lane.last().is_some() => open_lanes.push((peer, lane_end - 1)),
                     None => {}
                     Some(end) => {
                         closed_lanes += 1;
@@ -324,13 +390,13 @@ impl BgpArchive {
                     }
                 }
             }
-            let (&[peer], Some(close_at)) = (open_peers.as_slice(), latest_close) else {
+            let (&[(peer, last)], Some(close_at)) = (open_lanes.as_slice(), latest_close) else {
                 continue;
             };
             if closed_lanes < 2 {
                 continue;
             }
-            if let Some(iv) = record.by_peer.get_mut(&peer).and_then(|l| l.last_mut()) {
+            if let Some(iv) = record.intervals.get_mut(last) {
                 // A lane announced *after* every sibling closed is a
                 // genuine late re-announcement, not a zombie.
                 if iv.start <= close_at {
@@ -379,11 +445,7 @@ impl BgpArchive {
 
     /// The announcement intervals one peer recorded for `prefix`.
     pub fn intervals(&self, prefix: &Ipv4Prefix, peer: PeerId) -> &[Interval] {
-        self.records
-            .get(prefix)
-            .and_then(|r| r.by_peer.get(&peer))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.records.get(prefix).map_or(&[], |r| r.lanes().of(peer))
     }
 
     /// True if `peer` had a route for `prefix` on `date`.
@@ -393,8 +455,7 @@ impl BgpArchive {
 
     /// The path `peer` reported for `prefix` on `date`, if any.
     pub fn path_at(&self, prefix: &Ipv4Prefix, peer: PeerId, date: Date) -> Option<&AsPath> {
-        let lane = self.records.get(prefix)?.by_peer.get(&peer)?;
-        interval_at(lane, date).map(|iv| self.paths.get(iv.path))
+        interval_at(self.intervals(prefix, peer), date).map(|iv| self.paths.get(iv.path))
     }
 
     /// Number of peers with a route for `prefix` on `date` (one trie
@@ -462,9 +523,9 @@ impl BgpArchive {
     pub fn first_announced(&self, prefix: &Ipv4Prefix) -> Option<Date> {
         let record = self.records.get(prefix)?;
         record
-            .by_peer
-            .values()
-            .filter_map(|lane| lane.first())
+            .lanes()
+            .iter()
+            .filter_map(|(_, lane)| lane.first())
             .map(|iv| iv.start)
             .min()
     }
@@ -473,9 +534,8 @@ impl BgpArchive {
     pub fn first_announced_at_or_after(&self, prefix: &Ipv4Prefix, from: Date) -> Option<Date> {
         let record = self.records.get(prefix)?;
         record
-            .by_peer
-            .values()
-            .flat_map(|lane| lane.iter())
+            .intervals
+            .iter()
             .filter_map(|iv| {
                 if iv.contains(from) {
                     Some(from)
@@ -512,12 +572,10 @@ impl BgpArchive {
         let record = self.records.get(prefix)?;
         let mut candidates: BTreeSet<Date> = BTreeSet::new();
         candidates.insert(from);
-        for lane in record.by_peer.values() {
-            for iv in lane {
-                if let Some(end) = iv.end {
-                    if end >= from {
-                        candidates.insert(end);
-                    }
+        for iv in &record.intervals {
+            if let Some(end) = iv.end {
+                if end >= from {
+                    candidates.insert(end);
                 }
             }
         }
@@ -530,14 +588,9 @@ impl BgpArchive {
     /// walk of the trie for whole-table sweeps, which would otherwise look
     /// up each (prefix, peer) pair on its own.
     pub fn lanes(&self) -> impl Iterator<Item = (Ipv4Prefix, Lanes<'_>)> {
-        self.records.iter().map(|(prefix, record)| {
-            (
-                prefix,
-                Lanes {
-                    by_peer: &record.by_peer,
-                },
-            )
-        })
+        self.records
+            .iter()
+            .map(|(prefix, record)| (prefix, record.lanes()))
     }
 
     /// The set of origin ASNs peers reported for `prefix` on `date`.
@@ -545,12 +598,11 @@ impl BgpArchive {
         let Some(record) = self.records.get(prefix) else {
             return BTreeSet::new();
         };
-        Lanes {
-            by_peer: &record.by_peer,
-        }
-        .at(date)
-        .map(|(_, iv)| self.paths.get(iv.path).origin())
-        .collect() // bounded by the collector peer count
+        record
+            .lanes()
+            .at(date)
+            .map(|(_, iv)| self.paths.get(iv.path).origin())
+            .collect() // bounded by the collector peer count
     }
 
     /// Every origin ASN ever reported for `prefix` before `date`, with the
@@ -559,14 +611,12 @@ impl BgpArchive {
     pub fn historic_origins_before(&self, prefix: &Ipv4Prefix, date: Date) -> BTreeMap<Asn, Date> {
         let mut out: BTreeMap<Asn, Date> = BTreeMap::new();
         if let Some(record) = self.records.get(prefix) {
-            for lane in record.by_peer.values() {
-                for iv in lane {
-                    if iv.start < date {
-                        let origin = self.paths.get(iv.path).origin();
-                        out.entry(origin)
-                            .and_modify(|d| *d = (*d).min(iv.start))
-                            .or_insert(iv.start);
-                    }
+            for iv in &record.intervals {
+                if iv.start < date {
+                    let origin = self.paths.get(iv.path).origin();
+                    out.entry(origin)
+                        .and_modify(|d| *d = (*d).min(iv.start))
+                        .or_insert(iv.start);
                 }
             }
         }
@@ -618,6 +668,40 @@ mod tests {
             Peer::new(PeerId(0), Asn(3356), "p0"),
             Peer::new(PeerId(1), Asn(7018), "p1"),
         ]
+    }
+
+    #[test]
+    fn lane_keys_sort_as_the_tuples_do() {
+        // Extremes of every field: addresses with the top bit set, /0 and
+        // /32 at one address, peer ids up to u32::MAX.
+        let prefixes = [
+            "0.0.0.0/0",
+            "0.0.0.0/32",
+            "10.0.0.0/8",
+            "10.0.0.0/9",
+            "255.255.255.255/32",
+        ];
+        let peers = [0, 1, 7, u32::MAX - 1, u32::MAX];
+        let mut tuples = Vec::new();
+        for (i, prefix) in prefixes.iter().enumerate() {
+            for (j, &peer) in peers.iter().enumerate() {
+                let pos = (i * 31 + j * 17) % 23;
+                tuples.push((p(prefix), PeerId(peer), pos));
+            }
+        }
+        let key = |&(prefix, peer, pos): &(Ipv4Prefix, PeerId, usize)| {
+            lane_key(&BgpUpdate::withdraw(d("2020-01-01"), peer, prefix), pos)
+        };
+        let mut keys: Vec<u128> = tuples.iter().map(key).collect();
+        keys.sort_unstable();
+        tuples.sort_unstable();
+        assert_eq!(keys, tuples.iter().map(key).collect::<Vec<_>>());
+        for (k, &(prefix, peer, pos)) in keys.iter().zip(&tuples) {
+            assert_eq!(
+                (key_prefix(*k), key_peer(*k), key_pos(*k)),
+                (prefix, peer, pos)
+            );
+        }
     }
 
     #[test]
@@ -883,9 +967,9 @@ mod tests {
         ] {
             let date = d(day);
             let scan = record
-                .by_peer
-                .keys()
-                .any(|&peer| a.observed_by(&pfx, peer, date));
+                .lanes()
+                .iter()
+                .any(|(peer, _)| a.observed_by(&pfx, peer, date));
             assert_eq!(a.observed_any(&pfx, date), scan, "day {day}");
         }
     }

@@ -119,17 +119,42 @@ impl FromStr for AsPath {
     type Err = ParseError;
 
     /// Parses the `bgpdump -m` space-separated form, e.g. `"50509 34665 263692"`.
+    /// The hops are read into a stack buffer, so a path of up to
+    /// `INLINE_HOPS` hops takes one allocation, its `Arc`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut hops = Vec::new();
+        let mut inline = [Asn(0); INLINE_HOPS];
+        let mut spilled: Vec<Asn> = Vec::new();
+        let mut n = 0;
         for tok in s.split_ascii_whitespace() {
             let asn: Asn = tok
                 .parse()
                 .map_err(|e: ParseError| ParseError::new("AsPath", s, e.detail().to_owned()))?;
-            hops.push(asn);
+            match inline.get_mut(n) {
+                Some(slot) => *slot = asn,
+                None => {
+                    if spilled.is_empty() {
+                        spilled.extend_from_slice(&inline);
+                    }
+                    spilled.push(asn);
+                }
+            }
+            n += 1;
         }
-        AsPath::try_new(hops).ok_or_else(|| ParseError::new("AsPath", s, "empty path"))
+        let hops = if n <= INLINE_HOPS {
+            &inline[..n]
+        } else {
+            &spilled[..]
+        };
+        if hops.is_empty() {
+            return Err(ParseError::new("AsPath", s, "empty path"));
+        }
+        Ok(AsPath { hops: hops.into() })
     }
 }
+
+/// Hops [`AsPath`]'s parser holds on the stack; longer paths, which
+/// collectors rarely see, are read through a `Vec` first.
+const INLINE_HOPS: usize = 32;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
@@ -189,6 +214,22 @@ mod tests {
     fn display_parse_round_trip() {
         for s in ["64500", "50509 34665 263692", "1 2 3 4 5"] {
             assert_eq!(path(s).to_string(), s);
+        }
+    }
+
+    #[test]
+    fn paths_longer_than_the_stack_buffer_round_trip() {
+        for n in [
+            INLINE_HOPS - 1,
+            INLINE_HOPS,
+            INLINE_HOPS + 1,
+            3 * INLINE_HOPS,
+        ] {
+            let s = (1..=n).map(|h| h.to_string()).collect::<Vec<_>>().join(" ");
+            let p = path(&s);
+            assert_eq!(p.len(), n);
+            assert_eq!(p.origin(), Asn(n as u32));
+            assert_eq!(p.to_string(), s);
         }
     }
 

@@ -10,7 +10,7 @@ use droplens_bgp::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-use droplens_net::{Asn, Date, DateRange, Ipv4Prefix};
+use droplens_net::{Asn, Date, DateRange, Ipv4Prefix, LocatedError, Quarantine};
 use proptest::prelude::*;
 
 const EPOCH: i32 = 18_000; // ≈ 2019-04, arbitrary base day
@@ -477,5 +477,81 @@ proptest! {
         assert_matches_replay(&archive, &replay)?;
         prop_assert_eq!(archive.repair_zombie_routes(), replay.repair_zombie_routes());
         assert_matches_replay(&archive, &replay)?;
+    }
+}
+
+/// The one-pass line loop the chunked parse replaced, kept here as the
+/// reference it must equal.
+fn parse_in_one_pass(
+    text: &str,
+    quarantine: &mut Quarantine,
+) -> Result<Vec<BgpUpdate>, LocatedError> {
+    let mut out = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            quarantine.record_skip();
+            continue;
+        }
+        match bgpfmt::parse_update_line(line) {
+            Ok(u) => {
+                quarantine.record_ok();
+                out.push(u);
+            }
+            Err(e) => quarantine.reject("bgp.updates", idx as u32 + 1, e)?,
+        }
+    }
+    Ok(out)
+}
+
+/// Lines an update archive holds besides records: blank and comment
+/// lines, and a malformed line of each kind the parser rejects.
+const NOISE: [&str; 6] = [
+    "",
+    "   ",
+    "# comment",
+    "GARBAGE",
+    "BGP4MP|2020-01-01|A|peer0|1|10.0.0.0/8",
+    "BGP4MP|2020-13-01|W|peer0|1|10.0.0.0/8",
+];
+
+/// One line of an update archive: a record half the time, else noise.
+fn archive_line() -> impl Strategy<Value = String> {
+    (update(), 0..2 * NOISE.len()).prop_map(|(u, pick)| match NOISE.get(pick) {
+        Some(noise) => noise.to_string(),
+        None => bgpfmt::write_update_line(&u, &peers()),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn chunked_parse_equals_one_pass(
+        lines in prop::collection::vec((archive_line(), any::<bool>()), 0..40),
+        final_newline in any::<bool>(),
+        chunks in 1usize..9,
+    ) {
+        // Each line ends in LF or CRLF; the last may have no newline.
+        let mut text = String::new();
+        for (i, (line, crlf)) in lines.iter().enumerate() {
+            text.push_str(line);
+            if i + 1 < lines.len() || final_newline {
+                text.push_str(if *crlf { "\r\n" } else { "\n" });
+            }
+        }
+        for strict in [false, true] {
+            let ledger = || if strict {
+                Quarantine::strict("bgp/updates.txt")
+            } else {
+                Quarantine::permissive("bgp/updates.txt")
+            };
+            let mut want_q = ledger();
+            let want = parse_in_one_pass(&text, &mut want_q);
+            let mut got_q = ledger();
+            let got = bgpfmt::parse_updates_in_chunks(&text, chunks, &mut got_q);
+            prop_assert_eq!(&got, &want, "strict={} chunks={}", strict, chunks);
+            prop_assert_eq!(&got_q, &want_q, "strict={} chunks={}", strict, chunks);
+        }
     }
 }

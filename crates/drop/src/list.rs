@@ -88,17 +88,26 @@ impl DropSnapshot {
         text: &str,
         quarantine: &mut Quarantine,
     ) -> Result<DropSnapshot, LocatedError> {
-        let obs = droplens_obs::global();
         let mut tspan = droplens_obs::trace::global().span("parse.drop.list", "parse");
         tspan.arg_str("file", quarantine.source());
-        let parsed = obs.counter("drop.list.parsed");
-        let skipped = obs.counter("drop.list.skipped");
-        let malformed = obs.counter("drop.list.malformed");
+        let snapshot = quarantine.counted("drop.list", |quarantine| {
+            Self::parse_lines(date, text, quarantine)
+        })?;
+        tspan.arg_u64("records", snapshot.entries.len() as u64);
+        Ok(snapshot)
+    }
+
+    /// [`DropSnapshot::parse_with`]'s loop, accounting each line in
+    /// `quarantine`.
+    fn parse_lines(
+        date: Date,
+        text: &str,
+        quarantine: &mut Quarantine,
+    ) -> Result<DropSnapshot, LocatedError> {
         let mut snapshot = DropSnapshot::new(date);
         for (idx, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with(';') || line.starts_with('#') {
-                skipped.inc();
                 quarantine.record_skip();
                 continue;
             }
@@ -116,17 +125,12 @@ impl DropSnapshot {
             });
             match entry {
                 Ok((prefix, sbl)) => {
-                    parsed.inc();
                     quarantine.record_ok();
                     snapshot.insert(prefix, sbl);
                 }
-                Err(e) => {
-                    malformed.inc();
-                    quarantine.reject("drop.list", lineno, e)?;
-                }
+                Err(e) => quarantine.reject("drop.list", lineno, e)?,
             }
         }
-        tspan.arg_u64("records", snapshot.entries.len() as u64);
         Ok(snapshot)
     }
 }

@@ -214,10 +214,18 @@ impl SblDatabase {
         text: &str,
         quarantine: &mut Quarantine,
     ) -> Result<SblDatabase, LocatedError> {
-        let obs = droplens_obs::global();
         let mut tspan = droplens_obs::trace::global().span("parse.drop.sbl", "parse");
         tspan.arg_str("file", quarantine.source());
-        let parsed = obs.counter("drop.sbl.parsed");
+        let db = quarantine.counted("drop.sbl", |quarantine| {
+            Self::parse_blocks(text, quarantine)
+        })?;
+        tspan.arg_u64("records", db.len() as u64);
+        Ok(db)
+    }
+
+    /// [`SblDatabase::parse_with`]'s loop, accounting each block in
+    /// `quarantine`.
+    fn parse_blocks(text: &str, quarantine: &mut Quarantine) -> Result<SblDatabase, LocatedError> {
         let mut db = SblDatabase::new();
         let mut current: Option<(SblId, String)> = None;
         // After a rejected header (permissive mode), swallow the block's
@@ -228,7 +236,6 @@ impl SblDatabase {
             if trimmed.is_empty() {
                 swallowing = false;
                 if let Some((id, body)) = current.take() {
-                    parsed.inc();
                     quarantine.record_ok();
                     db.insert(SblRecord::new(id, body.trim_end()));
                 }
@@ -244,7 +251,6 @@ impl SblDatabase {
                     let id: SblId = match trimmed.trim().parse() {
                         Ok(id) => id,
                         Err(e) => {
-                            obs.counter("drop.sbl.malformed").inc();
                             quarantine.reject("drop.sbl", lineno, e)?;
                             swallowing = true;
                             continue;
@@ -259,11 +265,9 @@ impl SblDatabase {
             }
         }
         if let Some((id, body)) = current.take() {
-            parsed.inc();
             quarantine.record_ok();
             db.insert(SblRecord::new(id, body.trim_end()));
         }
-        tspan.arg_u64("records", db.len() as u64);
         Ok(db)
     }
 }

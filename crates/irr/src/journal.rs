@@ -74,13 +74,20 @@ pub fn parse_journal_with(
     text: &str,
     quarantine: &mut Quarantine,
 ) -> Result<Vec<JournalEntry>, LocatedError> {
-    let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.irr.journal", "parse");
     tspan.arg_str("file", quarantine.source());
-    let parsed = obs.counter("irr.journal.parsed");
-    let skipped = obs.counter("irr.journal.skipped");
-    let malformed = obs.counter("irr.journal.malformed");
+    let entries = quarantine.counted("irr.journal", |quarantine| {
+        parse_journal_lines(text, quarantine)
+    })?;
+    tspan.arg_u64("records", entries.len() as u64);
+    Ok(entries)
+}
 
+/// [`parse_journal_with`]'s loop, accounting each entry in `quarantine`.
+fn parse_journal_lines(
+    text: &str,
+    quarantine: &mut Quarantine,
+) -> Result<Vec<JournalEntry>, LocatedError> {
     let mut entries: Vec<JournalEntry> = Vec::new();
     // The pending header: (date, op, 1-based line number of the header).
     let mut pending: Option<(Date, JournalOp, u32)> = None;
@@ -91,7 +98,6 @@ pub fn parse_journal_with(
 
     macro_rules! reject {
         ($lineno:expr, $err:expr) => {{
-            malformed.inc();
             quarantine.reject("irr.journal", $lineno, $err)?;
         }};
     }
@@ -111,7 +117,6 @@ pub fn parse_journal_with(
                     });
                 match result {
                     Ok(object) => {
-                        parsed.inc();
                         quarantine.record_ok();
                         entries.push(JournalEntry { date, op, object });
                     }
@@ -126,7 +131,6 @@ pub fn parse_journal_with(
         let lineno = idx as u32 + 1;
         let trimmed = line.trim_end();
         if trimmed.starts_with('%') {
-            skipped.inc();
             quarantine.record_skip();
             continue;
         }
@@ -149,7 +153,6 @@ pub fn parse_journal_with(
             body.push_str(trimmed);
             body.push('\n');
         } else if swallowing {
-            skipped.inc();
             quarantine.record_skip();
         } else if !trimmed.is_empty() {
             reject!(
@@ -160,7 +163,6 @@ pub fn parse_journal_with(
         }
     }
     flush!();
-    tspan.arg_u64("records", entries.len() as u64);
     Ok(entries)
 }
 

@@ -167,6 +167,41 @@ impl Quarantine {
         self.strict
     }
 
+    /// An empty ledger for one part of this ledger's source, under the
+    /// same policy and label; [`Quarantine::absorb`] it back, in input
+    /// order, when the part is parsed.
+    pub fn part(&self) -> Quarantine {
+        Quarantine {
+            source: self.source.clone(),
+            strict: self.strict,
+            ..Quarantine::default()
+        }
+    }
+
+    /// Run the parse of one file (or one part of a file) against this
+    /// ledger, then add what it accounted to the registry counters
+    /// `<metric>.parsed`, `<metric>.skipped` and `<metric>.malformed`,
+    /// once. A strict abort adds its malformed line, which the ledger
+    /// does not count. Adding once per file rather than once per line
+    /// keeps parsers on several workers off the counters' shared cache
+    /// lines, and makes the counters equal the ledgers by construction.
+    pub fn counted<T>(
+        &mut self,
+        metric: &str,
+        parse: impl FnOnce(&mut Quarantine) -> Result<T, LocatedError>,
+    ) -> Result<T, LocatedError> {
+        let (parsed, skipped, quarantined) = (self.parsed, self.skipped, self.quarantined);
+        let result = parse(self);
+        let obs = droplens_obs::global();
+        obs.counter(&format!("{metric}.parsed"))
+            .add(self.parsed - parsed);
+        obs.counter(&format!("{metric}.skipped"))
+            .add(self.skipped - skipped);
+        obs.counter(&format!("{metric}.malformed"))
+            .add(self.quarantined - quarantined + u64::from(result.is_err()));
+        result
+    }
+
     /// Account one accepted record.
     pub fn record_ok(&mut self) {
         self.parsed += 1;

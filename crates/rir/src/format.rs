@@ -183,26 +183,34 @@ impl RowSink<'_> for Vec<DelegationRecord> {
 }
 
 /// The text parser's one line loop: classify every line, account it in
-/// `quarantine` and the `rir.stats.*` counters, and hand what it parsed
-/// to to `rows`. Returns the version line's registry and date; `None`
-/// when the file has no version line and was quarantined whole.
+/// `quarantine` (and, once the file is done, in the `rir.stats.*`
+/// counters), and hand what it parsed to to `rows`. Returns the version
+/// line's registry and date; `None` when the file has no version line
+/// and was quarantined whole.
 fn scan_stats_file<'a>(
     text: &'a str,
     quarantine: &mut Quarantine,
     rows: &mut impl RowSink<'a>,
 ) -> Result<Option<(Rir, Date)>, LocatedError> {
-    let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
     tspan.arg_str("file", quarantine.source());
-    let parsed = obs.counter("rir.stats.parsed");
-    let skipped = obs.counter("rir.stats.skipped");
-    let malformed = obs.counter("rir.stats.malformed");
+    let parsed = quarantine.parsed;
+    let version =
+        quarantine.counted("rir.stats", |quarantine| scan_lines(text, quarantine, rows))?;
+    tspan.arg_u64("records", quarantine.parsed - parsed);
+    Ok(version)
+}
+
+/// [`scan_stats_file`]'s loop, accounting each line in `quarantine`.
+fn scan_lines<'a>(
+    text: &'a str,
+    quarantine: &mut Quarantine,
+    rows: &mut impl RowSink<'a>,
+) -> Result<Option<(Rir, Date)>, LocatedError> {
     let mut version: Option<(Rir, Date)> = None;
-    let mut records = 0u64;
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            skipped.inc();
             quarantine.record_skip();
             continue;
         }
@@ -215,7 +223,6 @@ fn scan_stats_file<'a>(
             None => match parse_stats_row(line, after_version) {
                 Ok(row) => rows.keep(line, after_version, row),
                 Err(e) => {
-                    malformed.inc();
                     quarantine.reject("rir.stats", lineno, e)?;
                     continue;
                 }
@@ -226,20 +233,11 @@ fn scan_stats_file<'a>(
                 version = Some((r, d));
                 quarantine.record_skip();
             }
-            Row::Skip => {
-                skipped.inc();
-                quarantine.record_skip();
-            }
-            Row::Record(()) => {
-                parsed.inc();
-                quarantine.record_ok();
-                records += 1;
-            }
+            Row::Skip => quarantine.record_skip(),
+            Row::Record(()) => quarantine.record_ok(),
         }
     }
-    tspan.arg_u64("records", records);
     if version.is_none() {
-        malformed.inc();
         quarantine.reject("rir.stats", 1, missing_version())?;
     }
     Ok(version)

@@ -123,17 +123,24 @@ pub fn parse_events_with(
     text: &str,
     quarantine: &mut Quarantine,
 ) -> Result<Vec<RoaEvent>, LocatedError> {
-    let obs = droplens_obs::global();
     let mut tspan = droplens_obs::trace::global().span("parse.rpki.events", "parse");
     tspan.arg_str("file", quarantine.source());
-    let parsed = obs.counter("rpki.events.parsed");
-    let skipped = obs.counter("rpki.events.skipped");
-    let malformed = obs.counter("rpki.events.malformed");
+    let out = quarantine.counted("rpki.events", |quarantine| {
+        parse_event_lines(text, quarantine)
+    })?;
+    tspan.arg_u64("records", out.len() as u64);
+    Ok(out)
+}
+
+/// [`parse_events_with`]'s loop, accounting each line in `quarantine`.
+fn parse_event_lines(
+    text: &str,
+    quarantine: &mut Quarantine,
+) -> Result<Vec<RoaEvent>, LocatedError> {
     let mut out: Vec<RoaEvent> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line == HEADER {
-            skipped.inc();
             quarantine.record_skip();
             continue;
         }
@@ -148,17 +155,12 @@ pub fn parse_events_with(
         });
         match event {
             Ok(event) => {
-                parsed.inc();
                 quarantine.record_ok();
                 out.push(event);
             }
-            Err(e) => {
-                malformed.inc();
-                quarantine.reject("rpki.events", lineno, e)?;
-            }
+            Err(e) => quarantine.reject("rpki.events", lineno, e)?,
         }
     }
-    tspan.arg_u64("records", out.len() as u64);
     Ok(out)
 }
 

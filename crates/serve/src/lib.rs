@@ -23,21 +23,21 @@
 //!   `TcpListener::incoming` everywhere else;
 //! * **bounded work, explicit shedding** — accepted connections enter a
 //!   bounded queue; when it is full the acceptor answers with a typed
-//!   [`Reply::Busy`](protocol::Reply::Busy) within the write deadline
-//!   and closes, never queueing unboundedly and never hanging;
+//!   [`Reply::Busy`] within the write deadline and closes, never
+//!   queueing unboundedly and never hanging;
 //! * **per-connection error isolation** — a malformed or adversarial
 //!   frame, or a transport error on a read or a reply write, kills only
 //!   its own connection; the fault is counted and sampled in a
-//!   quarantine-style [`ServeLedger`](server::ServeLedger);
+//!   quarantine-style [`ServeLedger`];
 //! * **graceful drain** — on shutdown (signal or
 //!   [`ServerHandle::stop`](server::ServerHandle::stop)) the listener
 //!   closes, queued connections get a typed `Busy`, the request in
 //!   flight finishes its reply whole (no torn frames), and the final
 //!   metrics flush;
-//! * **retries under a budget** — the bundled [`Client`](client::Client)
-//!   retries connect failures, timeouts, torn replies, and `Busy` with
-//!   jittered exponential backoff from an explicit seed, up to a hard
-//!   attempt budget.
+//! * **retries under a budget** — the bundled [`Client`] retries
+//!   connect failures, timeouts, torn replies, and `Busy` with jittered
+//!   exponential backoff from an explicit seed, up to a hard attempt
+//!   budget.
 //!
 //! A running server is observable while it runs: the [`telemetry`]
 //! plane is each server's one record of serve events. It keeps

@@ -8,7 +8,7 @@
 //!
 //! * the `stats` reply's five `serve.*` pairs
 //!   ([`Telemetry::stats_pairs`]);
-//! * the [`Request::Metrics`](crate::Request::Metrics) snapshot
+//! * the [`Request::Metrics`] snapshot
 //!   ([`Telemetry::snapshot_json`]): current q/s and tail latency per
 //!   query kind over the last few seconds ([`droplens_obs::window`]),
 //!   how deep the accept queue is right now, lifetime totals, and
