@@ -170,7 +170,7 @@ fn main() {
         + world
             .rir_snapshots
             .iter()
-            .map(|(_, files)| files.iter().map(|f| f.records.len()).sum::<usize>())
+            .map(|(_, files)| files.iter().map(|f| f.rows.len()).sum::<usize>())
             .sum::<usize>()
         + world
             .drop_snapshots

@@ -401,6 +401,32 @@ mod tests {
     }
 
     #[test]
+    fn equal_updates_keep_expansion_order() {
+        // Originations of one prefix from one date give each peer
+        // announces equal in (date, peer, prefix, announce); they stay in
+        // origination order, ascending or descending by origin.
+        let sim = CollectorSim::new(peers(), d("2022-03-30"));
+        let mut origins: Vec<Asn> = (64500..64516).map(Asn).collect();
+        for _ in 0..2 {
+            let originations: Vec<Origination> = origins
+                .iter()
+                .map(|&origin| Origination { origin, ..orig() })
+                .collect();
+            let want: Vec<(PeerId, Asn)> = peers()
+                .iter()
+                .flat_map(|peer| origins.iter().map(move |&asn| (peer.id, asn)))
+                .collect();
+            let announced: Vec<(PeerId, Asn)> = sim
+                .updates_for(&originations)
+                .iter()
+                .filter_map(|u| Some((u.peer, u.event.path()?.origin())))
+                .collect();
+            assert_eq!(announced, want);
+            origins.reverse();
+        }
+    }
+
+    #[test]
     fn updates_are_sorted() {
         let sim = CollectorSim::new(peers(), d("2022-03-30"));
         let o2 = Origination {

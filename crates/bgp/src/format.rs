@@ -14,24 +14,11 @@
 
 use std::fmt::Write as _;
 
-use droplens_net::{Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine};
+use droplens_net::{
+    split_fields, Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine,
+};
 
 use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
-
-/// Split a line into up to `N` fields without heap allocation, returning
-/// the filled array and the total field count (which may exceed `N`; the
-/// overflow fields are dropped — our formats never index past `N`).
-fn split_fields<const N: usize>(line: &str, sep: char) -> ([&str; N], usize) {
-    let mut fields = [""; N];
-    let mut n = 0;
-    for f in line.split(sep) {
-        if n < N {
-            fields[n] = f;
-        }
-        n += 1;
-    }
-    (fields, n)
-}
 
 /// Append one update as an archive line (no trailing newline).
 fn push_update_line(out: &mut String, update: &BgpUpdate, peers: &[Peer]) {
@@ -69,7 +56,7 @@ pub fn write_update_line(update: &BgpUpdate, peers: &[Peer]) -> String {
 
 /// Parse one `BGP4MP` update line.
 pub fn parse_update_line(line: &str) -> Result<BgpUpdate, ParseError> {
-    let (fields, n) = split_fields::<8>(line, '|');
+    let (fields, n) = split_fields::<8>(line, b'|');
     if n < 6 {
         return Err(ParseError::new("BgpUpdate", line, "too few fields"));
     }
@@ -113,13 +100,30 @@ fn parse_peer_token(line: &str, token: &str) -> Result<PeerId, ParseError> {
 }
 
 /// Serialize an entire update stream, one line each, ordered as given.
+/// The stream is cut into as many contiguous chunks as
+/// [`parse_updates_with`] cuts its text into (four per worker), each
+/// formatted into a buffer of its own by [`droplens_par::par_map`], and
+/// the buffers are concatenated in order: the text is the same at any
+/// worker count.
 pub fn write_updates(updates: &[BgpUpdate], peers: &[Peer]) -> String {
-    // One pre-sized buffer; lines stream in via `write!` (~64 bytes each)
-    // instead of allocating a String per update.
-    let mut out = String::with_capacity(updates.len() * 64);
-    for u in updates {
-        push_update_line(&mut out, u, peers);
-        out.push('\n');
+    let chunk = updates
+        .len()
+        .div_ceil(CHUNKS_PER_WORKER * droplens_par::max_threads())
+        .max(1);
+    let parts: Vec<&[BgpUpdate]> = updates.chunks(chunk).collect();
+    let texts = droplens_par::par_map(&parts, |part| {
+        // Lines stream in via `write!` (~64 bytes each) instead of
+        // allocating a String per update.
+        let mut out = String::with_capacity(part.len() * 64);
+        for u in *part {
+            push_update_line(&mut out, u, peers);
+            out.push('\n');
+        }
+        out
+    });
+    let mut out = String::with_capacity(texts.iter().map(String::len).sum());
+    for text in &texts {
+        out.push_str(text);
     }
     out
 }
@@ -143,8 +147,9 @@ pub fn parse_updates_with(
     parse_updates_in_chunks(text, chunks, quarantine)
 }
 
-/// Line-aligned chunks the update text is cut into per worker. More than
-/// one, so that a one-worker run takes the same chunked path.
+/// Line-aligned chunks the update text is cut into per worker, and the
+/// chunks of updates [`write_updates`] formats. More than one, so that a
+/// one-worker run takes the same chunked path.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// [`parse_updates_with`] over an explicit number of chunks, each cut just

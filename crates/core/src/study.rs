@@ -146,8 +146,25 @@ struct LoadedSources {
     sbl_q: Quarantine,
 }
 
+/// Index a generated world's RIR series. Panics if its snapshot dates
+/// are not strictly ascending: the builder writes them so, and a study
+/// that silently lacked a snapshot would differ from the same world's
+/// text load, which refuses the misordered date with an ingest error.
+#[allow(clippy::panic)] // the builder's ascending-dates guarantee
+fn world_rir_archive(world: &World) -> RirStatsArchive {
+    let mut rir = RirStatsArchive::new();
+    for (date, files) in &world.rir_snapshots {
+        if let Err(e) = rir.try_add_shared_snapshot(*date, &world.rir_rows, files) {
+            panic!("world RIR snapshots must be dated strictly ascending: {e}");
+        }
+    }
+    rir
+}
+
 impl Study {
-    /// Build a study directly from a generated world.
+    /// Build a study directly from a generated world. Panics if the
+    /// world's RIR snapshots are not dated strictly ascending, as the
+    /// builder dates them.
     pub fn from_world(world: &World) -> Study {
         let mut config = StudyConfig::new(DateRange::inclusive(
             world.config.study_start,
@@ -163,13 +180,7 @@ impl Study {
             || BgpArchive::from_updates(world.peers.clone(), &world.bgp_updates),
             || IrrRegistry::from_journal(&world.irr_journal),
             || RoaArchive::from_events(&world.roa_events),
-            || {
-                let mut rir = RirStatsArchive::new();
-                for (date, files) in &world.rir_snapshots {
-                    rir.add_snapshot(*date, files);
-                }
-                rir
-            },
+            || world_rir_archive(world),
             || DropTimeline::from_snapshots(&world.drop_snapshots),
         );
         index_span.finish();
@@ -729,6 +740,14 @@ mod tests {
     fn study() -> Study {
         let world = World::generate(42, &WorldConfig::small());
         Study::from_world(&world)
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_world_refuses_misordered_rir_snapshots() {
+        let mut world = World::generate(42, &WorldConfig::small());
+        world.rir_snapshots.swap(0, 1);
+        Study::from_world(&world);
     }
 
     #[test]

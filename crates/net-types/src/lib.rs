@@ -30,6 +30,7 @@ mod asn;
 pub mod binfmt;
 mod date;
 mod error;
+mod fields;
 pub mod ingest;
 mod intern;
 mod prefix;
@@ -41,6 +42,7 @@ pub use asn::Asn;
 pub use binfmt::{read_str_table, BinReader, BinWriter, StrTable, NO_ID};
 pub use date::{CompactDate, Date, DateRange, Month};
 pub use error::{LocatedError, ParseError};
+pub use fields::split_fields;
 pub use ingest::{
     find_gaps, GapSpan, IngestError, IngestPolicy, IngestReport, Quarantine, SourceCoverage,
     SourceIngest, QUARANTINE_SAMPLES_KEPT,

@@ -3,7 +3,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeSet;
 
-use droplens_net::{AddressSpace, Date, Ipv4Prefix, PrefixSet, PrefixTrie};
+use droplens_net::{split_fields, AddressSpace, Date, Ipv4Prefix, PrefixSet, PrefixTrie};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary prefixes, biased toward realistic lengths.
@@ -200,6 +200,22 @@ proptest! {
         prop_assert!(d.succ() > d);
         prop_assert!(d.pred() < d);
         prop_assert_eq!(d.succ() - d.pred(), 2);
+    }
+
+    #[test]
+    fn split_fields_agrees_with_str_split(
+        // Multi-byte characters between runs of separators, and every
+        // field count from none past the array to well beyond it.
+        parts in prop::collection::vec("(é|ü|€|🦀|[a-z0-9 ]|[|,]){0,6}", 0..12),
+        sep in prop::sample::select(vec![b'|', b',']),
+    ) {
+        let line = parts.concat();
+        let want: Vec<&str> = line.split(char::from(sep)).collect();
+        let (fields, n) = split_fields::<4>(&line, sep);
+        prop_assert_eq!(n, want.len());
+        for (k, field) in fields.iter().enumerate() {
+            prop_assert_eq!(*field, want.get(k).copied().unwrap_or(""));
+        }
     }
 
     #[test]

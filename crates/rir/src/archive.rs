@@ -103,19 +103,8 @@ impl RirStatsArchive {
 
     /// Add a snapshot assembled from the (up to five) per-RIR files
     /// published on `date`. Snapshots must be added in chronological
-    /// order; panics otherwise (archives are built by one writer).
-    // Documented invariant of this infallible wrapper; ingestion paths
-    // go through `try_add_snapshot` instead.
-    #[allow(clippy::panic)]
-    pub fn add_snapshot(&mut self, date: Date, files: &[StatsFile]) {
-        if let Err(e) = self.try_add_snapshot(date, files) {
-            panic!("snapshots must be added in chronological order: {e}");
-        }
-    }
-
-    /// Fallible variant of [`RirStatsArchive::add_snapshot`]: an
-    /// out-of-order date is reported as a [`ParseError`] instead of
-    /// panicking, so ingestion can surface the offending snapshot.
+    /// order: an out-of-order date is reported as a [`ParseError`], so
+    /// ingestion can surface the offending snapshot.
     pub fn try_add_snapshot(&mut self, date: Date, files: &[StatsFile]) -> Result<(), ParseError> {
         self.try_add_rows(date, files.iter().flat_map(|f| &f.records))
     }
@@ -395,7 +384,7 @@ mod tests {
 
     fn build() -> RirStatsArchive {
         let mut a = RirStatsArchive::new();
-        a.add_snapshot(
+        a.try_add_snapshot(
             d("2019-06-01"),
             &[file(
                 Rir::Lacnic,
@@ -416,8 +405,9 @@ mod tests {
                     ),
                 ],
             )],
-        );
-        a.add_snapshot(
+        )
+        .unwrap();
+        a.try_add_snapshot(
             d("2021-01-01"),
             &[file(
                 Rir::Lacnic,
@@ -440,7 +430,8 @@ mod tests {
                     ),
                 ],
             )],
-        );
+        )
+        .unwrap();
         a
     }
 
@@ -535,10 +526,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_order_snapshot_panics() {
+    fn out_of_order_snapshot_is_rejected() {
         let mut a = build();
-        a.add_snapshot(d("2020-01-01"), &[]);
+        assert!(a.try_add_snapshot(d("2020-01-01"), &[]).is_err());
+        assert!(a.try_add_snapshot(d("2021-01-01"), &[]).is_err());
+        assert_eq!(a.snapshot_dates(), vec![d("2019-06-01"), d("2021-01-01")]);
     }
 
     #[test]

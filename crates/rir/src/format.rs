@@ -16,7 +16,8 @@ use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use droplens_net::{
-    read_str_table, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine, StrTable,
+    read_str_table, split_fields, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine,
+    StrTable,
 };
 
 use crate::{AllocationStatus, DelegationRecord, Rir};
@@ -34,39 +35,96 @@ pub struct StatsFile {
 
 /// Serialize a stats file in delegated-extended format.
 pub fn write_stats_file(file: &StatsFile) -> String {
-    // One pre-sized buffer; rows stream in via `write!` (~56 bytes each)
-    // instead of allocating a String per record.
-    let mut out = String::with_capacity(64 + file.records.len() * 56);
+    // One pre-sized buffer (~64 bytes a row) the rows stream into,
+    // instead of a String per record.
+    let mut out = String::with_capacity(128 + file.records.len() * 64);
+    push_stats_header(&mut out, file.rir, file.date, file.records.len());
+    for r in &file.records {
+        push_stats_row(&mut out, r);
+    }
+    out
+}
+
+/// Append a stats file's version and summary lines, for a file of `rows`
+/// IPv4 rows.
+fn push_stats_header(out: &mut String, rir: Rir, date: Date, rows: usize) {
     // Version line: version|registry|serial|records|startdate|enddate|UTCoffset
     let _ = writeln!(
         out,
-        "2|{}|{}|{}|19830613|{}|+0000",
-        file.rir.token(),
-        file.date.compact(),
-        file.records.len(),
-        file.date.compact(),
+        "2|{}|{}|{rows}|19830613|{}|+0000",
+        rir.token(),
+        date.compact(),
+        date.compact(),
     );
-    let _ = writeln!(
+    let _ = writeln!(out, "{}|*|ipv4|*|{rows}|summary", rir.token());
+}
+
+/// Append one row as its delegated-extended line, newline included: the
+/// one row formatter of [`write_stats_file`] and [`RowLines`].
+fn push_stats_row(out: &mut String, r: &DelegationRecord) {
+    let _ = write!(
         out,
-        "{}|*|ipv4|*|{}|summary",
-        file.rir.token(),
-        file.records.len()
+        "{}|{}|ipv4|{}|{}|",
+        r.rir.token(),
+        r.country,
+        r.start,
+        r.count,
     );
-    for r in &file.records {
-        let _ = write!(
-            out,
-            "{}|{}|ipv4|{}|{}|",
-            r.rir.token(),
-            r.country,
-            r.start,
-            r.count,
-        );
-        if let Some(d) = r.date {
-            let _ = write!(out, "{}", d.compact());
-        }
-        let _ = writeln!(out, "|{}|{}", r.status, r.opaque_id);
+    if let Some(d) = r.date {
+        let _ = write!(out, "{}", d.compact());
     }
-    out
+    let _ = writeln!(out, "|{}|{}", r.status, r.opaque_id);
+}
+
+/// Every row of a [`StatsRows`] table formatted once as its
+/// delegated-extended line, so that a series of files over the table is
+/// written by copying lines instead of formatting each row of each file.
+#[derive(Debug, Clone)]
+pub struct RowLines {
+    /// The lines, in row id order.
+    text: String,
+    /// Line `id` is `text[bounds[id]..bounds[id + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl RowLines {
+    /// Format every row of `rows`.
+    pub fn new(rows: &StatsRows) -> RowLines {
+        let mut text = String::with_capacity(rows.len() * 64);
+        let mut bounds = Vec::with_capacity(rows.len() + 1);
+        bounds.push(0);
+        for r in &rows.rows {
+            push_stats_row(&mut text, r);
+            bounds.push(text.len());
+        }
+        RowLines { text, bounds }
+    }
+
+    /// Row `id`'s line, newline included.
+    fn line(&self, id: RowId) -> &str {
+        let id = id as usize;
+        &self.text[self.bounds[id]..self.bounds[id + 1]]
+    }
+
+    /// `file` in delegated-extended format, byte for byte what
+    /// [`write_stats_file`] writes for the same rows, in a buffer of
+    /// exactly its size.
+    pub fn write_file(&self, file: &SharedStatsFile) -> String {
+        let mut header = String::new();
+        push_stats_header(&mut header, file.rir, file.date, file.rows.len());
+        let size = header.len()
+            + file
+                .rows
+                .iter()
+                .map(|&id| self.line(id).len())
+                .sum::<usize>();
+        let mut out = String::with_capacity(size);
+        out.push_str(&header);
+        for &id in &file.rows {
+            out.push_str(self.line(id));
+        }
+        out
+    }
 }
 
 /// What one stats-file line turned out to be; `R` is how a row is held
@@ -93,16 +151,8 @@ impl<R> Row<R> {
 }
 
 fn parse_stats_row(line: &str, saw_version: bool) -> Result<Row<DelegationRecord>, ParseError> {
-    // Split without heap allocation: delegated-extended rows have at
-    // most 8 fields; overflow fields are dropped (never indexed).
-    let mut fields = [""; 8];
-    let mut n = 0;
-    for f in line.split('|') {
-        if n < fields.len() {
-            fields[n] = f;
-        }
-        n += 1;
-    }
+    // Delegated-extended rows have at most 8 fields.
+    let (fields, n) = split_fields::<8>(line, b'|');
     // Version line: starts with the format version number.
     if !saw_version && n >= 6 && fields[0].chars().all(|c| c.is_ascii_digit()) {
         return Ok(Row::Version(
@@ -278,7 +328,8 @@ impl StatsRows {
         self.rows.is_empty()
     }
 
-    fn push(&mut self, record: DelegationRecord) -> RowId {
+    /// Store `record` as a new row; returns its id.
+    pub fn push(&mut self, record: DelegationRecord) -> RowId {
         self.rows.push(record);
         (self.rows.len() - 1) as RowId
     }
@@ -321,12 +372,16 @@ pub struct SharedStatsFile {
     pub rows: Vec<RowId>,
 }
 
+/// One date of a stats series over a [`StatsRows`] table: the date and
+/// its files, in registry order.
+pub type SharedSnapshot = (Date, Vec<SharedStatsFile>);
+
 impl SharedStatsFile {
     /// The file's rows, looked up in `table`, in file order.
     pub fn records<'t>(
         &'t self,
         table: &'t StatsRows,
-    ) -> impl Iterator<Item = &'t DelegationRecord> + Clone + 't {
+    ) -> impl ExactSizeIterator<Item = &'t DelegationRecord> + Clone + 't {
         self.rows.iter().map(move |&id| &table[id])
     }
 }
@@ -479,34 +534,51 @@ const NO_DATE: i32 = i32::MIN;
 /// org handles, then per-record columns. The fast path next to the
 /// canonical delegated-extended text from [`write_stats_file`].
 pub fn write_stats_file_bin(file: &StatsFile) -> Vec<u8> {
+    write_stats_bin(file.rir, file.date, file.records.iter())
+}
+
+/// [`write_stats_file_bin`] for a file whose rows live in `table`: the
+/// columns are built from the table, byte for byte what
+/// [`write_stats_file_bin`] writes for the same rows.
+pub fn write_shared_stats_file_bin(table: &StatsRows, file: &SharedStatsFile) -> Vec<u8> {
+    write_stats_bin(file.rir, file.date, file.records(table))
+}
+
+/// The binary sidecar of the file `rir` published on `date` with
+/// `records`, in file order.
+fn write_stats_bin<'r>(
+    rir: Rir,
+    date: Date,
+    records: impl ExactSizeIterator<Item = &'r DelegationRecord> + Clone,
+) -> Vec<u8> {
     let mut w = BinWriter::new(BIN_KIND);
-    w.put_u8(file.rir as u8);
-    w.put_i32(file.date.days_since_epoch());
+    w.put_u8(rir as u8);
+    w.put_i32(date.days_since_epoch());
     let mut strs = StrTable::new();
-    let mut country_ids = Vec::with_capacity(file.records.len());
-    let mut opaque_ids = Vec::with_capacity(file.records.len());
-    for r in &file.records {
+    let mut country_ids = Vec::with_capacity(records.len());
+    let mut opaque_ids = Vec::with_capacity(records.len());
+    for r in records.clone() {
         country_ids.push(strs.add(&r.country));
         opaque_ids.push(strs.add(&r.opaque_id));
     }
     strs.write(&mut w);
-    w.put_u32(file.records.len() as u32);
-    for r in &file.records {
+    w.put_u32(records.len() as u32);
+    for r in records.clone() {
         w.put_u8(r.rir as u8);
     }
     for id in country_ids {
         w.put_u32(id);
     }
-    for r in &file.records {
+    for r in records.clone() {
         w.put_u32(u32::from(r.start));
     }
-    for r in &file.records {
+    for r in records.clone() {
         w.put_u64(r.count);
     }
-    for r in &file.records {
+    for r in records.clone() {
         w.put_i32(r.date.map_or(NO_DATE, Date::days_since_epoch));
     }
-    for r in &file.records {
+    for r in records {
         w.put_u8(r.status as u8);
     }
     for id in opaque_ids {

@@ -101,7 +101,9 @@ proptest! {
             })
             .collect();
         let mut archive = RirStatsArchive::new();
-        archive.add_snapshot(date, &[StatsFile { rir: Rir::Arin, date, records: records.clone() }]);
+        archive
+            .try_add_snapshot(date, &[StatsFile { rir: Rir::Arin, date, records: records.clone() }])
+            .unwrap();
 
         let query = droplens_net::Ipv4Prefix::from_u32(0x0a00_0000 | (probe_block << 20), 12);
         let expected = records
@@ -149,7 +151,9 @@ proptest! {
             .map(|r| r.count)
             .sum();
         let mut archive = RirStatsArchive::new();
-        archive.add_snapshot(date, &[StatsFile { rir: Rir::Lacnic, date, records }]);
+        archive
+            .try_add_snapshot(date, &[StatsFile { rir: Rir::Lacnic, date, records }])
+            .unwrap();
         prop_assert_eq!(archive.free_pool(Rir::Lacnic, date).addresses(), expected);
         prop_assert_eq!(archive.free_pool(Rir::Arin, date).addresses(), 0);
     }
@@ -325,7 +329,7 @@ proptest! {
         }
         let mut archive = RirStatsArchive::new();
         for (date, files) in &snapshots {
-            archive.add_snapshot(*date, files);
+            archive.try_add_snapshot(*date, files).unwrap();
         }
         let reference = Reference::new(&snapshots);
 

@@ -12,7 +12,9 @@
 //! 2021-06-16,DEL,lacnic,AS263692,132.255.0.0/22,
 //! ```
 
-use droplens_net::{Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine};
+use droplens_net::{
+    split_fields, Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine,
+};
 
 use crate::{Roa, Tal};
 
@@ -67,15 +69,8 @@ pub fn write_events(events: &[RoaEvent]) -> String {
 
 /// Parse one event line (without the chronological-order check).
 fn parse_event_line(line: &str) -> Result<RoaEvent, ParseError> {
-    // Split without heap allocation: exactly 6 comma fields per event.
-    let mut fields = [""; 6];
-    let mut n = 0;
-    for f in line.split(',') {
-        if n < fields.len() {
-            fields[n] = f;
-        }
-        n += 1;
-    }
+    // Exactly 6 comma fields per event.
+    let (fields, n) = split_fields::<6>(line, b',');
     if n != 6 {
         return Err(ParseError::new("RoaEvent", line, "expected 6 fields"));
     }

@@ -20,7 +20,9 @@ use droplens_bgp::{format as bgpfmt, BgpUpdate, Peer};
 use droplens_drop::{format as dropfmt, DropSnapshot, SblDatabase};
 use droplens_irr::{format as irrbin, journal as irrfmt, JournalEntry};
 use droplens_net::{Date, LocatedError, Quarantine};
-use droplens_rir::format::{self as rirfmt, SharedStatsFile, StatsFile, StatsSeries};
+use droplens_rir::format::{
+    self as rirfmt, RowLines, SharedSnapshot, SharedStatsFile, StatsRows, StatsSeries,
+};
 use droplens_rir::Rir;
 use droplens_rpki::format::{self as rpkifmt, RoaEvent};
 
@@ -63,8 +65,9 @@ pub struct Codec<B> {
     pub write_journal: fn(&[JournalEntry]) -> B,
     /// Serialize the ROA journal.
     pub write_events: fn(&[RoaEvent]) -> B,
-    /// Serialize one delegated-stats file.
-    pub write_stats_file: fn(&StatsFile) -> B,
+    /// Serialize the delegated-stats series: per date, each file over
+    /// the shared row table.
+    pub write_stats_series: fn(&StatsRows, &[SharedSnapshot]) -> StatsPayloads<B>,
     /// Serialize one DROP snapshot.
     pub write_snapshot: fn(&DropSnapshot) -> B,
     /// Serialize the SBL database.
@@ -119,7 +122,11 @@ pub const TEXT: Codec<String> = Codec {
     write_updates: bgpfmt::write_updates,
     write_journal: irrfmt::write_journal,
     write_events: rpkifmt::write_events,
-    write_stats_file: rirfmt::write_stats_file,
+    write_stats_series: |rows, snapshots| {
+        // Each distinct row is formatted once; files copy its line.
+        let lines = RowLines::new(rows);
+        per_stats_file(snapshots, |file| lines.write_file(file))
+    },
     write_snapshot: DropSnapshot::to_text,
     write_sbl: SblDatabase::to_text,
     parse_updates: |text, q| bgpfmt::parse_updates_with(text, q),
@@ -140,7 +147,11 @@ pub const BINARY: Codec<Vec<u8>> = Codec {
     write_updates: |updates, _peers| bgpfmt::write_updates_bin(updates),
     write_journal: irrbin::write_journal_bin,
     write_events: rpkifmt::write_events_bin,
-    write_stats_file: rirfmt::write_stats_file_bin,
+    write_stats_series: |rows, snapshots| {
+        per_stats_file(snapshots, |file| {
+            rirfmt::write_shared_stats_file_bin(rows, file)
+        })
+    },
     write_snapshot: dropfmt::write_snapshot_bin,
     write_sbl: dropfmt::write_sbl_bin,
     parse_updates: |bytes, q| bgpfmt::parse_updates_bin_with(bytes, q),
@@ -152,6 +163,21 @@ pub const BINARY: Codec<Vec<u8>> = Codec {
     parse_snapshot: |date, bytes, q| dropfmt::parse_snapshot_bin_with(date, bytes, q),
     parse_sbl: |bytes, q| dropfmt::parse_sbl_bin_with(bytes, q),
 };
+
+/// Delegated-stats payloads: per date, one per registry in [`Rir::ALL`]
+/// order.
+pub type StatsPayloads<B> = Vec<(Date, Vec<B>)>;
+
+/// `write` applied to every file of a stats series, the dates spread
+/// over the workers.
+fn per_stats_file<B: Send>(
+    snapshots: &[SharedSnapshot],
+    write: impl Fn(&SharedStatsFile) -> B + Sync,
+) -> StatsPayloads<B> {
+    droplens_par::par_map(snapshots, |(date, files)| {
+        (*date, files.iter().map(&write).collect())
+    })
+}
 
 /// The six datasets as one file payload each (`B` = `String` for text,
 /// `Vec<u8>` for sidecars).
@@ -166,7 +192,7 @@ pub struct Archives<B> {
     /// Per-date delegated-stats files, one per registry in [`Rir::ALL`]
     /// order (a payload past the last registry has no name and is not
     /// read).
-    pub rir_snapshots: Vec<(Date, Vec<B>)>,
+    pub rir_snapshots: StatsPayloads<B>,
     /// Per-date DROP list files.
     pub drop_snapshots: Vec<(Date, B)>,
     /// The SBL record blocks (`sbl/records`).

@@ -4,11 +4,13 @@
 //! a fixed order, so a given `(seed, config)` always yields the same
 //! world.
 
+use std::collections::BTreeMap;
+
 use droplens_bgp::{CollectorSim, Origination, Peer, PeerId};
 use droplens_drop::{DropSnapshot, SblDatabase, SblId, SblRecord};
 use droplens_irr::{JournalEntry, JournalOp, RouteObject};
 use droplens_net::{Asn, Date, DateRange, Ipv4Prefix, PrefixSet};
-use droplens_rir::format::StatsFile;
+use droplens_rir::format::{RowId, SharedSnapshot, SharedStatsFile, StatsRows};
 use droplens_rir::{DelegationRecord, Rir};
 use droplens_rpki::format::{RoaEvent, RoaOp};
 use droplens_rpki::{Roa, Tal};
@@ -47,6 +49,26 @@ struct Allocation {
     date: Date,
     org: String,
     dealloc: Option<Date>,
+}
+
+impl Allocation {
+    /// True when the stats published on `date` list the block as
+    /// delegated.
+    fn active_on(&self, date: Date) -> bool {
+        self.date <= date && self.dealloc.is_none_or(|d| d > date)
+    }
+
+    /// The block's delegated-stats row.
+    fn record(&self) -> DelegationRecord {
+        DelegationRecord::allocated(
+            self.rir,
+            country_of(self.rir),
+            self.block.network(),
+            self.block.address_count(),
+            self.date,
+            &self.org,
+        )
+    }
 }
 
 struct Listing {
@@ -96,6 +118,14 @@ impl Builder {
     }
 
     pub(crate) fn build(mut self) -> World {
+        let peers = self.populate();
+        let _span = droplens_obs::global().span("assemble");
+        self.assemble(peers)
+    }
+
+    /// Every actor population, in the fixed order the RNG is drawn in;
+    /// returns the collector peers.
+    fn populate(&mut self) -> Vec<Peer> {
         // Each phase records its wall-clock under the enclosing
         // `synth.generate` span.
         macro_rules! phase {
@@ -124,7 +154,7 @@ impl Builder {
         phase!("in_study_allocations", self.gen_in_study_allocations());
         phase!("unallocated_squats", self.gen_unallocated_squats());
         phase!("rir_as0_tals", self.gen_rir_as0_tals());
-        phase!("assemble", self.assemble(peers))
+        peers
     }
 
     // ----- small helpers ---------------------------------------------------
@@ -1266,12 +1296,9 @@ impl Builder {
     /// active on that date. Squatted pool space counts as free (the RIR
     /// does not know about squats).
     fn available_at(&self, rir: Rir, date: Date) -> PrefixSet {
-        let mut set = PrefixSet::new();
-        for &eight in plan_slash8s(rir) {
-            set.insert(Ipv4Prefix::from_u32((eight as u32) << 24, 8));
-        }
+        let mut set = plan(rir);
         for a in &self.allocations {
-            if a.rir == rir && a.date <= date && a.dealloc.is_none_or(|d| d > date) {
+            if a.rir == rir && a.active_on(date) {
                 set.remove(a.block);
             }
         }
@@ -1316,11 +1343,29 @@ impl Builder {
             drop_snapshots.push(snap);
         }
 
-        // Monthly RIR stats snapshots (plus one at history start so
-        // pre-study status queries resolve). The real archives are daily;
-        // we additionally keep the snapshot of every allocation-change day
-        // inside the window — the informative subset, and what §4.1's
-        // "removed within a week of deallocation" needs for day precision.
+        let (rir_rows, rir_snapshots) = self.rir_series(&self.rir_snapshot_dates());
+        World {
+            config: cfg,
+            peers,
+            bgp_updates,
+            irr_journal: self.irr,
+            roa_events: self.roas,
+            rir_rows,
+            rir_snapshots,
+            drop_snapshots,
+            sbl_db: self.sbl,
+            truth: self.truth,
+        }
+    }
+
+    /// The dates of the RIR stats snapshots: monthly, plus one at
+    /// history start so pre-study status queries resolve. The real
+    /// archives are daily; we additionally keep the snapshot of every
+    /// allocation-change day inside the window — the informative subset,
+    /// and what §4.1's "removed within a week of deallocation" needs for
+    /// day precision.
+    fn rir_snapshot_dates(&self) -> Vec<Date> {
+        let cfg = &self.cfg;
         let mut snapshot_dates = vec![cfg.history_start];
         let mut d = cfg.study_start.first_of_month();
         while d <= cfg.study_end {
@@ -1348,40 +1393,82 @@ impl Builder {
         snapshot_dates.extend(event_dates.into_iter().step_by(stride));
         snapshot_dates.sort();
         snapshot_dates.dedup();
-        let mut rir_snapshots = Vec::with_capacity(snapshot_dates.len());
-        for &date in &snapshot_dates {
-            let mut files = Vec::with_capacity(5);
-            for rir in Rir::ALL {
-                files.push(self.stats_file_at(rir, date));
-            }
-            rir_snapshots.push((date, files));
-        }
-
-        World {
-            config: cfg,
-            peers,
-            bgp_updates,
-            irr_journal: self.irr,
-            roa_events: self.roas,
-            rir_snapshots,
-            drop_snapshots,
-            sbl_db: self.sbl,
-            truth: self.truth,
-        }
+        snapshot_dates
     }
 
-    fn stats_file_at(&self, rir: Rir, date: Date) -> StatsFile {
+    /// Every registry's stats file on each of `dates` (ascending), with
+    /// each distinct row stored once: one sweep of the dates per
+    /// registry. A file lists the allocations active on its date, in
+    /// allocation order, then the free blocks of the rest of the
+    /// registry's plan, stably sorted by start address. An allocation's
+    /// row is made on the first date it is active and reused while it
+    /// stays active. The free pool is recomputed only when the active set
+    /// changed, and a free block already seen keeps its row; a date where
+    /// nothing changed shares the previous file's rows.
+    fn rir_series(&self, dates: &[Date]) -> (StatsRows, Vec<SharedSnapshot>) {
+        let mut rows = StatsRows::default();
+        let mut per_rir = Vec::with_capacity(Rir::ALL.len());
+        for rir in Rir::ALL {
+            let allocations: Vec<&Allocation> =
+                self.allocations.iter().filter(|a| a.rir == rir).collect();
+            let mut allocated_rows: Vec<Option<RowId>> = vec![None; allocations.len()];
+            let mut free_rows: BTreeMap<Ipv4Prefix, RowId> = BTreeMap::new();
+            let mut active: Option<Vec<usize>> = None;
+            let mut file_rows: Vec<RowId> = Vec::new();
+            let mut files = Vec::with_capacity(dates.len());
+            for &date in dates {
+                let now: Vec<usize> = (0..allocations.len())
+                    .filter(|&i| allocations[i].active_on(date))
+                    .collect();
+                if active.as_ref() != Some(&now) {
+                    let mut free = plan(rir);
+                    file_rows = Vec::with_capacity(file_rows.len());
+                    for &i in &now {
+                        let a = allocations[i];
+                        free.remove(a.block);
+                        file_rows
+                            .push(*allocated_rows[i].get_or_insert_with(|| rows.push(a.record())));
+                    }
+                    for prefix in free.iter() {
+                        file_rows.push(*free_rows.entry(prefix).or_insert_with(|| {
+                            rows.push(DelegationRecord::available(
+                                rir,
+                                prefix.network(),
+                                prefix.address_count(),
+                            ))
+                        }));
+                    }
+                    file_rows.sort_by_key(|&id| u32::from(rows[id].start));
+                    active = Some(now);
+                }
+                files.push(SharedStatsFile {
+                    rir,
+                    date,
+                    rows: file_rows.clone(),
+                });
+            }
+            per_rir.push(files.into_iter());
+        }
+        let snapshots = dates
+            .iter()
+            .map(|&date| {
+                (
+                    date,
+                    per_rir.iter_mut().filter_map(Iterator::next).collect(),
+                )
+            })
+            .collect();
+        (rows, snapshots)
+    }
+
+    /// The stats file of `rir` on `date`, built on its own: the reference
+    /// that [`Builder::rir_series`] is tested against.
+    #[cfg(test)]
+    fn stats_file_at(&self, rir: Rir, date: Date) -> droplens_rir::format::StatsFile {
         let mut records = Vec::new();
         for a in &self.allocations {
-            if a.rir == rir && a.date <= date && a.dealloc.is_none_or(|d| d > date) {
-                records.push(DelegationRecord::allocated(
-                    rir,
-                    country_of(rir),
-                    a.block.network(),
-                    a.block.address_count(),
-                    a.date,
-                    &a.org,
-                ));
+            if a.rir == rir && a.active_on(date) {
+                records.push(a.record());
             }
         }
         for prefix in self.available_at(rir, date).iter() {
@@ -1392,7 +1479,7 @@ impl Builder {
             ));
         }
         records.sort_by_key(|r| u32::from(r.start));
-        StatsFile { rir, date, records }
+        droplens_rir::format::StatsFile { rir, date, records }
     }
 }
 
@@ -1407,6 +1494,14 @@ fn lit_prefix(s: &str) -> Ipv4Prefix {
     }
 }
 
+/// The whole address space `rir` manages: its /8s.
+fn plan(rir: Rir) -> PrefixSet {
+    plan_slash8s(rir)
+        .iter()
+        .map(|&eight| Ipv4Prefix::from_u32((eight as u32) << 24, 8))
+        .collect()
+}
+
 fn country_of(rir: Rir) -> &'static str {
     match rir {
         Rir::Afrinic => "ZA",
@@ -1414,5 +1509,84 @@ fn country_of(rir: Rir) -> &'static str {
         Rir::Arin => "US",
         Rir::Lacnic => "BR",
         Rir::RipeNcc => "NL",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use droplens_rir::format::{write_stats_file, write_stats_file_bin, StatsFile};
+
+    use super::*;
+    use crate::codec::{BINARY, TEXT};
+
+    type Series = (StatsRows, Vec<SharedSnapshot>);
+
+    /// A builder with every population generated, and its RIR series.
+    fn populated(seed: u64, cfg: WorldConfig) -> (Builder, Series) {
+        let mut builder = Builder::new(seed, cfg);
+        builder.populate();
+        let series = builder.rir_series(&builder.rir_snapshot_dates());
+        (builder, series)
+    }
+
+    fn materialize(rows: &StatsRows, file: &SharedStatsFile) -> StatsFile {
+        StatsFile {
+            rir: file.rir,
+            date: file.date,
+            records: file.records(rows).cloned().collect(),
+        }
+    }
+
+    #[test]
+    fn the_sweep_equals_the_per_snapshot_construction() {
+        let small = WorldConfig::small;
+        // `scaled(2)` keeps every second deallocation day.
+        let worlds = [
+            (1, small()),
+            (2, small()),
+            (7, small()),
+            (42, small()),
+            (3, small().scaled(2)),
+        ];
+        for (seed, cfg) in worlds {
+            let (builder, (rows, snapshots)) = populated(seed, cfg);
+            let mut distinct = BTreeSet::new();
+            for (date, files) in &snapshots {
+                assert_eq!(files.len(), Rir::ALL.len());
+                for (rir, file) in Rir::ALL.into_iter().zip(files) {
+                    let file = materialize(&rows, file);
+                    assert_eq!(
+                        file,
+                        builder.stats_file_at(rir, *date),
+                        "seed {seed}: {rir} on {date}"
+                    );
+                    distinct.extend(file.records.iter().map(|r| format!("{r:?}")));
+                }
+            }
+            // Every row is listed by some file, and stored once.
+            assert_eq!(rows.len(), distinct.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_series_writers_equal_the_one_file_writers() {
+        let (_, (rows, snapshots)) = populated(1, WorldConfig::small());
+        let texts = (TEXT.write_stats_series)(&rows, &snapshots);
+        let bins = (BINARY.write_stats_series)(&rows, &snapshots);
+        assert_eq!(texts.len(), snapshots.len());
+        assert_eq!(bins.len(), snapshots.len());
+        for (((date, files), (text_date, text)), (bin_date, bin)) in
+            snapshots.iter().zip(&texts).zip(&bins)
+        {
+            assert_eq!((text_date, bin_date), (date, date));
+            assert_eq!((text.len(), bin.len()), (files.len(), files.len()));
+            for ((file, text), bin) in files.iter().zip(text).zip(bin) {
+                let file = materialize(&rows, file);
+                assert_eq!(*text, write_stats_file(&file), "{} on {date}", file.rir);
+                assert_eq!(*bin, write_stats_file_bin(&file), "{} on {date}", file.rir);
+            }
+        }
     }
 }

@@ -5,8 +5,7 @@ mod builder;
 use droplens_bgp::{BgpUpdate, Peer};
 use droplens_drop::{DropSnapshot, SblDatabase};
 use droplens_irr::JournalEntry;
-use droplens_net::Date;
-use droplens_rir::format::StatsFile;
+use droplens_rir::format::{SharedSnapshot, StatsRows};
 use droplens_rpki::format::RoaEvent;
 
 use crate::codec::{Archives, BinaryArchives, Codec, TextArchives, BINARY, TEXT};
@@ -25,8 +24,11 @@ pub struct World {
     pub irr_journal: Vec<JournalEntry>,
     /// The ROA event journal, chronologically sorted.
     pub roa_events: Vec<RoaEvent>,
-    /// Dated RIR stats snapshots (one file per RIR per date).
-    pub rir_snapshots: Vec<(Date, Vec<StatsFile>)>,
+    /// Every distinct delegated-stats row, stored once.
+    pub rir_rows: StatsRows,
+    /// Dated RIR stats snapshots (one file per RIR per date, in
+    /// [`Rir::ALL`](droplens_rir::Rir::ALL) order) over `rir_rows`.
+    pub rir_snapshots: Vec<SharedSnapshot>,
     /// Daily DROP snapshots over the study window.
     pub drop_snapshots: Vec<DropSnapshot>,
     /// SBL record bodies (NR prefixes are absent, as in reality).
@@ -107,11 +109,7 @@ impl World {
                 || (codec.write_updates)(&self.bgp_updates, &self.peers),
                 || (codec.write_journal)(&self.irr_journal),
                 || (codec.write_events)(&self.roa_events),
-                || {
-                    droplens_par::par_map(&self.rir_snapshots, |(date, files)| {
-                        (*date, files.iter().map(codec.write_stats_file).collect())
-                    })
-                },
+                || (codec.write_stats_series)(&self.rir_rows, &self.rir_snapshots),
                 || {
                     (
                         droplens_par::par_map(&self.drop_snapshots, |s| {

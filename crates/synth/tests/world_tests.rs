@@ -87,7 +87,10 @@ fn text_archives_round_trip_through_parsers() {
     for ((date, files), (tdate, tfiles)) in w.rir_snapshots.iter().zip(&text.rir_snapshots) {
         assert_eq!(date, tdate);
         for (file, ftext) in files.iter().zip(tfiles) {
-            assert_eq!(&parse_stats_file(ftext).expect("stats parse"), file);
+            let parsed = parse_stats_file(ftext).expect("stats parse");
+            assert_eq!((parsed.rir, parsed.date), (file.rir, file.date));
+            let records: Vec<_> = file.records(&w.rir_rows).cloned().collect();
+            assert_eq!(parsed.records, records);
         }
     }
 

@@ -121,7 +121,7 @@ fn stats_files_partition_each_rir_plan() {
     for (date, files) in world.rir_snapshots.iter().take(3) {
         for file in files {
             let mut seen = PrefixSet::new();
-            for record in &file.records {
+            for record in file.records(&world.rir_rows) {
                 for p in record.prefixes() {
                     assert!(
                         !seen.overlaps(&p),
