@@ -1,14 +1,12 @@
-//! Scaling benches: the arena trie and the binary sidecar fast path,
-//! measured at workload scale 1 and scale 10 so the BENCH trajectory
-//! records how both degrade as worlds grow toward internet size.
+//! Scaling bench: the arena trie, measured at workload scale 1 and
+//! scale 10 so the BENCH trajectory records how it degrades as worlds
+//! grow toward internet size.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use droplens_core::{Study, StudyConfig};
-use droplens_net::{DateRange, Ipv4Prefix, PrefixTrie};
-use droplens_synth::{World, WorldConfig};
+use droplens_net::{Ipv4Prefix, PrefixTrie};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,37 +51,5 @@ fn bench_trie(c: &mut Criterion) {
     g.finish();
 }
 
-fn study_config(w: &World) -> StudyConfig {
-    let mut cfg = StudyConfig::new(DateRange::inclusive(
-        w.config.study_start,
-        w.config.study_end,
-    ));
-    cfg.manual_labels = w.manual_labels();
-    cfg
-}
-
-fn bench_archive_load(c: &mut Criterion) {
-    let mut g = c.benchmark_group("archive_load");
-    g.sample_size(10).measurement_time(Duration::from_secs(10));
-    for scale in [1usize, 10] {
-        let world = World::generate(42, &WorldConfig::small().scaled(scale));
-        let records = world.bgp_updates.len() as u64;
-        let text = world.to_text_archives();
-        let bin = world.to_binary_archives();
-        g.throughput(Throughput::Elements(records));
-        g.bench_function(&format!("text/{scale}"), |b| {
-            b.iter(|| {
-                Study::from_text(study_config(&world), world.peers.clone(), &text).expect("loads")
-            })
-        });
-        g.bench_function(&format!("binary/{scale}"), |b| {
-            b.iter(|| {
-                Study::from_binary(study_config(&world), world.peers.clone(), &bin).expect("loads")
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_trie, bench_archive_load);
+criterion_group!(benches, bench_trie);
 criterion_main!(benches);

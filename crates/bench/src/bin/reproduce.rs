@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p droplens-bench --bin reproduce [seed]
-//!     [--scale N] [--format text|binary]
+//!     [--scale N]
 //!     [--metrics-json PATH] [--trace PATH] [--mem]
 //!     [--chaos SEED] [--ingest strict|permissive] [--quarantine PATH]
 //! ```
@@ -27,17 +27,11 @@
 //! --metrics-json PATH --mem` at 1 and 8 workers and compares the span
 //! totals.
 //!
-//! `--format binary` round-trips the world through the `droplens-bin/1`
-//! columnar sidecars instead of the text archives. Stdout is
-//! byte-identical either way (core tests prove the studies equal); the
-//! study-stage wall clock is the point of comparison.
-//!
 //! `--chaos SEED` corrupts the serialized archives with a seeded
 //! `droplens-faults` injector (0.5% of lines, all classes) before the
 //! pipeline re-parses them — pair it with `--ingest permissive`. CI's
 //! chaos-smoke job runs this at 1 and 8 workers and byte-compares the
-//! stdout. The corruptor speaks text, so `--chaos` rejects `--format
-//! binary`. `--quarantine PATH` writes the per-source ingest ledger.
+//! stdout. `--quarantine PATH` writes the per-source ingest ledger.
 //!
 //! `--trace PATH` records a hierarchical trace of the whole run — stage
 //! spans, per-worker `par` task spans with queue-wait, parser spans,
@@ -57,27 +51,16 @@ use std::path::PathBuf;
 
 use droplens_core::{paper, IngestError, Study, StudyConfig};
 use droplens_net::{DateRange, IngestPolicy};
-use droplens_synth::codec::{self, Codec};
-use droplens_synth::{Archives, World, WorldConfig};
+use droplens_synth::{TextArchives, World, WorldConfig};
 
 /// Always-on allocation tracking (see the module docs): collection is
 /// cheap enough to leave compiled in, `--mem` only controls reporting.
 #[global_allocator]
 static ALLOC: droplens_obs::alloc::TrackingAlloc = droplens_obs::alloc::TrackingAlloc::system();
 
-/// Which serialization the world round-trips through before ingestion.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    /// The canonical text archives.
-    Text,
-    /// The `droplens-bin/1` columnar sidecars.
-    Binary,
-}
-
 fn main() {
     let mut seed = 42u64;
     let mut scale = 1usize;
-    let mut format = Format::Text;
     let mut metrics_json: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut mem = false;
@@ -95,13 +78,6 @@ fn main() {
                 if scale == 0 {
                     die("--scale wants a positive integer");
                 }
-            }
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("binary") => Format::Binary,
-                    other => die(&format!("--format wants text|binary, got {other:?}")),
-                };
             }
             "--metrics-json" => {
                 let path = args
@@ -134,12 +110,9 @@ fn main() {
                     .unwrap_or_else(|| die("--quarantine wants a path"));
                 quarantine = Some(PathBuf::from(path));
             }
+            flag if flag.starts_with("--") => die(&format!("unknown flag {flag:?}")),
             _ => seed = arg.parse().unwrap_or_else(|_| die("seed must be a u64")),
         }
-    }
-
-    if chaos.is_some() && format == Format::Binary {
-        die("--chaos corrupts text archives; drop it or use --format text");
     }
 
     if trace_out.is_some() {
@@ -181,8 +154,8 @@ fn main() {
 
     // Round-trip through the wire formats so the run report counts every
     // parsed record — the same path a deployment against real feeds uses.
-    // (`Study::load` under either codec and `Study::from_world` produce
-    // identical studies; the round trips are covered by core's tests.)
+    // (`Study::from_text` and `Study::from_world` produce identical
+    // studies; the round trip is covered by core's tests.)
     let study_span = obs.span("study");
     let mut study_config = StudyConfig::new(DateRange::inclusive(
         world.config.study_start,
@@ -190,20 +163,17 @@ fn main() {
     ));
     study_config.ingest = policy;
     study_config.manual_labels = world.manual_labels();
-    let loaded = match format {
-        Format::Text => load(&world, study_config, &codec::TEXT, |text| {
-            if let Some(chaos_seed) = chaos {
-                let log = droplens_faults::Corruptor::new(chaos_seed)
-                    .with_rate(0.005)
-                    .corrupt_archives(text);
-                eprintln!(
-                    "chaos: injected {} corruption events (seed {chaos_seed}, rate 0.5%)",
-                    log.total()
-                );
-            }
-        }),
-        Format::Binary => load(&world, study_config, &codec::BINARY, |_| {}),
-    };
+    let loaded = load(&world, study_config, |text| {
+        if let Some(chaos_seed) = chaos {
+            let log = droplens_faults::Corruptor::new(chaos_seed)
+                .with_rate(0.005)
+                .corrupt_archives(text);
+            eprintln!(
+                "chaos: injected {} corruption events (seed {chaos_seed}, rate 0.5%)",
+                log.total()
+            );
+        }
+    });
     let study = match loaded {
         Ok(study) => study,
         Err(e) => {
@@ -311,13 +281,6 @@ fn main() {
         report.meta.insert("bin".to_owned(), "reproduce".to_owned());
         report.meta.insert("seed".to_owned(), seed.to_string());
         report.meta.insert("scale".to_owned(), scale.to_string());
-        report.meta.insert(
-            "format".to_owned(),
-            match format {
-                Format::Text => "text".to_owned(),
-                Format::Binary => "binary".to_owned(),
-            },
-        );
         report
             .meta
             .insert("records_total".to_owned(), total_records.to_string());
@@ -339,20 +302,19 @@ fn main() {
     }
 }
 
-/// Serialize the world with `codec`, let `damage` rot the archives, and
-/// parse them back into a study.
-fn load<B: Send + Sync>(
+/// Serialize the world, let `damage` rot the archives, and parse them
+/// back into a study.
+fn load(
     world: &World,
     config: StudyConfig,
-    codec: &Codec<B>,
-    damage: impl FnOnce(&mut Archives<B>),
+    damage: impl FnOnce(&mut TextArchives),
 ) -> Result<Study, IngestError> {
     let mut archives = {
         let _span = droplens_obs::global().span("serialize");
-        world.to_archives(codec)
+        world.to_text_archives()
     };
     damage(&mut archives);
-    Study::load(config, world.peers.clone(), codec, &archives)
+    Study::from_text(config, world.peers.clone(), &archives)
 }
 
 /// Reject a malformed command line: print the complaint and exit

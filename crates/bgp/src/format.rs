@@ -14,9 +14,7 @@
 
 use std::fmt::Write as _;
 
-use droplens_net::{
-    split_fields, Asn, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine,
-};
+use droplens_net::{split_fields, Asn, Date, LocatedError, ParseError, Quarantine};
 
 use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
 
@@ -262,157 +260,6 @@ fn parse_chunk(
     Ok(out)
 }
 
-/// Kind tag of the binary update-stream sidecar (`droplens-bin/1`).
-pub const BIN_KIND: &str = "bgp/updates";
-
-/// Serialize an update stream as a binary sidecar: a deduplicated path
-/// dictionary followed by per-update columns (date, peer, prefix addr,
-/// prefix len, path id; [`NO_ID`](droplens_net::NO_ID) in the path column
-/// marks a withdrawal).
-/// Loads without per-line scanning — the fast path next to the canonical
-/// text archive from [`write_updates`].
-#[allow(clippy::disallowed_types)] // `ids` is lookups only; output order comes from `paths`
-pub fn write_updates_bin(updates: &[BgpUpdate]) -> Vec<u8> {
-    use droplens_net::NO_ID;
-    use std::collections::HashMap;
-    let mut w = BinWriter::new(BIN_KIND);
-    // Path dictionary in first-appearance order. The dedup index is never
-    // iterated, so hash order cannot leak into the payload.
-    let mut ids: HashMap<&AsPath, u32> = HashMap::new();
-    let mut paths: Vec<&AsPath> = Vec::new();
-    let mut path_col: Vec<u32> = Vec::with_capacity(updates.len());
-    for u in updates {
-        match &u.event {
-            BgpEvent::Announce(p) => {
-                let next = paths.len() as u32;
-                let id = *ids.entry(p).or_insert_with(|| {
-                    paths.push(p);
-                    next
-                });
-                path_col.push(id);
-            }
-            BgpEvent::Withdraw => path_col.push(NO_ID),
-        }
-    }
-    w.put_u32(paths.len() as u32);
-    for p in &paths {
-        let hops = p.hops();
-        w.put_u32(hops.len() as u32);
-        for h in hops {
-            w.put_u32(h.value());
-        }
-    }
-    w.put_u32(updates.len() as u32);
-    for u in updates {
-        w.put_i32(u.date.days_since_epoch());
-    }
-    for u in updates {
-        w.put_u32(u.peer.0);
-    }
-    for u in updates {
-        w.put_u32(u.prefix.network_u32());
-    }
-    for u in updates {
-        w.put_u8(u.prefix.len());
-    }
-    for id in path_col {
-        w.put_u32(id);
-    }
-    w.finish()
-}
-
-/// Decode the payload of a binary update sidecar (all-or-nothing: binary
-/// archives are machine-written, so any damage is treated as total).
-fn decode_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, ParseError> {
-    use droplens_net::NO_ID;
-    let mut r = BinReader::new(bytes, BIN_KIND)?;
-    let n_paths = r.count("path count", 8)?;
-    let mut paths = Vec::with_capacity(n_paths);
-    for _ in 0..n_paths {
-        let n_hops = r.count("hop count", 4)?;
-        let mut hops = Vec::with_capacity(n_hops);
-        for _ in 0..n_hops {
-            hops.push(Asn(r.u32("hop")?));
-        }
-        paths.push(
-            AsPath::try_new(hops).ok_or_else(|| {
-                ParseError::new("BinArchive", BIN_KIND, "empty path in dictionary")
-            })?,
-        );
-    }
-    let n = r.count("update count", 17)?;
-    let mut dates = Vec::with_capacity(n);
-    for _ in 0..n {
-        dates.push(Date::from_days_since_epoch(r.i32("date")?));
-    }
-    let mut peers = Vec::with_capacity(n);
-    for _ in 0..n {
-        peers.push(PeerId(r.u32("peer")?));
-    }
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        addrs.push(r.u32("prefix addr")?);
-    }
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.u8("prefix len")?;
-        if len > 32 {
-            return Err(ParseError::new("BinArchive", BIN_KIND, "prefix len > 32"));
-        }
-        lens.push(len);
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let id = r.u32("path id")?;
-        let prefix = droplens_net::Ipv4Prefix::from_u32(addrs[i], lens[i]);
-        let update = if id == NO_ID {
-            BgpUpdate::withdraw(dates[i], peers[i], prefix)
-        } else {
-            let path = paths
-                .get(id as usize)
-                .ok_or_else(|| ParseError::new("BinArchive", BIN_KIND, "path id out of range"))?;
-            BgpUpdate::announce(dates[i], peers[i], prefix, path.clone())
-        };
-        out.push(update);
-    }
-    r.expect_done()?;
-    Ok(out)
-}
-
-/// Parse a binary update sidecar strictly: any damage aborts.
-pub fn parse_updates_bin(bytes: &[u8]) -> Result<Vec<BgpUpdate>, LocatedError> {
-    parse_updates_bin_with(bytes, &mut Quarantine::strict("bgp/updates.bin"))
-}
-
-/// Parse a binary update sidecar under the ingestion policy carried by
-/// `quarantine`. Binary archives cannot be resynchronized mid-stream, so
-/// damage quarantines the whole sidecar: strict aborts, permissive
-/// records the rejection and returns no records (callers fall back to
-/// the canonical text archive).
-pub fn parse_updates_bin_with(
-    bytes: &[u8],
-    quarantine: &mut Quarantine,
-) -> Result<Vec<BgpUpdate>, LocatedError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.bgp.updates", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_updates_bin(bytes) {
-        Ok(out) => {
-            obs.counter("bgp.updates.parsed").add(out.len() as u64);
-            for _ in &out {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", out.len() as u64);
-            Ok(out)
-        }
-        Err(e) => {
-            obs.counter("bgp.updates.malformed").inc();
-            quarantine.reject("bgp.updates", 0, e)?;
-            Ok(Vec::new())
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
@@ -507,83 +354,5 @@ mod tests {
         let u = BgpUpdate::withdraw(d("2021-01-15"), PeerId(9), "10.0.0.0/8".parse().unwrap());
         let line = write_update_line(&u, &peers());
         assert!(line.contains("|peer9|0|"));
-    }
-
-    fn sample_updates() -> Vec<BgpUpdate> {
-        vec![
-            BgpUpdate::announce(
-                d("2020-01-01"),
-                PeerId(0),
-                "10.0.0.0/8".parse().unwrap(),
-                "3356 64500".parse().unwrap(),
-            ),
-            BgpUpdate::announce(
-                d("2020-01-05"),
-                PeerId(1),
-                "10.0.0.0/8".parse().unwrap(),
-                "3356 64500".parse().unwrap(),
-            ),
-            BgpUpdate::withdraw(d("2020-02-01"), PeerId(0), "10.0.0.0/8".parse().unwrap()),
-            BgpUpdate::announce(
-                d("2020-03-01"),
-                PeerId(0),
-                "11.22.0.0/16".parse().unwrap(),
-                "7018 64501 64502".parse().unwrap(),
-            ),
-        ]
-    }
-
-    #[test]
-    fn binary_round_trip_matches_text_parse() {
-        let updates = sample_updates();
-        let bytes = write_updates_bin(&updates);
-        let mut q = Quarantine::strict("bgp/updates.bin");
-        let parsed = parse_updates_bin_with(&bytes, &mut q).unwrap();
-        assert_eq!(parsed, updates);
-        assert_eq!(q.records_seen(), updates.len() as u64);
-        // Both serializations decode to the very same records.
-        let text = write_updates(&updates, &peers());
-        assert_eq!(parse_updates(&text).unwrap(), parsed);
-    }
-
-    #[test]
-    fn binary_dedups_repeated_paths() {
-        let updates = sample_updates();
-        let bytes = write_updates_bin(&updates);
-        // Two distinct paths across three announcements: the shared
-        // "3356 64500" is stored once in the dictionary.
-        let mut r = droplens_net::BinReader::new(&bytes, BIN_KIND).unwrap();
-        assert_eq!(r.u32("n paths").unwrap(), 2);
-    }
-
-    #[test]
-    fn truncated_binary_strict_aborts_permissive_quarantines() {
-        let updates = sample_updates();
-        let mut bytes = write_updates_bin(&updates);
-        bytes.truncate(bytes.len() - 3);
-        let mut strict = Quarantine::strict("bgp/updates.bin");
-        assert!(parse_updates_bin_with(&bytes, &mut strict).is_err());
-        let mut perm = Quarantine::permissive("bgp/updates.bin");
-        let parsed = parse_updates_bin_with(&bytes, &mut perm).unwrap();
-        assert!(parsed.is_empty());
-        assert_eq!(perm.quarantined, 1);
-    }
-
-    #[test]
-    fn binary_rejects_wrong_kind_and_bad_len() {
-        let mut q = Quarantine::strict("x.bin");
-        let other = droplens_net::BinWriter::new("irr/journal").finish();
-        assert!(parse_updates_bin_with(&other, &mut q).is_err());
-        // Corrupt a prefix length to 77: decode must fail, not misread.
-        let one = vec![BgpUpdate::withdraw(
-            d("2020-01-01"),
-            PeerId(0),
-            "10.0.0.0/8".parse().unwrap(),
-        )];
-        let mut bytes = write_updates_bin(&one);
-        let len_off = bytes.len() - 5; // u8 len column sits before the u32 path id
-        bytes[len_off] = 77;
-        let mut q = Quarantine::strict("bgp/updates.bin");
-        assert!(parse_updates_bin_with(&bytes, &mut q).is_err());
     }
 }

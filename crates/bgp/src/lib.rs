@@ -11,7 +11,7 @@
 //! * [`BgpUpdate`] and [`BgpEvent`] — dated announce/withdraw events.
 //! * [`mod@format`] — a one-line textual update format modeled on
 //!   `bgpdump -m` output, so synthetic archives round-trip through genuine
-//!   parsing code like the real MRT pipelines do, plus its binary sidecar.
+//!   parsing code like the real MRT pipelines do.
 //! * [`BgpArchive`] — the longitudinal index: per-(prefix, peer)
 //!   announcement intervals supporting "who observed this prefix when"
 //!   and "which path did this peer hold on that day" queries in

@@ -8,7 +8,6 @@ use droplens_drop::{classify, extract_asns};
 use droplens_net::{Asn, Date, Ipv4Prefix};
 use droplens_rpki::format::parse_events;
 use droplens_rpki::{RoaArchive, RovOutcome, Tal};
-use droplens_synth::codec::{Codec, BINARY, TEXT};
 use droplens_synth::{World, WorldConfig};
 
 use crate::layout;
@@ -38,82 +37,32 @@ pub fn generate(out: &Path, seed: u64, scale: &str) -> Result<String, CliError> 
     ))
 }
 
-/// Which on-disk representation a loading command reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ArchiveFormat {
-    /// Binary sidecars when the tree carries a complete set
-    /// ([`layout::binary_sidecars_complete`]), canonical text otherwise.
-    #[default]
-    Auto,
-    /// The canonical text archives, always.
-    Text,
-    /// The `droplens-bin/1` sidecars; a missing sidecar is an error.
-    Binary,
-}
-
-impl std::str::FromStr for ArchiveFormat {
-    type Err = CliError;
-
-    fn from_str(s: &str) -> Result<ArchiveFormat, CliError> {
-        match s {
-            "auto" => Ok(ArchiveFormat::Auto),
-            "text" => Ok(ArchiveFormat::Text),
-            "binary" => Ok(ArchiveFormat::Binary),
-            other => Err(CliError::Usage(format!(
-                "--format wants auto|text|binary, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// How a loading command should treat malformed archive input.
 ///
 /// `policy` selects strict (abort on the first malformed line, the
 /// default) or permissive (quarantine within error/gap budgets)
 /// parsing; `quarantine` optionally writes the per-source ingest
-/// ledger as JSON after a successful load; `format` picks the on-disk
-/// representation (default: binary sidecars when complete).
+/// ledger as JSON after a successful load.
 #[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
-    /// Parsing policy handed to [`Study::load`].
+    /// Parsing policy handed to [`Study::from_text`].
     pub policy: IngestPolicy,
     /// Where to write the ingest ledger JSON, if anywhere.
     pub quarantine: Option<PathBuf>,
-    /// Which archive representation to load.
-    pub format: ArchiveFormat,
 }
 
 /// Load the archive tree under `dir` into a study, honouring the
-/// ingest options (shared by `analyze` and `scorecard`).
+/// ingest options (shared by `analyze`, `scorecard` and `serve`).
 fn load_study(dir: &Path, ingest: &IngestOptions) -> Result<Study, CliError> {
-    let binary = match ingest.format {
-        ArchiveFormat::Auto => layout::binary_sidecars_complete(dir),
-        ArchiveFormat::Text => false,
-        ArchiveFormat::Binary => true,
-    };
-    let study = if binary {
-        load_tree(dir, &BINARY, ingest.policy)?
-    } else {
-        load_tree(dir, &TEXT, ingest.policy)?
-    };
+    let (mut config, peers) = layout::read_manifest(dir)?;
+    config.ingest = ingest.policy;
+    let archives = layout::read_archives(dir)?;
+    let study = Study::from_text(config, peers, &archives)?;
     if let Some(path) = &ingest.quarantine {
         std::fs::write(path, study.ingest.to_json())
             .map_err(|e| CliError::Io(path.display().to_string(), e))?;
     }
     Ok(study)
-}
-
-/// Read the tree's files stored with `codec` and parse them under
-/// `policy`.
-fn load_tree<B: Sync>(
-    dir: &Path,
-    codec: &Codec<B>,
-    policy: IngestPolicy,
-) -> Result<Study, CliError> {
-    let (mut config, peers) = layout::read_manifest(dir)?;
-    config.ingest = policy;
-    let archives = layout::read_archives(dir, codec)?;
-    Ok(Study::load(config, peers, codec, &archives)?)
 }
 
 /// `droplens analyze`: load an archive tree and run experiments.

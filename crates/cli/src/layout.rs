@@ -12,14 +12,9 @@
 //!   labels/manual_labels.tsv         analyst labels for keyword-less records
 //! ```
 //!
-//! Every dataset is stored in both codecs of [`droplens_synth::codec`]:
-//! the canonical text above and a `droplens-bin/1` sidecar next to it
-//! (`bgp/updates.bin`, `rpki/roas.bin`, `rir/<date>/delegated-<rir>-
-//! extended.bin`, ...), each file named by [`Codec::path`]. One writer
-//! and one reader ([`read_archives`]) serve both codecs.
-//! [`binary_sidecars_complete`] reports whether every file the text
-//! reader reads has its binary counterpart, which is how loaders decide
-//! the default.
+//! Every dataset file is named by
+//! [`ArchiveFile::path`](droplens_synth::codec::ArchiveFile::path),
+//! which the writer and the reader ([`read_archives`]) share.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -30,8 +25,8 @@ use droplens_core::StudyConfig;
 use droplens_drop::{Category, SblId};
 use droplens_net::{Asn, Date, DateRange};
 use droplens_rir::Rir;
-use droplens_synth::codec::{Codec, BINARY, DROP_DIR, RIR_DIR, TEXT};
-use droplens_synth::{Archives, World};
+use droplens_synth::codec::{DROP_DIR, RIR_DIR};
+use droplens_synth::{Archives, TextArchives, World};
 
 use crate::CliError;
 
@@ -68,9 +63,9 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     }
     write(&dir.join("manifest.tsv"), &manifest)?;
 
-    write_archives(dir, world, &TEXT)?;
-    // The binary sidecars, one per dataset, next to the canonical text.
-    write_archives(dir, world, &BINARY)?;
+    for (file, text) in world.to_text_archives().files() {
+        write(&dir.join(file.path()), text)?;
+    }
 
     // The analyst's manual labels for keyword-less records.
     let mut labels = String::from("# sbl-id\tcategories\n");
@@ -82,21 +77,8 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Serialize the world with `codec` and write every file under `dir`,
-/// named by the codec.
-fn write_archives<B: AsRef<[u8]> + Send>(
-    dir: &Path,
-    world: &World,
-    codec: &Codec<B>,
-) -> Result<(), CliError> {
-    for (file, bytes) in world.to_archives(codec).files() {
-        write(&dir.join(codec.path(file)), bytes)?;
-    }
-    Ok(())
-}
-
-/// Read the manifest and labels shared by both archive representations:
-/// the study configuration (window, manual labels) and the peer table.
+/// Read the manifest and labels: the study configuration (window,
+/// manual labels) and the peer table.
 pub fn read_manifest(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
     let manifest = read(&dir.join("manifest.tsv"))?;
     let mut window: Option<DateRange> = None;
@@ -130,30 +112,23 @@ pub fn read_manifest(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
     Ok((config, peers))
 }
 
-/// Read an archive tree's files stored with `codec`. Any missing file
-/// is an error — use [`binary_sidecars_complete`] first when falling
-/// back to text is an option.
-pub fn read_archives<B>(dir: &Path, codec: &Codec<B>) -> Result<Archives<B>, CliError> {
-    dates(dir, codec)?.try_map(|file, ()| {
-        let path = dir.join(codec.path(file));
-        (codec.read)(&path).map_err(io_error(&path))
-    })
+/// Read an archive tree's files. Any missing file is an error.
+pub fn read_archives(dir: &Path) -> Result<TextArchives, CliError> {
+    dates(dir)?.try_map(|file, ()| read(&dir.join(file.path())))
 }
 
-/// The snapshot dates of the tree under `dir` as `codec` stores them:
-/// every dated `rir/` directory (one file per registry) and every
-/// `drop/` day with the codec's extension. Entries sort by name, which
-/// is chronological.
-fn dates<B>(dir: &Path, codec: &Codec<B>) -> Result<Archives<()>, CliError> {
+/// The snapshot dates of the tree under `dir`: every dated `rir/`
+/// directory (one file per registry) and every `drop/` day's `.txt`
+/// file. Entries sort by name, which is chronological.
+fn dates(dir: &Path) -> Result<Archives<()>, CliError> {
     let mut rir_snapshots = Vec::new();
     for datedir in sorted_entries(&dir.join(RIR_DIR))? {
         let date = Date::parse_compact(file_name(&datedir))?;
         rir_snapshots.push((date, vec![(); Rir::ALL.len()]));
     }
-    let suffix = format!(".{}", codec.extension);
     let mut drop_snapshots = Vec::new();
     for file in sorted_entries(&dir.join(DROP_DIR))? {
-        if let Some(stem) = file_name(&file).strip_suffix(suffix.as_str()) {
+        if let Some(stem) = file_name(&file).strip_suffix(".txt") {
             drop_snapshots.push((stem.parse()?, ()));
         }
     }
@@ -164,19 +139,6 @@ fn dates<B>(dir: &Path, codec: &Codec<B>) -> Result<Archives<()>, CliError> {
         rir_snapshots,
         drop_snapshots,
         sbl_records: (),
-    })
-}
-
-/// Whether every file the text reader reads has its binary sidecar —
-/// the condition under which loading defaults to the binary fast path.
-/// A tree written by an older droplens (or with a sidecar deleted) is
-/// incomplete and loads from text.
-pub fn binary_sidecars_complete(dir: &Path) -> bool {
-    dates(dir, &TEXT).is_ok_and(|dates| {
-        dates
-            .files()
-            .into_iter()
-            .all(|(file, ())| dir.join(BINARY.path(file)).is_file())
     })
 }
 

@@ -166,10 +166,6 @@ SLO (gate a load report against service-level objectives):
                         (default: report only)
 
 INGEST FLAGS (analyze, scorecard, serve):
-    --format auto|text|binary    archive representation to load
-                                 (default auto: the droplens-bin/1
-                                 sidecars when the tree carries a
-                                 complete set, canonical text otherwise)
     --ingest strict|permissive   parsing policy (default strict: any
                                  malformed line aborts the run)
     --max-error-rate R           permissive error budget per source,

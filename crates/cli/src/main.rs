@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use droplens_cli::commands::{ArchiveFormat, IngestOptions};
+use droplens_cli::commands::IngestOptions;
 use droplens_cli::{commands, CliError, USAGE};
 use droplens_net::{Asn, Date, IngestPolicy, Ipv4Prefix};
 
@@ -380,7 +380,6 @@ struct IngestFlags {
     max_error_rate: Option<f64>,
     max_gap_days: Option<u32>,
     quarantine: Option<PathBuf>,
-    format: Option<ArchiveFormat>,
 }
 
 impl IngestFlags {
@@ -409,7 +408,6 @@ impl IngestFlags {
                 })?);
             }
             "--quarantine" => self.quarantine = Some(PathBuf::from(value(rest, i)?)),
-            "--format" => self.format = Some(value(rest, i)?.parse::<ArchiveFormat>()?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -445,7 +443,6 @@ impl IngestFlags {
         Ok(IngestOptions {
             policy,
             quarantine: self.quarantine,
-            format: self.format.unwrap_or_default(),
         })
     }
 }

@@ -2,9 +2,9 @@
 //! verify the analyses agree with the in-memory pipeline.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use droplens_cli::commands::{ArchiveFormat, IngestOptions};
+use droplens_cli::commands::IngestOptions;
 use droplens_cli::{commands, layout};
 use droplens_core::{IngestPolicy, Study};
 use droplens_synth::{World, WorldConfig};
@@ -21,93 +21,88 @@ fn generate_then_analyze_round_trips() {
     let summary = commands::generate(&dir, 42, "small").expect("generate");
     assert!(summary.contains("listings"));
 
-    // The tree has the documented shape, binary sidecars included.
+    // The tree has the documented shape, and nothing but it.
     for path in [
         "manifest.tsv",
         "bgp/updates.txt",
-        "bgp/updates.bin",
         "irr/journal.txt",
-        "irr/journal.bin",
         "rpki/roas.csv",
-        "rpki/roas.bin",
         "sbl/records.txt",
-        "sbl/records.bin",
         "labels/manual_labels.tsv",
     ] {
         assert!(dir.join(path).exists(), "{path} missing");
     }
     assert!(dir.join("drop").read_dir().expect("drop dir").count() > 100);
     assert!(dir.join("rir").read_dir().expect("rir dir").count() > 10);
-    assert!(layout::binary_sidecars_complete(&dir));
+    let bins: Vec<PathBuf> = files_under(&dir)
+        .into_iter()
+        .filter(|path| path.extension().is_some_and(|ext| ext == "bin"))
+        .collect();
+    assert!(bins.is_empty(), "{bins:?}");
 
-    // Analysis over the on-disk tree equals the in-memory pipeline —
-    // via the default (binary) path and the explicit text path alike.
+    // Analysis over the on-disk tree equals the in-memory pipeline.
     let from_disk = commands::analyze(&dir, "all", &IngestOptions::default()).expect("analyze");
     let world = World::generate(42, &WorldConfig::small());
     let study = Study::from_world(&world);
     let in_memory = commands::run_experiments(&study, "all").expect("run");
     assert_eq!(from_disk, in_memory);
-    let text_opts = IngestOptions {
-        format: ArchiveFormat::Text,
-        ..IngestOptions::default()
-    };
-    assert_eq!(
-        commands::analyze(&dir, "all", &text_opts).expect("text analyze"),
-        in_memory
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn binary_sidecar_detection_and_explicit_formats() {
-    let dir = temp_dir("formats");
-    commands::generate(&dir, 11, "small").expect("generate");
-    let baseline = commands::analyze(&dir, "summary", &IngestOptions::default()).expect("auto");
-    let first = |sub: &str| {
-        let mut names: Vec<String> = std::fs::read_dir(dir.join(sub))
-            .expect("dated dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names.swap_remove(0)
-    };
-    let rir_date = first("rir");
-    let drop_day = first("drop");
-    let drop_day = drop_day.split('.').next().expect("dated name");
-    let bin_opts = IngestOptions {
-        format: ArchiveFormat::Binary,
-        ..IngestOptions::default()
-    };
-
-    // (sidecar, whether an explicit --format binary must refuse the tree
-    // without it). The binary reader takes its DROP days from the
-    // sidecars present, so a missing day sidecar only demotes auto.
-    for (sidecar, refused) in [
-        ("irr/journal.bin".to_owned(), true),
-        (format!("rir/{rir_date}/delegated-arin-extended.bin"), true),
-        (format!("drop/{drop_day}.bin"), false),
-    ] {
-        let path = dir.join(&sidecar);
-        let kept = std::fs::read(&path).expect("sidecar exists");
-        std::fs::remove_file(&path).expect("remove sidecar");
-
-        // Deleting one sidecar demotes auto to the text path...
-        assert!(!layout::binary_sidecars_complete(&dir), "{sidecar}");
-        let from_text =
-            commands::analyze(&dir, "summary", &IngestOptions::default()).expect("text");
-        assert_eq!(from_text, baseline, "{sidecar}");
-
-        // ...while an explicit --format binary refuses the incomplete tree.
-        if refused {
-            let err = commands::analyze(&dir, "summary", &bin_opts).expect_err("incomplete tree");
-            assert!(err.to_string().contains(&sidecar), "{err}");
+/// Every file under `dir`, at any depth.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
         }
+    }
+    out
+}
 
-        std::fs::write(&path, kept).expect("restore sidecar");
-        assert!(layout::binary_sidecars_complete(&dir), "{sidecar}");
+/// The listing count of an `analyze --experiment summary` report.
+fn listings(summary: &str) -> usize {
+    let (head, _) = summary.split_once(" listings (").expect("summary line");
+    let count = head.rsplit(' ').next().expect("count");
+    count.parse().expect("numeric count")
+}
+
+#[test]
+fn analyze_reads_the_drop_text_on_disk() {
+    let dir = temp_dir("droptext");
+    commands::generate(&dir, 7, "small").expect("generate");
+    let summary = || commands::analyze(&dir, "summary", &IngestOptions::default());
+    let before = listings(&summary().expect("analyze"));
+
+    // Delete one prefix listed on the last day from every day's file.
+    let mut days: Vec<PathBuf> = files_under(&dir.join("drop"))
+        .into_iter()
+        .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+        .collect();
+    days.sort();
+    let last = std::fs::read_to_string(days.last().expect("a day")).expect("read day");
+    let prefix = last
+        .lines()
+        .find(|line| !line.starts_with(';'))
+        .and_then(|line| line.split(" ; ").next())
+        .expect("a listed prefix")
+        .to_owned();
+    for day in &days {
+        let text = std::fs::read_to_string(day).expect("read day");
+        let kept: String = text
+            .lines()
+            .filter(|line| line.split(" ; ").next() != Some(prefix.as_str()))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        std::fs::write(day, kept).expect("write day");
     }
 
+    let after = listings(&summary().expect("analyze"));
+    assert_eq!(after, before - 1, "deleted {prefix}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -137,31 +132,21 @@ fn analyze_permissive_quarantines_corruption_and_writes_ledger() {
     let dir = temp_dir("quarantine");
     commands::generate(&dir, 7, "small").expect("generate");
 
-    // Corrupt one BGP line in place: strict must refuse the tree. The
-    // corruption hits the canonical text, so the load is pinned to the
-    // text path (auto would read the intact binary sidecar instead).
+    // Corrupt one BGP line in place: the default strict load must refuse
+    // the tree, naming the damaged file.
     let updates = dir.join("bgp/updates.txt");
     let mut text = std::fs::read_to_string(&updates).expect("read updates");
     text.push_str("this line is not a bgp update\n");
     std::fs::write(&updates, &text).expect("write updates");
-    let strict_text = IngestOptions {
-        format: ArchiveFormat::Text,
-        ..IngestOptions::default()
-    };
-    let err = commands::analyze(&dir, "summary", &strict_text)
+    let err = commands::analyze(&dir, "summary", &IngestOptions::default())
         .expect_err("strict must reject the corrupted tree");
     assert!(err.to_string().contains("bgp/updates.txt"), "{err}");
-
-    // The sidecars are untouched, so the default load still succeeds.
-    commands::analyze(&dir, "summary", &IngestOptions::default())
-        .expect("binary path unaffected by text damage");
 
     // Permissive quarantines it, still analyzes, and writes the ledger.
     let ledger = dir.join("ingest.json");
     let opts = IngestOptions {
         policy: IngestPolicy::permissive(),
         quarantine: Some(ledger.clone()),
-        format: ArchiveFormat::Text,
     };
     let out = commands::analyze(&dir, "summary", &opts).expect("permissive analyze");
     assert!(out.contains("## summary"));

@@ -2,21 +2,22 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use droplens_bgp::format::parse_updates_with;
 use droplens_bgp::{BgpArchive, BgpUpdate, Peer};
 use droplens_drop::{
     classify, extract_asns, Category, DropEntry, DropSnapshot, DropTimeline, SblDatabase, SblId,
 };
-use droplens_irr::{IrrRegistry, JournalEntry};
+use droplens_irr::{parse_journal_with, IrrRegistry, JournalEntry};
 use droplens_net::{
     AddressSpace, Asn, Date, DateRange, IngestError, IngestPolicy, IngestReport, Ipv4Prefix,
     LocatedError, ParseError, Quarantine, SourceCoverage, SourceIngest,
 };
 use droplens_rir::format::{SharedStatsFile, StatsRows, StatsSeries};
 use droplens_rir::{Rir, RirStatsArchive};
-use droplens_rpki::format::RoaEvent;
+use droplens_rpki::format::{parse_events_with, RoaEvent};
 use droplens_rpki::RoaArchive;
-use droplens_synth::codec::{ArchiveFile, Codec, BINARY, TEXT};
-use droplens_synth::{Archives, BinaryArchives, TextArchives, World};
+use droplens_synth::codec::ArchiveFile;
+use droplens_synth::{TextArchives, World};
 
 /// Expected days between RIR delegated-stats snapshots: the synthetic
 /// world publishes them monthly, so a ≤31-day delta is not a gap.
@@ -202,7 +203,11 @@ impl Study {
     }
 
     /// Build a study by parsing serialized archives — the same code path
-    /// a deployment against the real feeds would use.
+    /// a deployment against the real feeds would use: parse every
+    /// archive, repair the RIR and DROP flickers that damaged snapshots
+    /// leave, and merge the quarantine ledgers in fixed input order,
+    /// then index and assemble. Every ledger is labelled with the file's
+    /// path ([`ArchiveFile::path`]).
     ///
     /// Parsing honors `config.ingest`: in strict mode any malformed line
     /// aborts; in permissive mode malformed records are quarantined
@@ -212,41 +217,12 @@ impl Study {
     pub fn from_text(
         config: StudyConfig,
         peers: Vec<Peer>,
-        text: &TextArchives,
-    ) -> Result<Study, IngestError> {
-        Self::load(config, peers, &TEXT, text)
-    }
-
-    /// Build a study from `droplens-bin/1` sidecar archives — the binary
-    /// fast path. Loads the very same records as [`Study::from_text`]
-    /// (a round-trip equivalence test in this crate proves the resulting
-    /// studies are identical), without per-line scanning.
-    ///
-    /// Quarantine semantics differ only in granularity: a binary sidecar
-    /// cannot be resynchronized mid-stream, so damage quarantines the
-    /// whole archive rather than one record.
-    pub fn from_binary(
-        config: StudyConfig,
-        peers: Vec<Peer>,
-        bin: &BinaryArchives,
-    ) -> Result<Study, IngestError> {
-        Self::load(config, peers, &BINARY, bin)
-    }
-
-    /// The load spine: parse archives stored with `codec`, repair the
-    /// RIR and DROP flickers that damaged snapshots leave, and merge the
-    /// quarantine ledgers in fixed input order, then index and assemble.
-    /// Every ledger is labelled with the file's path under `codec`.
-    pub fn load<B: Sync>(
-        config: StudyConfig,
-        peers: Vec<Peer>,
-        codec: &Codec<B>,
-        archives: &Archives<B>,
+        archives: &TextArchives,
     ) -> Result<Study, IngestError> {
         let obs = droplens_obs::global();
         let mut load_span = obs.span("load");
         let policy = config.ingest;
-        let ledger = |file| Quarantine::for_policy(codec.path(file), &policy);
+        let ledger = |file: ArchiveFile| Quarantine::for_policy(file.path(), &policy);
         // The five sources parse independently (each closure owns one
         // source, its counters commute, and its quarantine ledger is
         // merged in fixed input order), so the load stage fans out while
@@ -254,25 +230,25 @@ impl Study {
         let (bgp_res, irr_res, rpki_res, rir_res, drop_res) = droplens_par::join5(
             || {
                 let mut q = ledger(ArchiveFile::BgpUpdates);
-                let updates = (codec.parse_updates)(&archives.bgp_updates, &mut q)?;
+                let updates = parse_updates_with(&archives.bgp_updates, &mut q)?;
                 Ok::<_, LocatedError>((updates, q))
             },
             || {
                 let mut q = ledger(ArchiveFile::IrrJournal);
-                let entries = (codec.parse_journal)(&archives.irr_journal, &mut q)?;
+                let entries = parse_journal_with(&archives.irr_journal, &mut q)?;
                 Ok::<_, LocatedError>((entries, q))
             },
             || {
                 let mut q = ledger(ArchiveFile::Roas);
-                let events = (codec.parse_events)(&archives.roa_events, &mut q)?;
+                let events = parse_events_with(&archives.roa_events, &mut q)?;
                 Ok::<_, LocatedError>((events, q))
             },
-            || load_rir_stats(codec, &archives.rir_snapshots, &policy),
+            || load_rir_stats(&archives.rir_snapshots, &policy),
             || {
                 let per_snapshot =
                     droplens_par::par_map(&archives.drop_snapshots, |(date, body)| {
                         let mut q = ledger(ArchiveFile::DropSnapshot(*date));
-                        let snap = (codec.parse_snapshot)(*date, body, &mut q)?;
+                        let snap = DropSnapshot::parse_with(*date, body, &mut q)?;
                         Ok::<_, LocatedError>((snap, q))
                     });
                 let repair_span = droplens_obs::global().span("drop_repair");
@@ -290,7 +266,7 @@ impl Study {
                 droplens_drop::repair_flickers(&mut snapshots, &partial);
                 repair_span.finish();
                 let mut sbl_q = ledger(ArchiveFile::SblRecords);
-                let sbl = (codec.parse_sbl)(&archives.sbl_records, &mut sbl_q)?;
+                let sbl = SblDatabase::parse_with(&archives.sbl_records, &mut sbl_q)?;
                 Ok::<_, LocatedError>((snapshots, q, sbl, sbl_q))
             },
         );
@@ -324,7 +300,7 @@ impl Study {
         )
     }
 
-    /// The back half of [`Study::load`]: build the ingestion ledger,
+    /// The back half of [`Study::from_text`]: build the ingestion ledger,
     /// enforce the policy budgets, index the five sources, and assemble
     /// the study.
     fn index_and_assemble(
@@ -568,16 +544,14 @@ pub struct LoadedStats {
     pub ledger: Quarantine,
 }
 
-/// The RIR stage of [`Study::load`]: walk each registry's files in date
-/// order, parsing a file only where it differs from the registry's
+/// The RIR stage of [`Study::from_text`]: walk each registry's files in
+/// date order, parsing a file only where it differs from the registry's
 /// previous one ([`StatsSeries`]), so each distinct row is parsed and
 /// stored once. Then assemble the snapshots, merge the ledgers and
 /// repair the flickers that damaged snapshots leave. `snapshots` holds
-/// one payload per registry in [`Rir::ALL`] order for each date, stored
-/// with `codec`.
-pub fn load_rir_stats<B: Sync>(
-    codec: &Codec<B>,
-    snapshots: &[(Date, Vec<B>)],
+/// one file's text per registry in [`Rir::ALL`] order for each date.
+pub fn load_rir_stats(
+    snapshots: &[(Date, Vec<String>)],
     policy: &IngestPolicy,
 ) -> Result<LoadedStats, LocatedError> {
     let per_rir = droplens_par::par_map(&Rir::ALL, |&rir| {
@@ -591,10 +565,10 @@ pub fn load_rir_stats<B: Sync>(
                 files.push(None);
                 continue;
             };
-            let mut q = Quarantine::for_policy(codec.path(ArchiveFile::Stats(*date, rir)), policy);
+            let mut q = Quarantine::for_policy(ArchiveFile::Stats(*date, rir).path(), policy);
             // `None` = the file was unusable and quarantined whole; the
             // snapshot keeps the rest.
-            let file = (codec.parse_stats_file)(body, &mut series, &mut q).map_err(|e| (at, e))?;
+            let file = series.parse_text(body, &mut q).map_err(|e| (at, e))?;
             files.push(Some((file, q)));
         }
         Ok::<_, (usize, LocatedError)>((series.into_rows(), files))
@@ -844,55 +818,6 @@ mod tests {
             assert_eq!(a.rir, b.rir);
             assert_eq!(a.afrinic_incident, b.afrinic_incident);
         }
-    }
-
-    #[test]
-    fn from_binary_equals_from_text() {
-        let world = World::generate(42, &WorldConfig::small());
-        let mut config = StudyConfig::new(DateRange::inclusive(
-            world.config.study_start,
-            world.config.study_end,
-        ));
-        config.manual_labels = world.manual_labels();
-        let text = world.to_text_archives();
-        let bin = world.to_binary_archives();
-        let from_text =
-            Study::from_text(config.clone(), world.peers.clone(), &text).expect("text parses");
-        let from_bin =
-            Study::from_binary(config, world.peers.clone(), &bin).expect("binary parses");
-        // The two load paths must build the very same study.
-        assert_eq!(from_bin.entries, from_text.entries);
-        assert_eq!(from_bin.peers, from_text.peers);
-        assert_eq!(from_bin.sbl, from_text.sbl);
-        assert_eq!(from_bin.drop, from_text.drop);
-        assert_eq!(
-            from_bin.ingest.total_quarantined(),
-            from_text.ingest.total_quarantined()
-        );
-    }
-
-    #[test]
-    fn from_binary_permissive_quarantines_damaged_sidecar() {
-        let world = World::generate(42, &WorldConfig::small());
-        let mut bin = world.to_binary_archives();
-        let n = bin.bgp_updates.len();
-        bin.bgp_updates.truncate(n - 4);
-        let mut config = StudyConfig::new(DateRange::inclusive(
-            world.config.study_start,
-            world.config.study_end,
-        ));
-        config.manual_labels = world.manual_labels();
-        // Strict: the damaged sidecar aborts the load.
-        assert!(Study::from_binary(config.clone(), world.peers.clone(), &bin).is_err());
-        // Permissive: the whole sidecar quarantines (binary archives
-        // cannot resync mid-stream) — and losing every BGP update blows
-        // the error budget, which is the correct loud failure.
-        config.ingest = IngestPolicy::permissive();
-        let err = match Study::from_binary(config, world.peers.clone(), &bin) {
-            Err(e) => e,
-            Ok(_) => panic!("expected budget failure"),
-        };
-        assert!(err.to_string().contains("bgp"), "{err}");
     }
 
     #[test]

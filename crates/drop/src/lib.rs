@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 mod category;
-pub mod format;
 pub mod list;
 mod sbl;
 

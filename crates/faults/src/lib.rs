@@ -34,7 +34,7 @@ pub use net::{ChaosLog, ChaosProfile, ChaosProxy};
 
 use std::fmt;
 
-use droplens_synth::codec::{ArchiveFile, TEXT};
+use droplens_synth::codec::ArchiveFile;
 use droplens_synth::TextArchives;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,7 +111,7 @@ impl fmt::Display for CorruptionClass {
 pub struct CorruptionEvent {
     /// The fault class.
     pub class: CorruptionClass,
-    /// Archive label: the file's text path, as the text codec names it
+    /// Archive label: the file's path, as [`ArchiveFile::path`] names it
     /// (`bgp/updates.txt`, `rir/<YYYYMMDD>/delegated-<rir>-extended.txt`,
     /// `drop/<date>.txt`, ...). It is the label the quarantine ledger
     /// gives the same file, so `archive:line` finds the quarantined line.
@@ -222,7 +222,7 @@ impl Corruptor {
     /// is a deterministic function of the seed and the input.
     pub fn corrupt_archives(&mut self, text: &mut TextArchives) -> CorruptionLog {
         let mut log = CorruptionLog::default();
-        *text = text.map(|file, body| self.corrupt_lines(&TEXT.path(file), body, &mut log));
+        *text = text.map(|file, body| self.corrupt_lines(&file.path(), body, &mut log));
 
         if self.classes.contains(&CorruptionClass::DropDay) {
             let keep: Vec<bool> = text
@@ -236,7 +236,7 @@ impl Corruptor {
                 if !keep {
                     log.events.push(CorruptionEvent {
                         class: CorruptionClass::DropDay,
-                        archive: TEXT.path(ArchiveFile::DropSnapshot(*date)),
+                        archive: ArchiveFile::DropSnapshot(*date).path(),
                         line: None,
                     });
                 }

@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod format;
 pub mod journal;
 mod object;
 mod registry;

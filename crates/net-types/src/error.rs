@@ -60,9 +60,8 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// A [`ParseError`] with the place its input came from: a source-file
-/// label and a 1-based line number (0 for a binary sidecar, which is
-/// rejected whole). A bad byte in a multi-GB feed is reported as
-/// `bgp/updates.txt:10482`, not just as the offending token.
+/// label and a 1-based line number. A bad byte in a multi-GB feed is
+/// reported as `bgp/updates.txt:10482`, not just as the offending token.
 ///
 /// Every archive parser returns this type, and only the ledger it
 /// threads builds one ([`Quarantine::reject`], and
@@ -88,8 +87,7 @@ impl LocatedError {
         }
     }
 
-    /// The source-file label and the 1-based line number (0 for a
-    /// whole binary sidecar).
+    /// The source-file label and the 1-based line number.
     pub fn location(&self) -> (&str, u32) {
         (&self.file, self.line)
     }

@@ -213,10 +213,10 @@ impl Quarantine {
     }
 
     /// Account one malformed record at 1-based `line` of this ledger's
-    /// source (0 for a binary sidecar rejected whole), and sample it
-    /// under `metric` in the process registry's error log. Strict: the
-    /// located error is returned for the parser to propagate.
-    /// Permissive: the line is quarantined and parsing continues.
+    /// source, and sample it under `metric` in the process registry's
+    /// error log. Strict: the located error is returned for the parser
+    /// to propagate. Permissive: the line is quarantined and parsing
+    /// continues.
     pub fn reject(
         &mut self,
         metric: &str,

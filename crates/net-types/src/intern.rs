@@ -64,13 +64,6 @@ intern_id! {
     MaintainerId
 }
 
-intern_id! {
-    /// Id into a binary sidecar's embedded string table (see
-    /// [`crate::binfmt`]): scoped to one archive payload, not to a
-    /// domain-wide interner.
-    StrId
-}
-
 /// An insertion-ordered string interner with columnar storage.
 ///
 /// `I` is the typed id this interner hands out. Equal strings intern to

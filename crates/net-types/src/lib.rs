@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod asn;
-pub mod binfmt;
 mod date;
 mod error;
 mod fields;
@@ -39,7 +38,6 @@ mod space;
 mod trie;
 
 pub use asn::Asn;
-pub use binfmt::{read_str_table, BinReader, BinWriter, StrTable, NO_ID};
 pub use date::{CompactDate, Date, DateRange, Month};
 pub use error::{LocatedError, ParseError};
 pub use fields::split_fields;
@@ -47,7 +45,7 @@ pub use ingest::{
     find_gaps, GapSpan, IngestError, IngestPolicy, IngestReport, Quarantine, SourceCoverage,
     SourceIngest, QUARANTINE_SAMPLES_KEPT,
 };
-pub use intern::{InternId, MaintainerId, OrgId, StrId, StringInterner};
+pub use intern::{InternId, MaintainerId, OrgId, StringInterner};
 pub use prefix::Ipv4Prefix;
 pub use set::PrefixSet;
 pub use space::{AddressSpace, SLASH8};

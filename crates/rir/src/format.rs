@@ -15,10 +15,7 @@
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
-use droplens_net::{
-    read_str_table, split_fields, BinReader, BinWriter, Date, LocatedError, ParseError, Quarantine,
-    StrTable,
-};
+use droplens_net::{split_fields, Date, LocatedError, ParseError, Quarantine};
 
 use crate::{AllocationStatus, DelegationRecord, Rir};
 
@@ -393,8 +390,7 @@ const REUSE_WINDOW: usize = 16;
 /// What one line of the previous file parsed to, and in which context.
 #[derive(Debug, Clone, Copy)]
 struct Seen<'a> {
-    /// The trimmed line; empty for a row of a decoded sidecar, which has
-    /// none (no text line is empty once blank lines are skipped).
+    /// The trimmed line.
     line: &'a str,
     after_version: bool,
     row: Row<RowId>,
@@ -454,36 +450,6 @@ impl<'a> StatsSeries<'a> {
         Ok(version?.map(|(rir, date)| SharedStatsFile { rir, date, rows }))
     }
 
-    /// The series' next file from a decoded sidecar: a row equal to one
-    /// of the previous file's, near the cursor, takes its id.
-    pub fn add_file(&mut self, file: StatsFile) -> SharedStatsFile {
-        for record in file.records {
-            let rows = &self.rows;
-            let seen = find_near(
-                &self.prev,
-                &mut self.at,
-                |s| matches!(s.row, Row::Record(id) if rows[id] == record),
-            );
-            let id = match seen {
-                Some(&Seen {
-                    row: Row::Record(id),
-                    ..
-                }) => id,
-                _ => self.rows.push(record),
-            };
-            self.take(Seen {
-                line: "",
-                after_version: true,
-                row: Row::Record(id),
-            });
-        }
-        SharedStatsFile {
-            rir: file.rir,
-            date: file.date,
-            rows: self.end_file(),
-        }
-    }
-
     /// The table of every row the series stored.
     pub fn into_rows(self) -> StatsRows {
         self.rows
@@ -520,193 +486,6 @@ impl<'a> RowSink<'a> for StatsSeries<'a> {
             after_version,
             row,
         })
-    }
-}
-
-/// Kind tag of the binary stats-file sidecar (`droplens-bin/1`).
-pub const BIN_KIND: &str = "rir/stats";
-
-/// Absent delegation date in the binary date column.
-const NO_DATE: i32 = i32::MIN;
-
-/// Serialize a stats file as a binary sidecar: header (registry code,
-/// snapshot date), a deduplicated string table for country codes and
-/// org handles, then per-record columns. The fast path next to the
-/// canonical delegated-extended text from [`write_stats_file`].
-pub fn write_stats_file_bin(file: &StatsFile) -> Vec<u8> {
-    write_stats_bin(file.rir, file.date, file.records.iter())
-}
-
-/// [`write_stats_file_bin`] for a file whose rows live in `table`: the
-/// columns are built from the table, byte for byte what
-/// [`write_stats_file_bin`] writes for the same rows.
-pub fn write_shared_stats_file_bin(table: &StatsRows, file: &SharedStatsFile) -> Vec<u8> {
-    write_stats_bin(file.rir, file.date, file.records(table))
-}
-
-/// The binary sidecar of the file `rir` published on `date` with
-/// `records`, in file order.
-fn write_stats_bin<'r>(
-    rir: Rir,
-    date: Date,
-    records: impl ExactSizeIterator<Item = &'r DelegationRecord> + Clone,
-) -> Vec<u8> {
-    let mut w = BinWriter::new(BIN_KIND);
-    w.put_u8(rir as u8);
-    w.put_i32(date.days_since_epoch());
-    let mut strs = StrTable::new();
-    let mut country_ids = Vec::with_capacity(records.len());
-    let mut opaque_ids = Vec::with_capacity(records.len());
-    for r in records.clone() {
-        country_ids.push(strs.add(&r.country));
-        opaque_ids.push(strs.add(&r.opaque_id));
-    }
-    strs.write(&mut w);
-    w.put_u32(records.len() as u32);
-    for r in records.clone() {
-        w.put_u8(r.rir as u8);
-    }
-    for id in country_ids {
-        w.put_u32(id);
-    }
-    for r in records.clone() {
-        w.put_u32(u32::from(r.start));
-    }
-    for r in records.clone() {
-        w.put_u64(r.count);
-    }
-    for r in records.clone() {
-        w.put_i32(r.date.map_or(NO_DATE, Date::days_since_epoch));
-    }
-    for r in records {
-        w.put_u8(r.status as u8);
-    }
-    for id in opaque_ids {
-        w.put_u32(id);
-    }
-    w.finish()
-}
-
-fn rir_code(code: u8) -> Result<Rir, ParseError> {
-    Rir::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| ParseError::new("BinArchive", BIN_KIND, "unknown registry code"))
-}
-
-/// Decode the payload of a binary stats sidecar (all-or-nothing),
-/// enforcing the same span-range invariant as the text parser.
-fn decode_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, ParseError> {
-    let mut r = BinReader::new(bytes, BIN_KIND)?;
-    let file_rir = rir_code(r.u8("registry")?)?;
-    let file_date = Date::from_days_since_epoch(r.i32("date")?);
-    let strs = read_str_table(&mut r)?;
-    let lookup = |id: u32, what: &str| -> Result<&str, ParseError> {
-        strs.get(id as usize).copied().ok_or_else(|| {
-            ParseError::new("BinArchive", BIN_KIND, format!("{what} id out of range"))
-        })
-    };
-    let n = r.count("record count", 26)?;
-    let mut rirs = Vec::with_capacity(n);
-    for _ in 0..n {
-        rirs.push(rir_code(r.u8("row registry")?)?);
-    }
-    let mut countries = Vec::with_capacity(n);
-    for _ in 0..n {
-        countries.push(lookup(r.u32("country")?, "country")?);
-    }
-    let mut starts = Vec::with_capacity(n);
-    for _ in 0..n {
-        starts.push(Ipv4Addr::from(r.u32("start")?));
-    }
-    let mut counts = Vec::with_capacity(n);
-    for start in &starts {
-        let count = r.u64("count")?;
-        if count == 0 || u64::from(u32::from(*start)) + count > (1u64 << 32) {
-            return Err(ParseError::new("BinArchive", BIN_KIND, "span out of range"));
-        }
-        counts.push(count);
-    }
-    let mut dates = Vec::with_capacity(n);
-    for _ in 0..n {
-        let raw = r.i32("row date")?;
-        dates.push((raw != NO_DATE).then(|| Date::from_days_since_epoch(raw)));
-    }
-    let mut statuses = Vec::with_capacity(n);
-    for _ in 0..n {
-        statuses.push(match r.u8("status")? {
-            0 => AllocationStatus::Allocated,
-            1 => AllocationStatus::Assigned,
-            2 => AllocationStatus::Available,
-            3 => AllocationStatus::Reserved,
-            _ => {
-                return Err(ParseError::new(
-                    "BinArchive",
-                    BIN_KIND,
-                    "unknown status code",
-                ))
-            }
-        });
-    }
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let opaque_id = lookup(r.u32("opaque id")?, "opaque id")?;
-        records.push(DelegationRecord {
-            rir: rirs[i],
-            country: countries[i].to_owned(),
-            start: starts[i],
-            count: counts[i],
-            date: dates[i],
-            status: statuses[i],
-            opaque_id: opaque_id.to_owned(),
-        });
-    }
-    r.expect_done()?;
-    Ok(StatsFile {
-        rir: file_rir,
-        date: file_date,
-        records,
-    })
-}
-
-/// Parse a binary stats sidecar strictly: any damage aborts.
-pub fn parse_stats_file_bin(bytes: &[u8]) -> Result<StatsFile, LocatedError> {
-    let mut quarantine = Quarantine::strict("rir/delegated-extended.bin");
-    let file = parse_stats_file_bin_with(bytes, &mut quarantine)?;
-    quarantine.require(
-        file,
-        0,
-        ParseError::new("BinArchive", BIN_KIND, "empty sidecar"),
-    )
-}
-
-/// Parse a binary stats sidecar under the ingestion policy carried by
-/// `quarantine`. Binary archives cannot be resynchronized mid-stream, so
-/// damage quarantines the whole sidecar: strict aborts, permissive
-/// records the rejection and reports `Ok(None)` (the snapshot is dropped
-/// whole, like a headerless text file).
-pub fn parse_stats_file_bin_with(
-    bytes: &[u8],
-    quarantine: &mut Quarantine,
-) -> Result<Option<StatsFile>, LocatedError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_stats_file_bin(bytes) {
-        Ok(file) => {
-            obs.counter("rir.stats.parsed")
-                .add(file.records.len() as u64);
-            for _ in &file.records {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", file.records.len() as u64);
-            Ok(Some(file))
-        }
-        Err(e) => {
-            obs.counter("rir.stats.malformed").inc();
-            quarantine.reject("rir.stats", 0, e)?;
-            Ok(None)
-        }
     }
 }
 
@@ -937,16 +716,6 @@ apnic|AU|ipv4|nonsense|256|20110811|allocated|x
     }
 
     #[test]
-    fn identical_sidecars_store_each_row_once() {
-        let mut series = StatsSeries::new();
-        let first = series.add_file(sample());
-        let second = series.add_file(sample());
-        assert_eq!(first.rows, [0, 1]);
-        assert_eq!(second.rows, first.rows);
-        assert_eq!(series.into_rows().len(), 2);
-    }
-
-    #[test]
     fn a_line_is_reused_only_in_its_own_context() {
         // In the first file a second version line is a skipped row; at
         // the top of the next file the same line is its version line.
@@ -979,80 +748,6 @@ apnic|AU|ipv4|1.0.0.0|256|20110811|allocated|x
             assert_eq!(q.samples[0].location(), (name, 2));
             assert_eq!(file.rows, [0]);
         }
-    }
-
-    #[test]
-    fn binary_round_trip_matches_text_parse() {
-        let f = sample();
-        let bytes = write_stats_file_bin(&f);
-        let parsed = parse_stats_file_bin(&bytes).unwrap();
-        assert_eq!(parsed, f);
-        // Binary and text decode to the very same snapshot.
-        assert_eq!(parse_stats_file(&write_stats_file(&f)).unwrap(), parsed);
-    }
-
-    #[test]
-    fn binary_dedups_repeated_handles() {
-        let mut f = sample();
-        // Two more records sharing country and org handle with the first.
-        for start in ["2.0.0.0", "3.0.0.0"] {
-            f.records.push(DelegationRecord::allocated(
-                Rir::Apnic,
-                "AU",
-                start.parse().unwrap(),
-                256,
-                Date::from_ymd(2011, 8, 11),
-                "A91872ED",
-            ));
-        }
-        let bytes = write_stats_file_bin(&f);
-        assert_eq!(parse_stats_file_bin(&bytes).unwrap(), f);
-        // String table: AU, A91872ED, ZZ, "" — dedup keeps it at 4 entries.
-        let mut r = BinReader::new(&bytes, BIN_KIND).unwrap();
-        r.u8("rir").unwrap();
-        r.i32("date").unwrap();
-        assert_eq!(read_str_table(&mut r).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn truncated_binary_strict_aborts_permissive_drops_snapshot() {
-        let mut bytes = write_stats_file_bin(&sample());
-        bytes.truncate(bytes.len() - 2);
-        assert!(parse_stats_file_bin(&bytes).is_err());
-        let mut q = Quarantine::permissive("rir/f1.bin");
-        assert!(parse_stats_file_bin_with(&bytes, &mut q).unwrap().is_none());
-        assert_eq!(q.quarantined, 1);
-    }
-
-    #[test]
-    fn binary_rejects_bad_span_and_codes() {
-        let f = sample();
-        let good = write_stats_file_bin(&f);
-        // Registry code is the first payload byte after the kind string.
-        let mut bad = good.clone();
-        let rir_off = droplens_net::binfmt::MAGIC.len() + 4 + BIN_KIND.len();
-        bad[rir_off] = 99;
-        assert!(parse_stats_file_bin(&bad).is_err());
-        // Zero out a count (u64 column) — span check must fire. Easier to
-        // construct directly: a record with count 0 never serializes from
-        // our types, so corrupt the bytes of a single-record file.
-        let one = StatsFile {
-            rir: Rir::Apnic,
-            date: Date::from_ymd(2022, 3, 30),
-            records: vec![DelegationRecord::available(
-                Rir::Apnic,
-                "1.1.0.0".parse().unwrap(),
-                65536,
-            )],
-        };
-        let mut bytes = write_stats_file_bin(&one);
-        // Columns from the end: u32 opaque id, u8 status, i32 date,
-        // u64 count — count occupies bytes [-17, -9).
-        let end = bytes.len();
-        for b in &mut bytes[end - 17..end - 9] {
-            *b = 0;
-        }
-        assert!(parse_stats_file_bin(&bytes).is_err());
     }
 
     #[test]

@@ -25,10 +25,8 @@
 //! * [`World`] — the generated datasets (typed) plus [`GroundTruth`]
 //!   labels for every listed prefix, so tests can check the analysis
 //!   pipeline against what the generator actually did.
-//! * [`codec`] — the two archive representations (canonical text and
-//!   `droplens-bin/1` sidecars): each dataset's writer, parser and file
-//!   name, and the [`Archives`] bundle a world serializes into
-//!   ([`TextArchives`], [`BinaryArchives`]).
+//! * [`codec`] — each dataset's file name ([`codec::ArchiveFile`]) and
+//!   the [`Archives`] bundle a world serializes into ([`TextArchives`]).
 
 #![warn(missing_docs)]
 
@@ -40,7 +38,7 @@ mod truth;
 mod world;
 
 pub use alloc::BlockAllocator;
-pub use codec::{Archives, BinaryArchives, TextArchives};
+pub use codec::{Archives, TextArchives};
 pub use config::{CategoryMix, WorldConfig};
 pub use sbltext::SblTextGenerator;
 pub use truth::{GroundTruth, HijackKind, ListedTruth, TrueCategory};

@@ -1516,10 +1516,10 @@ fn country_of(rir: Rir) -> &'static str {
 mod tests {
     use std::collections::BTreeSet;
 
-    use droplens_rir::format::{write_stats_file, write_stats_file_bin, StatsFile};
+    use droplens_rir::format::{write_stats_file, StatsFile};
 
     use super::*;
-    use crate::codec::{BINARY, TEXT};
+    use crate::world::write_stats_series;
 
     type Series = (StatsRows, Vec<SharedSnapshot>);
 
@@ -1573,19 +1573,14 @@ mod tests {
     #[test]
     fn the_series_writers_equal_the_one_file_writers() {
         let (_, (rows, snapshots)) = populated(1, WorldConfig::small());
-        let texts = (TEXT.write_stats_series)(&rows, &snapshots);
-        let bins = (BINARY.write_stats_series)(&rows, &snapshots);
+        let texts = write_stats_series(&rows, &snapshots);
         assert_eq!(texts.len(), snapshots.len());
-        assert_eq!(bins.len(), snapshots.len());
-        for (((date, files), (text_date, text)), (bin_date, bin)) in
-            snapshots.iter().zip(&texts).zip(&bins)
-        {
-            assert_eq!((text_date, bin_date), (date, date));
-            assert_eq!((text.len(), bin.len()), (files.len(), files.len()));
-            for ((file, text), bin) in files.iter().zip(text).zip(bin) {
+        for ((date, files), (text_date, text)) in snapshots.iter().zip(&texts) {
+            assert_eq!(text_date, date);
+            assert_eq!(text.len(), files.len());
+            for (file, text) in files.iter().zip(text) {
                 let file = materialize(&rows, file);
                 assert_eq!(*text, write_stats_file(&file), "{} on {date}", file.rir);
-                assert_eq!(*bin, write_stats_file_bin(&file), "{} on {date}", file.rir);
             }
         }
     }

@@ -2,13 +2,14 @@
 
 mod builder;
 
+use droplens_bgp::format::write_updates;
 use droplens_bgp::{BgpUpdate, Peer};
 use droplens_drop::{DropSnapshot, SblDatabase};
-use droplens_irr::JournalEntry;
-use droplens_rir::format::{SharedSnapshot, StatsRows};
-use droplens_rpki::format::RoaEvent;
+use droplens_irr::{write_journal, JournalEntry};
+use droplens_rir::format::{RowLines, SharedSnapshot, StatsRows};
+use droplens_rpki::format::{write_events, RoaEvent};
 
-use crate::codec::{Archives, BinaryArchives, Codec, TextArchives, BINARY, TEXT};
+use crate::codec::{Archives, StatsPayloads, TextArchives};
 use crate::{GroundTruth, WorldConfig};
 
 /// A fully generated synthetic world: every dataset the paper's pipeline
@@ -100,22 +101,20 @@ impl World {
         out
     }
 
-    /// Serialize every dataset with `codec`. The six datasets serialize
-    /// independently, so they fan out and collect into fixed positions
-    /// (identical output at any worker count).
-    pub fn to_archives<B: Send>(&self, codec: &Codec<B>) -> Archives<B> {
+    /// Serialize every dataset into its wire format. The six datasets
+    /// serialize independently, so they fan out and collect into fixed
+    /// positions (identical output at any worker count).
+    pub fn to_text_archives(&self) -> TextArchives {
         let (bgp_updates, irr_journal, roa_events, rir_snapshots, drop_and_sbl) =
             droplens_par::join5(
-                || (codec.write_updates)(&self.bgp_updates, &self.peers),
-                || (codec.write_journal)(&self.irr_journal),
-                || (codec.write_events)(&self.roa_events),
-                || (codec.write_stats_series)(&self.rir_rows, &self.rir_snapshots),
+                || write_updates(&self.bgp_updates, &self.peers),
+                || write_journal(&self.irr_journal),
+                || write_events(&self.roa_events),
+                || write_stats_series(&self.rir_rows, &self.rir_snapshots),
                 || {
                     (
-                        droplens_par::par_map(&self.drop_snapshots, |s| {
-                            (s.date, (codec.write_snapshot)(s))
-                        }),
-                        (codec.write_sbl)(&self.sbl_db),
+                        droplens_par::par_map(&self.drop_snapshots, |s| (s.date, s.to_text())),
+                        self.sbl_db.to_text(),
                     )
                 },
             );
@@ -129,14 +128,16 @@ impl World {
             sbl_records,
         }
     }
+}
 
-    /// Serialize every dataset into its wire format.
-    pub fn to_text_archives(&self) -> TextArchives {
-        self.to_archives(&TEXT)
-    }
-
-    /// Serialize every dataset into its `droplens-bin/1` sidecar form.
-    pub fn to_binary_archives(&self) -> BinaryArchives {
-        self.to_archives(&BINARY)
-    }
+/// Every file of a delegated-stats series as text, the dates spread over
+/// the workers. Each distinct row is formatted once; files copy its line.
+fn write_stats_series(rows: &StatsRows, snapshots: &[SharedSnapshot]) -> StatsPayloads<String> {
+    let lines = RowLines::new(rows);
+    droplens_par::par_map(snapshots, |(date, files)| {
+        (
+            *date,
+            files.iter().map(|file| lines.write_file(file)).collect(),
+        )
+    })
 }

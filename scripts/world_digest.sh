@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Print one SHA-256 per top-level entry of a generated world tree: the
 # digest of the `sha256sum` listing of the entry's files, sorted by path.
-# Text and `.bin` files alike count, so a row that changes, moves within
-# a file or moves between files changes its entry's line.
+# Every file counts, so a row that changes, moves within a file or
+# moves between files changes its entry's line.
 #
 # Usage: scripts/world_digest.sh DIR
 #

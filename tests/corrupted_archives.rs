@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{IngestError, Study, StudyConfig};
-use droplens_synth::{BinaryArchives, TextArchives, World, WorldConfig};
+use droplens_synth::{TextArchives, World, WorldConfig};
 
 fn base() -> (World, StudyConfig) {
     let world = World::generate(17, &WorldConfig::small());
@@ -177,24 +177,21 @@ fn comments_and_blank_lines_are_tolerated_everywhere() {
     assert_eq!(study.entries.len(), world.truth.listed.len());
 }
 
-// A label case damages one dataset: the text case appends or swaps in a
-// malformed record, the binary case cuts the payload's last byte (a
-// partial download).
-type TextDamage = fn(&mut TextArchives);
-type BinaryPayload = fn(&mut BinaryArchives) -> &mut Vec<u8>;
+// A label case damages one dataset: it appends or swaps in a malformed
+// record.
+type Damage = fn(&mut TextArchives);
 
 #[test]
-fn strict_errors_name_the_on_disk_path_in_both_forms() {
+fn strict_errors_name_the_on_disk_path() {
     let (world, config) = base();
     let text = world.to_text_archives();
-    let bin = world.to_binary_archives();
     let rir_date = text.rir_snapshots[0].0;
     let drop_date = text.drop_snapshots.last().expect("snapshots exist").0;
     // `rir_snapshots[_][1]` is APNIC's file (`Rir::ALL` order).
-    let rir = format!("rir/{}/delegated-apnic-extended", rir_date.compact());
-    let drop = format!("drop/{drop_date}");
+    let rir = format!("rir/{}/delegated-apnic-extended.txt", rir_date.compact());
+    let drop = format!("drop/{drop_date}.txt");
 
-    let text_cases: [(String, TextDamage); 6] = [
+    let cases: [(String, Damage); 6] = [
         ("bgp/updates.txt".into(), |t| {
             t.bgp_updates
                 .push_str("BGP4MP|2021-01-01|A|peer0|2000|not-a-prefix|1 2\n")
@@ -206,10 +203,10 @@ fn strict_errors_name_the_on_disk_path_in_both_forms() {
         ("rpki/roas.csv".into(), |t| {
             t.roa_events.push_str("not,a,roa\n")
         }),
-        (format!("{rir}.txt"), |t| {
+        (rir, |t| {
             t.rir_snapshots[0].1[1] = "total garbage\n".to_owned()
         }),
-        (format!("{drop}.txt"), |t| {
+        (drop, |t| {
             let (_, body) = t.drop_snapshots.last_mut().expect("snapshots exist");
             body.push_str("999.1.2.3/8 ; SBL1\n");
         }),
@@ -217,36 +214,17 @@ fn strict_errors_name_the_on_disk_path_in_both_forms() {
             t.sbl_records.push_str("\nNOT-AN-SBL-ID\nsome body\n")
         }),
     ];
-    let bin_cases: [(String, BinaryPayload); 6] = [
-        ("bgp/updates.bin".into(), |b| &mut b.bgp_updates),
-        ("irr/journal.bin".into(), |b| &mut b.irr_journal),
-        ("rpki/roas.bin".into(), |b| &mut b.roa_events),
-        (format!("{rir}.bin"), |b| &mut b.rir_snapshots[0].1[1]),
-        (format!("{drop}.bin"), |b| {
-            &mut b.drop_snapshots.last_mut().expect("snapshots exist").1
-        }),
-        ("sbl/records.bin".into(), |b| &mut b.sbl_records),
-    ];
-
     let located = |path: &str, loaded: Result<Study, IngestError>| match loaded {
         Err(IngestError::Parse(e)) => assert_eq!(e.location().0, path, "wrong label: {e}"),
         Err(e) => panic!("{path}: expected a located parse error, got {e}"),
         Ok(_) => panic!("{path}: damaged payload accepted"),
     };
-    for (path, damage) in &text_cases {
+    for (path, damage) in &cases {
         let mut damaged = text.clone();
         damage(&mut damaged);
         located(
             path,
             Study::from_text(config.clone(), world.peers.clone(), &damaged),
-        );
-    }
-    for (path, payload) in &bin_cases {
-        let mut damaged = bin.clone();
-        payload(&mut damaged).pop();
-        located(
-            path,
-            Study::from_binary(config.clone(), world.peers.clone(), &damaged),
         );
     }
 }

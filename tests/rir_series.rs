@@ -1,8 +1,7 @@
 //! The RIR stage of the load parses each distinct delegated-stats row
 //! once across a registry's snapshots ([`load_rir_stats`]). These
 //! properties check it against the loader it replaced: every file parsed
-//! in full with `parse_stats_file_with` (or the sidecar decoder), the
-//! same per-date merge, the flicker repair over owned rows, and
+//! in full with `parse_stats_file_with`, the same per-date merge, the flicker repair over owned rows, and
 //! `RirStatsArchive::try_add_snapshot`, all kept below as test code.
 //!
 //! The generated series edit each registry's file from date to date
@@ -22,11 +21,10 @@ use std::net::Ipv4Addr;
 use droplens_core::{load_rir_stats, LoadedStats};
 use droplens_net::{Date, IngestPolicy, Ipv4Prefix, LocatedError, Quarantine};
 use droplens_rir::format::{
-    parse_stats_file_bin_with, parse_stats_file_with, write_stats_file_bin, SharedStatsFile,
-    StatsFile, StatsRows, StatsSeries,
+    parse_stats_file_with, SharedStatsFile, StatsFile, StatsRows, StatsSeries,
 };
 use droplens_rir::{DelegationRecord, Rir, RirStatsArchive};
-use droplens_synth::codec::{ArchiveFile, Codec, BINARY, TEXT};
+use droplens_synth::codec::ArchiveFile;
 use proptest::prelude::*;
 
 /// SplitMix64: the generator's own stream, so one `u64` seed drives a
@@ -214,33 +212,6 @@ fn text_series(seed: u64) -> Vec<(Date, Vec<String>)> {
     out
 }
 
-/// The same series as sidecars: each text file's parse, encoded, now and
-/// then damaged; an unparseable file becomes garbage.
-fn binary_series(seed: u64, text: &[(Date, Vec<String>)]) -> Vec<(Date, Vec<Vec<u8>>)> {
-    let mut rng = Rng(!seed);
-    text.iter()
-        .map(|(date, files)| {
-            let files = files
-                .iter()
-                .map(|body| {
-                    let mut q = Quarantine::permissive("rir");
-                    match parse_stats_file_with(body, &mut q).unwrap() {
-                        Some(file) => {
-                            let mut bytes = write_stats_file_bin(&file);
-                            if rng.chance(10) {
-                                bytes.truncate(bytes.len() - 1);
-                            }
-                            bytes
-                        }
-                        None => b"not a sidecar".to_vec(),
-                    }
-                })
-                .collect();
-            (*date, files)
-        })
-        .collect()
-}
-
 fn policy(strict: bool) -> IngestPolicy {
     if strict {
         IngestPolicy::Strict
@@ -301,17 +272,13 @@ fn reference_repair(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool]) 
     }
 }
 
-type FullParse<B> = fn(&B, &mut Quarantine) -> Result<Option<StatsFile>, LocatedError>;
-
 /// Per date, its files with their rows owned.
 type Snapshots = Vec<(Date, Vec<StatsFile>)>;
 
 /// The loader as it was: every file parsed in full, merged by date then
 /// registry, then repaired.
-fn reference_load<B>(
-    codec: &Codec<B>,
-    parse: FullParse<B>,
-    snapshots: &[(Date, Vec<B>)],
+fn reference_load(
+    snapshots: &[(Date, Vec<String>)],
     policy: &IngestPolicy,
 ) -> Result<(Snapshots, Quarantine), LocatedError> {
     let mut out = Vec::new();
@@ -321,8 +288,8 @@ fn reference_load<B>(
         let mut kept = Vec::new();
         let mut merged = Quarantine::for_policy("rir", policy);
         for (rir, body) in Rir::ALL.into_iter().zip(bodies) {
-            let mut q = Quarantine::for_policy(codec.path(ArchiveFile::Stats(*date, rir)), policy);
-            if let Some(file) = parse(body, &mut q)? {
+            let mut q = Quarantine::for_policy(ArchiveFile::Stats(*date, rir).path(), policy);
+            if let Some(file) = parse_stats_file_with(body, &mut q)? {
                 kept.push(file);
             }
             merged.absorb(q);
@@ -420,14 +387,9 @@ fn same_answers(shared: &LoadedStats, reference: &[(Date, Vec<StatsFile>)]) {
 
 /// `load_rir_stats` equals the reference: the same error, or the same
 /// snapshots, ledger and archive answers.
-fn same_load<B: Sync>(
-    codec: &Codec<B>,
-    parse: FullParse<B>,
-    snapshots: &[(Date, Vec<B>)],
-    policy: &IngestPolicy,
-) {
-    let got = load_rir_stats(codec, snapshots, policy);
-    let want = reference_load(codec, parse, snapshots, policy);
+fn same_load(snapshots: &[(Date, Vec<String>)], policy: &IngestPolicy) {
+    let got = load_rir_stats(snapshots, policy);
+    let want = reference_load(snapshots, policy);
     match (got, want) {
         (Ok(got), Ok((want, ledger))) => {
             assert_eq!(got.ledger, ledger);
@@ -459,7 +421,7 @@ fn same_files(snapshots: &[(Date, Vec<String>)], policy: &IngestPolicy) {
             let Some(body) = bodies.get(slot) else {
                 continue;
             };
-            let label = TEXT.path(ArchiveFile::Stats(*date, rir));
+            let label = ArchiveFile::Stats(*date, rir).path();
             let mut full_q = Quarantine::for_policy(label.as_str(), policy);
             let mut shared_q = Quarantine::for_policy(label.as_str(), policy);
             let full = parse_stats_file_with(body, &mut full_q);
@@ -494,14 +456,7 @@ proptest! {
         let series = text_series(seed);
         let policy = policy(strict);
         same_files(&series, &policy);
-        same_load(&TEXT, |body: &String, q| parse_stats_file_with(body, q), &series, &policy);
-    }
-
-    #[test]
-    fn shared_row_sidecar_ingest_equals_decoding_everything(seed in any::<u64>(), strict in any::<bool>()) {
-        let text = text_series(seed);
-        let series = binary_series(seed, &text);
-        same_load(&BINARY, |bytes: &Vec<u8>, q| parse_stats_file_bin_with(bytes, q), &series, &policy(strict));
+        same_load(&series, &policy);
     }
 }
 
@@ -514,14 +469,8 @@ fn generated_series_cover_repairs_drops_and_reuse() {
     for seed in 0..200u64 {
         let series = text_series(seed);
         let policy = IngestPolicy::permissive();
-        let loaded = load_rir_stats(&TEXT, &series, &policy).unwrap();
-        let (want, _) = reference_load(
-            &TEXT,
-            |body: &String, q| parse_stats_file_with(body, q),
-            &series,
-            &policy,
-        )
-        .unwrap();
+        let loaded = load_rir_stats(&series, &policy).unwrap();
+        let (want, _) = reference_load(&series, &policy).unwrap();
         let mut unrepaired = Vec::new();
         for (date, bodies) in &series {
             let files: Vec<StatsFile> = Rir::ALL
