@@ -8,6 +8,8 @@
 //! windows to model peers that filter routes (the three DROP-filtering
 //! RouteViews peers of Figure 2).
 
+use std::collections::BTreeMap;
+
 use droplens_net::{Asn, Date, DateRange, Ipv4Prefix};
 
 use crate::{AsPath, BgpUpdate, Peer, PeerId};
@@ -37,11 +39,7 @@ impl Origination {
 
     /// The path a given peer observes for this origination.
     pub fn path_for(&self, peer: &Peer) -> AsPath {
-        let mut hops = Vec::with_capacity(self.transits.len() + 2);
-        hops.push(peer.asn);
-        hops.extend_from_slice(&self.transits);
-        hops.push(self.origin);
-        AsPath::new(hops)
+        AsPath::through(peer.asn, &self.transits, self.origin)
     }
 }
 
@@ -57,53 +55,135 @@ pub enum FilterPolicy {
 }
 
 impl FilterPolicy {
-    /// The portions of `[start, end)` during which the peer carries the
-    /// route (i.e. the interval minus suppression windows).
-    fn carried_intervals(
-        &self,
-        prefix: &Ipv4Prefix,
-        start: Date,
-        end: Option<Date>,
-        horizon: Date,
-    ) -> Vec<(Date, Option<Date>)> {
-        let effective_end = end.unwrap_or(horizon + 1);
-        let mut pieces = vec![(start, effective_end)];
-        if let FilterPolicy::Suppress(windows) = self {
-            for (wp, wr) in windows {
-                // Filtering applies to the exact prefix or any more
-                // specific route, as a prefix-list filter would.
-                if !wp.covers(prefix) {
-                    continue;
-                }
-                let mut next = Vec::new();
-                for (s, e) in pieces {
-                    // Remove [wr.start, wr.end) from [s, e)
-                    if wr.end() <= s || wr.start() >= e {
-                        next.push((s, e));
-                        continue;
-                    }
-                    if wr.start() > s {
-                        next.push((s, wr.start()));
-                    }
-                    if wr.end() < e {
-                        next.push((wr.end(), e));
-                    }
-                }
-                pieces = next;
+    /// The suppression windows keyed by filtered prefix, or `None` for a
+    /// peer that carries every route.
+    fn index(&self) -> Option<WindowIndex> {
+        let FilterPolicy::Suppress(windows) = self else {
+            return None;
+        };
+        let mut index = WindowIndex::default();
+        for &(prefix, window) in windows {
+            index.windows.entry(prefix).or_default().push(window);
+            index.lengths |= 1 << prefix.len();
+        }
+        Some(index)
+    }
+}
+
+/// One peer's suppression windows grouped by filtered prefix, each
+/// prefix's windows in the order they were added.
+#[derive(Debug, Default)]
+struct WindowIndex {
+    windows: BTreeMap<Ipv4Prefix, Vec<DateRange>>,
+    /// Bit `l` is set when some filtered prefix is `/l` long.
+    lengths: u64,
+}
+
+impl WindowIndex {
+    /// The windows that apply to a route for `prefix`: those of the
+    /// prefix itself and of every filtered prefix covering it, as a
+    /// prefix-list filter applies to more specific routes too.
+    fn covering<'a>(&'a self, prefix: &Ipv4Prefix) -> impl Iterator<Item = &'a DateRange> + 'a {
+        let prefix = *prefix;
+        (0..=prefix.len())
+            .filter(move |len| self.lengths & (1 << len) != 0)
+            .filter_map(move |len| self.windows.get(&prefix.truncate(len)))
+            .flatten()
+    }
+}
+
+/// Call `piece` with each portion of `o`'s interval during which a peer
+/// filtering with `windows` carries its route, in date order: the
+/// interval minus every window of a prefix covering `o.prefix`, `None`
+/// ending a portion that lasts past the horizon. Removing windows from
+/// an interval leaves the same pieces in any order, so the windows'
+/// order does not matter.
+fn carried_intervals(
+    windows: Option<&WindowIndex>,
+    o: &Origination,
+    horizon: Date,
+    mut piece: impl FnMut(Date, Option<Date>),
+) {
+    let (start, end) = (o.start, o.end);
+    let effective_end = end.unwrap_or(horizon + 1);
+    let mut covering = windows
+        .into_iter()
+        .flat_map(|w| w.covering(&o.prefix))
+        .peekable();
+    if covering.peek().is_none() {
+        // The common case, an unfiltered route: no piece list to build.
+        if effective_end > start {
+            piece(start, end);
+        }
+        return;
+    }
+    let mut pieces = vec![(start, effective_end)];
+    for wr in covering {
+        let mut next = Vec::with_capacity(pieces.len() + 1);
+        for (s, e) in pieces {
+            // Remove [wr.start, wr.end) from [s, e)
+            if wr.end() <= s || wr.start() >= e {
+                next.push((s, e));
+                continue;
+            }
+            if wr.start() > s {
+                next.push((s, wr.start()));
+            }
+            if wr.end() < e {
+                next.push((wr.end(), e));
             }
         }
-        pieces
-            .into_iter()
-            .filter(|(s, e)| e > s)
-            .map(|(s, e)| {
-                if end.is_none() && e == effective_end {
-                    (s, None)
-                } else {
-                    (s, Some(e))
-                }
-            })
-            .collect()
+        pieces = next;
     }
+    for (s, e) in pieces {
+        if e > s {
+            piece(s, (end.is_some() || e != effective_end).then_some(e));
+        }
+    }
+}
+
+/// The order of the update stream: date, peer, prefix, withdrawals
+/// before announcements. Updates equal in it keep their expansion order.
+fn stream_key(u: &BgpUpdate) -> (Date, PeerId, Ipv4Prefix, bool) {
+    (u.date, u.peer, u.prefix, u.event.is_announce())
+}
+
+/// Merge runs each sorted by [`stream_key`] into one stream of exactly
+/// their total length, adjacent runs pairwise. On equal keys an earlier
+/// run's updates come first, so merging the stably sorted runs of a cut
+/// expansion equals stably sorting the whole expansion.
+fn merge_runs(mut runs: Vec<Vec<BgpUpdate>>) -> Vec<BgpUpdate> {
+    while runs.len() > 1 {
+        let mut pairs = runs.into_iter();
+        runs = Vec::with_capacity(pairs.len().div_ceil(2));
+        while let Some(left) = pairs.next() {
+            runs.push(match pairs.next() {
+                Some(right) => merge_two(left, right),
+                None => left,
+            });
+        }
+    }
+    let mut out = runs.pop().unwrap_or_default();
+    out.shrink_to_fit();
+    out
+}
+
+/// Merge two sorted runs, `left`'s updates first on equal keys.
+fn merge_two(left: Vec<BgpUpdate>, right: Vec<BgpUpdate>) -> Vec<BgpUpdate> {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    let mut left = left.into_iter().peekable();
+    let mut right = right.into_iter().peekable();
+    while let (Some(l), Some(r)) = (left.peek(), right.peek()) {
+        let next = if stream_key(r) < stream_key(l) {
+            right.next()
+        } else {
+            left.next()
+        };
+        out.extend(next);
+    }
+    out.extend(left);
+    out.extend(right);
+    out
 }
 
 /// Expands originations into dated per-peer update streams.
@@ -147,8 +227,19 @@ impl CollectorSim {
     }
 
     /// Expand `originations` into a chronologically sorted update stream.
+    /// The originations are cut into one contiguous run per worker; each
+    /// worker expands and stably sorts its run, and the sorted runs are
+    /// merged, earlier runs first on ties: the stream is the same at any
+    /// worker count.
     pub fn updates_for(&self, originations: &[Origination]) -> Vec<BgpUpdate> {
-        self.expand(originations, |o, peer| Some(o.path_for(peer)))
+        self.updates_on(droplens_par::max_threads(), originations)
+    }
+
+    /// [`CollectorSim::updates_for`] on `workers` runs.
+    fn updates_on(&self, workers: usize, originations: &[Origination]) -> Vec<BgpUpdate> {
+        self.expand(workers, originations, || {
+            |o: &Origination, peer: &Peer| Some(o.path_for(peer))
+        })
     }
 
     /// Like [`CollectorSim::updates_for`], but per-peer paths come from
@@ -162,47 +253,56 @@ impl CollectorSim {
         graph: &crate::topology::AsGraph,
         originations: &[Origination],
     ) -> Vec<BgpUpdate> {
-        // Propagation depends only on the origin AS; cache per origin.
-        let mut routes: std::collections::BTreeMap<
-            droplens_net::Asn,
-            std::collections::BTreeMap<droplens_net::Asn, crate::topology::SelectedRoute>,
-        > = std::collections::BTreeMap::new();
-        self.expand(originations, |o, peer| {
-            let table = routes
-                .entry(o.origin)
-                .or_insert_with(|| graph.propagate(o.origin));
-            table.get(&peer.asn).map(|r| r.path.clone())
+        self.expand(droplens_par::max_threads(), originations, || {
+            // Propagation depends only on the origin AS; each run caches
+            // it per origin.
+            let mut routes: BTreeMap<Asn, BTreeMap<Asn, crate::topology::SelectedRoute>> =
+                BTreeMap::new();
+            move |o: &Origination, peer: &Peer| {
+                let table = routes
+                    .entry(o.origin)
+                    .or_insert_with(|| graph.propagate(o.origin));
+                table.get(&peer.asn).map(|r| r.path.clone())
+            }
         })
     }
 
-    fn expand(
+    /// Expand `originations` on `workers` runs. `paths` makes each run's
+    /// path function: the path a peer observes for an origination, or
+    /// `None` when the peer never receives the route.
+    fn expand<P>(
         &self,
+        workers: usize,
         originations: &[Origination],
-        mut path_for: impl FnMut(&Origination, &Peer) -> Option<AsPath>,
-    ) -> Vec<BgpUpdate> {
-        let mut out = Vec::new();
-        for o in originations {
-            for (peer, policy) in self.peers.iter().zip(&self.policies) {
-                let Some(path) = path_for(o, peer) else {
-                    continue; // this vantage point never receives the route
-                };
-                for (s, e) in policy.carried_intervals(&o.prefix, o.start, o.end, self.horizon) {
-                    out.push(BgpUpdate::announce(s, peer.id, o.prefix, path.clone()));
-                    if let Some(e) = e {
-                        out.push(BgpUpdate::withdraw(e, peer.id, o.prefix));
-                    }
+        paths: impl Fn() -> P + Sync,
+    ) -> Vec<BgpUpdate>
+    where
+        P: FnMut(&Origination, &Peer) -> Option<AsPath>,
+    {
+        let windows: Vec<Option<WindowIndex>> =
+            self.policies.iter().map(FilterPolicy::index).collect();
+        let run = originations.len().div_ceil(workers.max(1)).max(1);
+        let runs: Vec<&[Origination]> = originations.chunks(run).collect();
+        let sorted = droplens_par::par_map_with(workers, &runs, |run| {
+            let mut path_for = paths();
+            let mut out = Vec::new();
+            for o in *run {
+                for (peer, windows) in self.peers.iter().zip(&windows) {
+                    let Some(path) = path_for(o, peer) else {
+                        continue; // this vantage point never receives the route
+                    };
+                    carried_intervals(windows.as_ref(), o, self.horizon, |s, e| {
+                        out.push(BgpUpdate::announce(s, peer.id, o.prefix, path.clone()));
+                        if let Some(e) = e {
+                            out.push(BgpUpdate::withdraw(e, peer.id, o.prefix));
+                        }
+                    });
                 }
             }
-        }
-        out.sort_by(|a, b| {
-            (a.date, a.peer, a.prefix, a.event.is_announce()).cmp(&(
-                b.date,
-                b.peer,
-                b.prefix,
-                b.event.is_announce(),
-            ))
+            out.sort_by_key(stream_key);
+            out
         });
-        out
+        merge_runs(sorted)
     }
 }
 
@@ -423,6 +523,172 @@ mod tests {
                 .collect();
             assert_eq!(announced, want);
             origins.reverse();
+        }
+    }
+
+    /// The interval subtraction `carried_intervals` replaced, kept as its
+    /// reference: every window of the policy, in the order added, tested
+    /// against the route's prefix.
+    fn carried_by_scan(
+        policy: &FilterPolicy,
+        o: &Origination,
+        horizon: Date,
+    ) -> Vec<(Date, Option<Date>)> {
+        let (prefix, start, end) = (&o.prefix, o.start, o.end);
+        let effective_end = end.unwrap_or(horizon + 1);
+        let mut pieces = vec![(start, effective_end)];
+        if let FilterPolicy::Suppress(windows) = policy {
+            for (wp, wr) in windows {
+                if !wp.covers(prefix) {
+                    continue;
+                }
+                let mut next = Vec::new();
+                for (s, e) in pieces {
+                    if wr.end() <= s || wr.start() >= e {
+                        next.push((s, e));
+                        continue;
+                    }
+                    if wr.start() > s {
+                        next.push((s, wr.start()));
+                    }
+                    if wr.end() < e {
+                        next.push((wr.end(), e));
+                    }
+                }
+                pieces = next;
+            }
+        }
+        pieces
+            .into_iter()
+            .filter(|(s, e)| e > s)
+            .map(|(s, e)| {
+                if end.is_none() && e == effective_end {
+                    (s, None)
+                } else {
+                    (s, Some(e))
+                }
+            })
+            .collect()
+    }
+
+    /// The expansion `updates_for` replaced, kept as its reference: one
+    /// sequential pass over the originations, then one stable sort.
+    fn expand_by_scan(sim: &CollectorSim, originations: &[Origination]) -> Vec<BgpUpdate> {
+        let mut out = Vec::new();
+        for o in originations {
+            for (peer, policy) in sim.peers.iter().zip(&sim.policies) {
+                let path = o.path_for(peer);
+                for (s, e) in carried_by_scan(policy, o, sim.horizon) {
+                    out.push(BgpUpdate::announce(s, peer.id, o.prefix, path.clone()));
+                    if let Some(e) = e {
+                        out.push(BgpUpdate::withdraw(e, peer.id, o.prefix));
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| {
+            (a.date, a.peer, a.prefix, a.event.is_announce()).cmp(&(
+                b.date,
+                b.peer,
+                b.prefix,
+                b.event.is_announce(),
+            ))
+        });
+        out
+    }
+
+    #[test]
+    fn runs_merged_equal_one_scan_and_one_stable_sort() {
+        let horizon = d("2022-03-30");
+        let peers: Vec<Peer> = (0..4u32)
+            .map(|i| Peer::new(PeerId(i), Asn(3356 + i), format!("p{i}")))
+            .collect();
+        let mut sim = CollectorSim::new(peers, horizon);
+        let window = |from: &str, to: &str| DateRange::new(d(from), d(to));
+        // Peer 1: a /8 window and, overlapping its dates, a /24 inside it;
+        // peer 2 adds an empty window and a second window of the /24.
+        for peer in [PeerId(1), PeerId(2)] {
+            sim.suppress(peer, p("10.0.0.0/8"), window("2020-06-01", "2021-02-01"));
+            sim.suppress(peer, p("10.1.2.0/24"), window("2020-11-01", "2021-05-01"));
+        }
+        sim.suppress(
+            PeerId(2),
+            p("10.1.0.0/16"),
+            window("2021-01-10", "2021-01-10"),
+        );
+        sim.suppress(
+            PeerId(2),
+            p("10.1.2.0/24"),
+            window("2021-08-01", "2021-09-01"),
+        );
+        sim.suppress(
+            PeerId(3),
+            p("11.0.0.0/16"),
+            window("2019-01-01", "2023-01-01"),
+        );
+
+        let prefixes = [
+            "10.0.0.0/8",
+            "10.1.2.0/24",
+            "10.1.2.128/25",
+            "10.1.0.0/16",
+            "11.0.0.0/16",
+            "12.0.0.0/24",
+        ];
+        // A small LCG spreads starts and ends over the windows' edges.
+        let mut state = 7u32;
+        let mut next = |n: u32| {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            (state >> 16) % n
+        };
+        let base = d("2020-01-01");
+        let mut originations: Vec<Origination> = (0..120)
+            .map(|i| {
+                let start = base + next(700) as i32;
+                Origination {
+                    prefix: p(prefixes[i % prefixes.len()]),
+                    origin: Asn(64_500 + next(4)),
+                    transits: vec![Asn(50_509)],
+                    start,
+                    end: (next(3) > 0).then(|| start + 1 + next(400) as i32),
+                }
+            })
+            .collect();
+        // A prefix originated twice, identically, and once more from
+        // another origin over the same days.
+        originations.push(orig());
+        originations.push(orig());
+        originations.push(Origination {
+            origin: Asn(64_999),
+            ..orig()
+        });
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                sim.updates_on(workers, &originations),
+                expand_by_scan(&sim, &originations),
+                "{workers} workers"
+            );
+            assert!(sim.updates_on(workers, &[]).is_empty());
+        }
+        // Each peer's index finds exactly the windows the scan applies.
+        for policy in &sim.policies {
+            let index = policy.index();
+            for o in &originations {
+                let mut carried = Vec::new();
+                carried_intervals(index.as_ref(), o, horizon, |s, e| carried.push((s, e)));
+                assert_eq!(carried, carried_by_scan(policy, o, horizon));
+            }
+        }
+    }
+
+    #[test]
+    fn merged_stream_has_no_spare_capacity() {
+        let sim = CollectorSim::new(peers(), d("2022-03-30"));
+        let originations: Vec<Origination> = (0..33).map(|_| orig()).collect();
+        for workers in [1, 2, 8] {
+            let updates = sim.updates_on(workers, &originations);
+            assert_eq!(updates.len(), 33 * 4);
+            assert_eq!(updates.capacity(), updates.len());
         }
     }
 

@@ -12,44 +12,48 @@
 //! Fields: record type, date, `A`nnounce / `W`ithdraw, peer token, peer
 //! ASN, prefix, and (for announcements) the AS path.
 
-use std::fmt::Write as _;
-
-use droplens_net::{split_fields, Asn, Date, LocatedError, ParseError, Quarantine};
+use droplens_net::{
+    into_text, push_date, push_prefix, push_u32, split_fields, Asn, Date, LocatedError, ParseError,
+    Quarantine,
+};
 
 use crate::{AsPath, BgpEvent, BgpUpdate, Peer, PeerId};
 
-/// Append one update as an archive line (no trailing newline).
-fn push_update_line(out: &mut String, update: &BgpUpdate, peers: &[Peer]) {
+/// Append one update as an archive line (no trailing newline), each
+/// field pushed byte by byte: the line its fields' `Display`s would
+/// write.
+fn push_update_line(out: &mut Vec<u8>, update: &BgpUpdate, peers: &[Peer]) {
     let peer_asn = peers
         .get(update.peer.index())
         .map(|p| p.asn)
         .unwrap_or(Asn(0));
-    let _ = match &update.event {
-        BgpEvent::Announce(path) => write!(
-            out,
-            "BGP4MP|{}|A|{}|{}|{}|{}",
-            update.date,
-            update.peer,
-            peer_asn.value(),
-            update.prefix,
-            path
-        ),
-        BgpEvent::Withdraw => write!(
-            out,
-            "BGP4MP|{}|W|{}|{}|{}",
-            update.date,
-            update.peer,
-            peer_asn.value(),
-            update.prefix
-        ),
-    };
+    out.extend_from_slice(b"BGP4MP|");
+    push_date(out, update.date);
+    out.extend_from_slice(match update.event {
+        BgpEvent::Announce(_) => b"|A|peer",
+        BgpEvent::Withdraw => b"|W|peer",
+    });
+    push_u32(out, update.peer.0);
+    out.push(b'|');
+    push_u32(out, peer_asn.value());
+    out.push(b'|');
+    push_prefix(out, update.prefix);
+    if let BgpEvent::Announce(path) = &update.event {
+        out.push(b'|');
+        for (i, asn) in path.hops().iter().enumerate() {
+            if i > 0 {
+                out.push(b' ');
+            }
+            push_u32(out, asn.value());
+        }
+    }
 }
 
 /// Serialize one update as an archive line.
 pub fn write_update_line(update: &BgpUpdate, peers: &[Peer]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     push_update_line(&mut out, update, peers);
-    out
+    into_text(out)
 }
 
 /// Parse one `BGP4MP` update line.
@@ -110,14 +114,14 @@ pub fn write_updates(updates: &[BgpUpdate], peers: &[Peer]) -> String {
         .max(1);
     let parts: Vec<&[BgpUpdate]> = updates.chunks(chunk).collect();
     let texts = droplens_par::par_map(&parts, |part| {
-        // Lines stream in via `write!` (~64 bytes each) instead of
-        // allocating a String per update.
-        let mut out = String::with_capacity(part.len() * 64);
+        // Lines stream into one buffer (~64 bytes each) instead of a
+        // String per update.
+        let mut out = Vec::with_capacity(part.len() * 64);
         for u in *part {
             push_update_line(&mut out, u, peers);
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        into_text(out)
     });
     let mut out = String::with_capacity(texts.iter().map(String::len).sum());
     for text in &texts {

@@ -32,6 +32,18 @@ impl AsPath {
         AsPath { hops: hops.into() }
     }
 
+    /// The path `first`, then `middle`, then `last`, built in one
+    /// allocation: what a peer observes of a route it receives through
+    /// a transit chain.
+    pub(crate) fn through(first: Asn, middle: &[Asn], last: Asn) -> AsPath {
+        let hops = std::iter::once(first)
+            .chain(middle.iter().copied())
+            .chain(std::iter::once(last));
+        AsPath {
+            hops: hops.collect(),
+        }
+    }
+
     /// Fallible construction; `None` on an empty hop list.
     pub fn try_new(hops: Vec<Asn>) -> Option<AsPath> {
         if hops.is_empty() {

@@ -37,6 +37,40 @@ fn update() -> impl Strategy<Value = BgpUpdate> {
     })
 }
 
+/// Any date of years 1000–9999, any prefix, any ASNs, and peers past
+/// the peer table (written with ASN 0).
+fn wide_update() -> impl Strategy<Value = BgpUpdate> {
+    let date = (-354_285i32..=2_932_896).prop_map(Date::from_days_since_epoch);
+    let prefix = (any::<u32>(), 0u8..=32).prop_map(|(a, len)| Ipv4Prefix::from_u32(a, len));
+    let path = prop::collection::vec(any::<u32>(), 1..6)
+        .prop_map(|hops| AsPath::new(hops.into_iter().map(Asn).collect()));
+    (date, 0u32..5, prefix, prop::option::of(path)).prop_map(|(date, peer, prefix, p)| match p {
+        Some(path) => BgpUpdate::announce(date, PeerId(peer), prefix, path),
+        None => BgpUpdate::withdraw(date, PeerId(peer), prefix),
+    })
+}
+
+/// The stream writer the byte-level one replaced, kept as its
+/// reference: every field through its `Display`.
+fn write_updates_by_display(updates: &[BgpUpdate], peers: &[Peer]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for u in updates {
+        let asn = peers.get(u.peer.index()).map_or(0, |p| p.asn.value());
+        let _ = match &u.event {
+            BgpEvent::Announce(path) => writeln!(
+                out,
+                "BGP4MP|{}|A|{}|{asn}|{}|{path}",
+                u.date, u.peer, u.prefix
+            ),
+            BgpEvent::Withdraw => {
+                writeln!(out, "BGP4MP|{}|W|{}|{asn}|{}", u.date, u.peer, u.prefix)
+            }
+        };
+    }
+    out
+}
+
 fn peers() -> Vec<Peer> {
     (0..3u32)
         .map(|i| Peer::new(PeerId(i), Asn(1000 + i), format!("p{i}")))
@@ -111,6 +145,16 @@ proptest! {
         let text = bgpfmt::write_updates(&updates, &peers());
         let parsed = bgpfmt::parse_updates(&text).expect("own output parses");
         prop_assert_eq!(parsed, updates);
+    }
+
+    #[test]
+    fn update_lines_equal_their_display_lines(
+        updates in prop::collection::vec(wide_update(), 0..40)
+    ) {
+        prop_assert_eq!(
+            bgpfmt::write_updates(&updates, &peers()),
+            write_updates_by_display(&updates, &peers())
+        );
     }
 
     #[test]

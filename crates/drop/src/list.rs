@@ -17,7 +17,8 @@
 use std::collections::BTreeMap;
 
 use droplens_net::{
-    find_gaps, Date, DateRange, GapSpan, Ipv4Prefix, LocatedError, ParseError, Quarantine,
+    find_gaps, into_text, push_prefix, push_u32, Date, DateRange, GapSpan, Ipv4Prefix,
+    LocatedError, ParseError, Quarantine,
 };
 
 use crate::SblId;
@@ -47,27 +48,25 @@ impl DropSnapshot {
 
     /// Serialize in the Spamhaus file shape.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
+        use std::io::Write as _;
         let (y, m, d) = self.date.ymd();
-        // One pre-sized buffer; entries stream in via `write!` (~30 bytes
-        // each) instead of allocating a String per line.
-        let mut out = String::with_capacity(96 + self.entries.len() * 30);
+        // One pre-sized buffer; each entry's fields are pushed byte by
+        // byte (~30 bytes a line) instead of a String per line.
+        let mut out = Vec::with_capacity(96 + self.entries.len() * 30);
         let _ = write!(
             out,
             "; Spamhaus DROP List {y}/{m:02}/{d:02} - (c) {y} The Spamhaus Project\n; Entries: {}\n",
             self.entries.len()
         );
         for (prefix, sbl) in &self.entries {
-            match sbl {
-                Some(id) => {
-                    let _ = writeln!(out, "{prefix} ; {id}");
-                }
-                None => {
-                    let _ = writeln!(out, "{prefix}");
-                }
+            push_prefix(&mut out, *prefix);
+            if let Some(SblId(id)) = sbl {
+                out.extend_from_slice(b" ; SBL");
+                push_u32(&mut out, *id);
             }
+            out.push(b'\n');
         }
-        out
+        into_text(out)
     }
 
     /// Parse a snapshot file; the date is supplied by the archive layout

@@ -27,6 +27,26 @@ fn schedule() -> impl Strategy<Value = Vec<(Ipv4Prefix, i32, Option<i32>)>> {
     )
 }
 
+/// The snapshot writer the byte-level one replaced, kept as its
+/// reference: every line through `write!`.
+fn to_text_by_display(snap: &DropSnapshot) -> String {
+    use std::fmt::Write as _;
+    let (y, m, d) = snap.date.ymd();
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "; Spamhaus DROP List {y}/{m:02}/{d:02} - (c) {y} The Spamhaus Project\n; Entries: {}\n",
+        snap.entries.len()
+    );
+    for (prefix, sbl) in &snap.entries {
+        let _ = match sbl {
+            Some(id) => writeln!(out, "{prefix} ; {id}"),
+            None => writeln!(out, "{prefix}"),
+        };
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -84,6 +104,22 @@ proptest! {
         }
         let text = snap.to_text();
         prop_assert_eq!(DropSnapshot::parse(date, &text).expect("own output parses"), snap);
+    }
+
+    #[test]
+    fn snapshot_text_equals_its_display_lines(
+        entries in prop::collection::btree_map(
+            (any::<u32>(), 0u8..=32).prop_map(|(a, len)| Ipv4Prefix::from_u32(a, len)),
+            prop::option::of(any::<u32>()),
+            0..20,
+        ),
+        day in -354_285i32..=2_932_896,
+    ) {
+        let mut snap = DropSnapshot::new(Date::from_days_since_epoch(day));
+        for (p, sbl) in entries {
+            snap.insert(p, sbl.map(SblId));
+        }
+        prop_assert_eq!(snap.to_text(), to_text_by_display(&snap));
     }
 
     #[test]

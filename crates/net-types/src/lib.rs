@@ -40,7 +40,7 @@ mod trie;
 pub use asn::Asn;
 pub use date::{CompactDate, Date, DateRange, Month};
 pub use error::{LocatedError, ParseError};
-pub use fields::split_fields;
+pub use fields::{into_text, push_date, push_prefix, push_u32, split_fields};
 pub use ingest::{
     find_gaps, GapSpan, IngestError, IngestPolicy, IngestReport, Quarantine, SourceCoverage,
     SourceIngest, QUARANTINE_SAMPLES_KEPT,

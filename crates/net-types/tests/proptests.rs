@@ -3,7 +3,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeSet;
 
-use droplens_net::{split_fields, AddressSpace, Date, Ipv4Prefix, PrefixSet, PrefixTrie};
+use droplens_net::{
+    push_date, push_prefix, push_u32, split_fields, AddressSpace, Date, Ipv4Prefix, PrefixSet,
+    PrefixTrie,
+};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary prefixes, biased toward realistic lengths.
@@ -18,6 +21,26 @@ fn arb_dense_prefix() -> impl Strategy<Value = Ipv4Prefix> {
 }
 
 proptest! {
+    #[test]
+    fn byte_pushers_equal_display(
+        p in arb_prefix(),
+        n in any::<u32>(),
+        (y, m, d) in (1000i32..=9999, 1u32..=12, 1u32..=28),
+        day_of_month_end in 0i32..4,
+    ) {
+        let mut out = b"x".to_vec();
+        push_u32(&mut out, n);
+        prop_assert_eq!(&out[1..], n.to_string().as_bytes());
+        out.truncate(1);
+        push_prefix(&mut out, p);
+        prop_assert_eq!(&out[1..], p.to_string().as_bytes());
+        // Days 28..=31 of the month, and across its end.
+        let date = Date::from_ymd(y, m, d) + if d == 28 { day_of_month_end } else { 0 };
+        out.truncate(1);
+        push_date(&mut out, date);
+        prop_assert_eq!(&out[1..], date.to_string().as_bytes());
+    }
+
     #[test]
     fn prefix_display_parse_round_trip(p in arb_prefix()) {
         let s = p.to_string();

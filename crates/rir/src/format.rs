@@ -182,10 +182,10 @@ fn parse_stats_row(line: &str, saw_version: bool) -> Result<Row<DelegationRecord
         Some(Date::parse_compact(fields[5])?)
     };
     let status: AllocationStatus = fields[6].parse()?;
-    let opaque_id = if n > 7 { fields[7] } else { "" }.to_owned();
+    let opaque_id = if n > 7 { fields[7] } else { "" }.into();
     Ok(Row::Record(DelegationRecord {
         rir: row_rir,
-        country: fields[1].to_owned(),
+        country: fields[1].into(),
         start,
         count,
         date: rec_date,

@@ -23,5 +23,5 @@ mod record;
 mod types;
 
 pub use archive::{Delegation, RirStatsArchive, StatusAt};
-pub use record::DelegationRecord;
+pub use record::{DelegationRecord, ShortStr};
 pub use types::{AllocationStatus, Rir};

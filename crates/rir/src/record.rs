@@ -1,5 +1,6 @@
 //! Delegated stats records.
 
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use droplens_net::{Date, Ipv4Prefix};
@@ -17,7 +18,7 @@ pub struct DelegationRecord {
     /// Publishing registry.
     pub rir: Rir,
     /// ISO country code, or `"ZZ"`/empty for unassigned rows.
-    pub country: String,
+    pub country: ShortStr,
     /// First address of the span.
     pub start: Ipv4Addr,
     /// Number of addresses in the span.
@@ -27,7 +28,7 @@ pub struct DelegationRecord {
     /// Row status.
     pub status: AllocationStatus,
     /// Registry-internal organization handle (extended format).
-    pub opaque_id: String,
+    pub opaque_id: ShortStr,
 }
 
 impl DelegationRecord {
@@ -42,12 +43,12 @@ impl DelegationRecord {
     ) -> DelegationRecord {
         DelegationRecord {
             rir,
-            country: country.to_owned(),
+            country: country.into(),
             start,
             count,
             date: Some(date),
             status: AllocationStatus::Allocated,
-            opaque_id: opaque_id.to_owned(),
+            opaque_id: opaque_id.into(),
         }
     }
 
@@ -55,12 +56,12 @@ impl DelegationRecord {
     pub fn available(rir: Rir, start: Ipv4Addr, count: u64) -> DelegationRecord {
         DelegationRecord {
             rir,
-            country: "ZZ".to_owned(),
+            country: "ZZ".into(),
             start,
             count,
             date: None,
             status: AllocationStatus::Available,
-            opaque_id: String::new(),
+            opaque_id: "".into(),
         }
     }
 
@@ -100,6 +101,63 @@ impl DelegationRecord {
             remaining -= size;
             Some(block)
         })
+    }
+}
+
+/// The most bytes a [`ShortStr`] holds inline.
+const INLINE: usize = 22;
+
+/// Text of a stats row field: up to 22 bytes inline and longer text on
+/// the heap, in the 24 bytes of a `String`. Country codes and registry
+/// handles are short, so parsing a row allocates nothing for them. Any
+/// text is accepted.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ShortStr(Repr);
+
+/// Text of [`INLINE`] bytes or fewer is always inline, so equal texts
+/// have equal representations.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// The text's length and its bytes, zero-padded.
+    Inline(u8, [u8; INLINE]),
+    Heap(Box<str>),
+}
+
+impl ShortStr {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Inline bytes are a whole `&str`'s, so they always decode.
+            Repr::Inline(len, bytes) => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).unwrap_or_default()
+            }
+            Repr::Heap(text) => text,
+        }
+    }
+}
+
+impl From<&str> for ShortStr {
+    fn from(text: &str) -> ShortStr {
+        let mut bytes = [0; INLINE];
+        match bytes.get_mut(..text.len()) {
+            Some(inline) => {
+                inline.copy_from_slice(text.as_bytes());
+                ShortStr(Repr::Inline(text.len() as u8, bytes))
+            }
+            None => ShortStr(Repr::Heap(text.into())),
+        }
+    }
+}
+
+impl fmt::Display for ShortStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for ShortStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -171,6 +229,36 @@ mod tests {
     fn end_exclusive() {
         let r = DelegationRecord::available(Rir::Arin, addr("255.255.255.0"), 256);
         assert_eq!(r.end_exclusive(), 1u64 << 32);
+    }
+
+    #[test]
+    fn short_strings_round_trip_inline_and_on_the_heap() {
+        let long = "x".repeat(64);
+        let texts = [
+            "",
+            "ZZ",
+            "ORG-0123456789-ABCDEFG",
+            "ORG-0123456789-ABCDEFGH",
+            &long,
+            "Ñandú-ORG-éü",
+            "ñ".repeat(11).as_str(),
+            "ñ".repeat(12).as_str(),
+        ]
+        .map(str::to_owned);
+        let lens: Vec<usize> = texts[..5].iter().map(String::len).collect();
+        assert_eq!(lens, [0, 2, 22, 23, 64]);
+        for text in &texts {
+            let short = ShortStr::from(text.as_str());
+            assert_eq!(short.as_str(), text);
+            assert_eq!(short.to_string(), *text);
+            assert_eq!(format!("{short:?}"), format!("{text:?}"));
+            assert_eq!(format!("[{short:>30}]"), format!("[{text:>30}]"));
+            assert_eq!(matches!(short.0, Repr::Inline(..)), text.len() <= INLINE);
+            assert_eq!(short.clone(), short);
+        }
+        assert_ne!(ShortStr::from("ZZ"), ShortStr::from("ZZ\0"));
+        assert_eq!(std::mem::size_of::<ShortStr>(), 24);
+        assert_eq!(std::mem::size_of::<DelegationRecord>(), 72);
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl Reference {
             rir: row.rir,
             status: row.status,
             allocated_on: row.date,
-            opaque_id: row.opaque_id.clone(),
+            opaque_id: row.opaque_id.to_string(),
             matched,
         })
     }
@@ -250,7 +250,7 @@ impl Reference {
                 .iter()
                 .map(|(p, &id)| (p, &s.rows[id as usize]))
                 .filter(|(_, r)| r.status.is_delegated())
-                .map(|(p, r)| (p, r.rir, r.opaque_id.clone()))
+                .map(|(p, r)| (p, r.rir, r.opaque_id.to_string()))
                 .collect()
         })
     }

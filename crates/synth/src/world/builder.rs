@@ -1325,25 +1325,18 @@ impl Builder {
             }
         }
         self.truth.filtering_peers = filtering;
-        let bgp_updates = sim.updates_for(&self.originations);
 
         // Journals must be chronological.
         self.irr.sort_by_key(|e| e.date);
         self.roas.sort_by_key(|e| e.date);
 
-        // Daily DROP snapshots.
-        let mut drop_snapshots = Vec::with_capacity(cfg.study_days().len());
-        for day in cfg.study_days().iter() {
-            let mut snap = DropSnapshot::new(day);
-            for l in &self.listings {
-                if l.listed <= day && l.removed.is_none_or(|r| day < r) {
-                    snap.insert(l.prefix, Some(l.sbl));
-                }
-            }
-            drop_snapshots.push(snap);
-        }
-
-        let (rir_rows, rir_snapshots) = self.rir_series(&self.rir_snapshot_dates());
+        // The update stream, the daily DROP snapshots and the RIR series
+        // read finished populations and build disjoint outputs.
+        let (bgp_updates, drop_snapshots, (rir_rows, rir_snapshots)) = droplens_par::join3(
+            || sim.updates_for(&self.originations),
+            || self.drop_days(),
+            || self.rir_series(&self.rir_snapshot_dates()),
+        );
         World {
             config: cfg,
             peers,
@@ -1356,6 +1349,22 @@ impl Builder {
             sbl_db: self.sbl,
             truth: self.truth,
         }
+    }
+
+    /// The DROP list of every study day, the days spread over the
+    /// workers: each lists the prefixes whose listing is active that day,
+    /// with the SBL id of the last such listing.
+    fn drop_days(&self) -> Vec<DropSnapshot> {
+        let days: Vec<Date> = self.cfg.study_days().iter().collect();
+        droplens_par::par_map(&days, |&day| {
+            let mut snap = DropSnapshot::new(day);
+            for l in &self.listings {
+                if l.listed <= day && l.removed.is_none_or(|r| day < r) {
+                    snap.insert(l.prefix, Some(l.sbl));
+                }
+            }
+            snap
+        })
     }
 
     /// The dates of the RIR stats snapshots: monthly, plus one at
@@ -1397,56 +1406,16 @@ impl Builder {
     }
 
     /// Every registry's stats file on each of `dates` (ascending), with
-    /// each distinct row stored once: one sweep of the dates per
-    /// registry. A file lists the allocations active on its date, in
-    /// allocation order, then the free blocks of the rest of the
-    /// registry's plan, stably sorted by start address. An allocation's
-    /// row is made on the first date it is active and reused while it
-    /// stays active. The free pool is recomputed only when the active set
-    /// changed, and a free block already seen keeps its row; a date where
-    /// nothing changed shares the previous file's rows.
+    /// each distinct row stored once. Each registry's series is built on
+    /// a worker over a row table of its own; the tables are appended in
+    /// [`Rir::ALL`] order, which gives the ids one table filled registry
+    /// by registry would.
     fn rir_series(&self, dates: &[Date]) -> (StatsRows, Vec<SharedSnapshot>) {
         let mut rows = StatsRows::default();
         let mut per_rir = Vec::with_capacity(Rir::ALL.len());
-        for rir in Rir::ALL {
-            let allocations: Vec<&Allocation> =
-                self.allocations.iter().filter(|a| a.rir == rir).collect();
-            let mut allocated_rows: Vec<Option<RowId>> = vec![None; allocations.len()];
-            let mut free_rows: BTreeMap<Ipv4Prefix, RowId> = BTreeMap::new();
-            let mut active: Option<Vec<usize>> = None;
-            let mut file_rows: Vec<RowId> = Vec::new();
-            let mut files = Vec::with_capacity(dates.len());
-            for &date in dates {
-                let now: Vec<usize> = (0..allocations.len())
-                    .filter(|&i| allocations[i].active_on(date))
-                    .collect();
-                if active.as_ref() != Some(&now) {
-                    let mut free = plan(rir);
-                    file_rows = Vec::with_capacity(file_rows.len());
-                    for &i in &now {
-                        let a = allocations[i];
-                        free.remove(a.block);
-                        file_rows
-                            .push(*allocated_rows[i].get_or_insert_with(|| rows.push(a.record())));
-                    }
-                    for prefix in free.iter() {
-                        file_rows.push(*free_rows.entry(prefix).or_insert_with(|| {
-                            rows.push(DelegationRecord::available(
-                                rir,
-                                prefix.network(),
-                                prefix.address_count(),
-                            ))
-                        }));
-                    }
-                    file_rows.sort_by_key(|&id| u32::from(rows[id].start));
-                    active = Some(now);
-                }
-                files.push(SharedStatsFile {
-                    rir,
-                    date,
-                    rows: file_rows.clone(),
-                });
-            }
+        let series = droplens_par::par_map(&Rir::ALL, |&rir| self.registry_series(rir, dates));
+        for (table, mut files) in series {
+            rows.append(table, &mut files);
             per_rir.push(files.into_iter());
         }
         let snapshots = dates
@@ -1459,6 +1428,57 @@ impl Builder {
             })
             .collect();
         (rows, snapshots)
+    }
+
+    /// The stats file of `rir` on each of `dates`, over a row table of
+    /// its own: one sweep of the dates. A file lists the allocations
+    /// active on its date, in allocation order, then the free blocks of
+    /// the rest of the registry's plan, stably sorted by start address.
+    /// An allocation's row is made on the first date it is active and
+    /// reused while it stays active. The free pool is recomputed only
+    /// when the active set changed, and a free block already seen keeps
+    /// its row; a date where nothing changed shares the previous file's
+    /// rows.
+    fn registry_series(&self, rir: Rir, dates: &[Date]) -> (StatsRows, Vec<SharedStatsFile>) {
+        let mut rows = StatsRows::default();
+        let allocations: Vec<&Allocation> =
+            self.allocations.iter().filter(|a| a.rir == rir).collect();
+        let mut allocated_rows: Vec<Option<RowId>> = vec![None; allocations.len()];
+        let mut free_rows: BTreeMap<Ipv4Prefix, RowId> = BTreeMap::new();
+        let mut active: Option<Vec<usize>> = None;
+        let mut file_rows: Vec<RowId> = Vec::new();
+        let mut files = Vec::with_capacity(dates.len());
+        for &date in dates {
+            let now: Vec<usize> = (0..allocations.len())
+                .filter(|&i| allocations[i].active_on(date))
+                .collect();
+            if active.as_ref() != Some(&now) {
+                let mut free = plan(rir);
+                file_rows = Vec::with_capacity(file_rows.len());
+                for &i in &now {
+                    let a = allocations[i];
+                    free.remove(a.block);
+                    file_rows.push(*allocated_rows[i].get_or_insert_with(|| rows.push(a.record())));
+                }
+                for prefix in free.iter() {
+                    file_rows.push(*free_rows.entry(prefix).or_insert_with(|| {
+                        rows.push(DelegationRecord::available(
+                            rir,
+                            prefix.network(),
+                            prefix.address_count(),
+                        ))
+                    }));
+                }
+                file_rows.sort_by_key(|&id| u32::from(rows[id].start));
+                active = Some(now);
+            }
+            files.push(SharedStatsFile {
+                rir,
+                date,
+                rows: file_rows.clone(),
+            });
+        }
+        (rows, files)
     }
 
     /// The stats file of `rir` on `date`, built on its own: the reference
@@ -1567,6 +1587,30 @@ mod tests {
             }
             // Every row is listed by some file, and stored once.
             assert_eq!(rows.len(), distinct.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn drop_days_on_the_workers_equal_the_per_day_scan() {
+        for (seed, cfg) in [1, 7, 42]
+            .into_iter()
+            .flat_map(|seed| [(seed, WorldConfig::small()), (seed, WorldConfig::paper())])
+        {
+            let mut builder = Builder::new(seed, cfg);
+            builder.populate();
+            // The loop `drop_days` replaced: every listing tested on
+            // every day, one day after another.
+            let mut scanned = Vec::new();
+            for day in builder.cfg.study_days().iter() {
+                let mut snap = DropSnapshot::new(day);
+                for l in &builder.listings {
+                    if l.listed <= day && l.removed.is_none_or(|r| day < r) {
+                        snap.insert(l.prefix, Some(l.sbl));
+                    }
+                }
+                scanned.push(snap);
+            }
+            assert_eq!(builder.drop_days(), scanned, "seed {seed}");
         }
     }
 
