@@ -299,9 +299,31 @@ pub fn parse_stats_file_with(
     text: &str,
     quarantine: &mut Quarantine,
 ) -> Result<Option<StatsFile>, LocatedError> {
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(stated_records(text));
     let version = scan_stats_file(text, quarantine, &mut records)?;
     Ok(version.map(|(rir, date)| StatsFile { rir, date, records }))
+}
+
+/// The record count a stats file's version line states, as a capacity
+/// hint for its row list, which would otherwise allocate about three
+/// times its final size while it grows: 0 when the first line is not a
+/// version line, and never more rows than the text has room for (a row
+/// that parses takes at least 31 bytes with its newline).
+fn stated_records(text: &str) -> usize {
+    let Some(line) = text
+        .lines()
+        .map(str::trim)
+        .find(|line| !line.is_empty() && !line.starts_with('#'))
+    else {
+        return 0;
+    };
+    let (fields, n) = split_fields::<8>(line, b'|');
+    if n < 6 {
+        return 0;
+    }
+    fields[3]
+        .parse::<usize>()
+        .map_or(0, |count| count.min(text.len() / 31))
 }
 
 /// Index of a row in a [`StatsRows`] table.
@@ -620,6 +642,22 @@ mod tests {
         let f = sample();
         let text = write_stats_file(&f);
         assert_eq!(parse_stats_file(&text).unwrap(), f);
+    }
+
+    #[test]
+    fn row_list_is_sized_from_the_version_line() {
+        let text = write_stats_file(&sample());
+        let parsed = parse_stats_file(&text).unwrap();
+        assert_eq!(parsed.records.capacity(), parsed.records.len());
+        assert_eq!(stated_records(&format!("# comment\n\n{text}")), 2);
+        // A stated count the text has no room for is cut to what it
+        // could hold, and the rows parse as before.
+        let inflated = text.replacen("|2|19830613|", "|4000000000|19830613|", 1);
+        assert_eq!(stated_records(&inflated), inflated.len() / 31);
+        assert_eq!(parse_stats_file(&inflated).unwrap(), parsed);
+        // No version line first, no hint.
+        assert_eq!(stated_records(text.split_once('\n').unwrap().1), 0);
+        assert_eq!(stated_records(""), 0);
     }
 
     #[test]
